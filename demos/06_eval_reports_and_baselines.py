@@ -5,11 +5,9 @@
 
 import os
 
-import numpy as np
-
 from taggnn import data as dm
-from taggnn.baseline import baseline_scores, train_baseline
-from taggnn.evaluation import evaluate, precision_at_k, report_to_json
+from taggnn.baseline import train_baseline
+from taggnn.evaluation import evaluate, report_to_json, subset_precision
 from taggnn.graph import Vocabulary
 from taggnn.synthetic import query_signal_dataset
 from taggnn.training import TrainConfig, train
@@ -34,18 +32,13 @@ print(report_to_json(report))
 # --- baselines on data where queries matter ----------------------------------
 ds, qsplits = query_signal_dataset(seed=0)
 qvocab = Vocabulary.from_texts(ds.texts(), min_count=1)
-tag_pos = {t: n for n, (t, _) in enumerate(ds.tags)}
-test_rows = sorted((ds.item_index[i], i) for i, r in qsplits.roles.items()
-                   if r == "test_full")
+qgraph = dm.dataset_to_graph(ds, qvocab, splits=qsplits)
 bconfig = TrainConfig(dim=24, max_epochs=80, seed=0)
 
 print("averaged-embedding linear baselines on query-signal data:")
 for mode in ("item", "item_queries"):
-    model, _ = train_baseline(ds, mode, bconfig, qsplits, qvocab)
-    scores = baseline_scores(model)
-    p1 = np.mean([precision_at_k(np.argsort(-scores[idx]).tolist(),
-                                 {tag_pos[t] for t in qsplits.truth[item_id]}, 1)
-                  for idx, item_id in test_rows])
+    model = train_baseline(qgraph, mode, bconfig, qsplits, len(qvocab)).model
+    p1 = subset_precision(model, qgraph, qsplits, ("test_full",), ks=(1,))["test_full"]["p@1"]
     print(f"  mode {mode:13s}: test P@1 = {p1:.3f}")
 print("concatenating the top-10 queries' text lifts the text-only classifier,")
 print("the same direction the graph models take much further.")

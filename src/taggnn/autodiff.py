@@ -14,6 +14,10 @@ import numpy as np
 _ids = itertools.count()
 
 
+class NumericalError(RuntimeError):
+    """A loss or a score came out non-finite."""
+
+
 class Tensor:
     """A float64 array plus its node in the recorded computation graph.
 
@@ -51,9 +55,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def backward(self):
-        backward(self)
 
     # operator sugar; everything reduces to add/mul on the tape
     def __add__(self, other):
@@ -436,17 +437,6 @@ class Adam:
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self):
-        zero_grads(self.params)
-
-
-def adam_step(params, grads, state):
-    """Functional wrapper: assign ``grads`` to ``params`` and take one Adam step."""
-    for p, g in zip(params, grads):
-        p.grad = None if g is None else np.asarray(g, dtype=np.float64)
-    state.step()
-    return params, state
 
 
 def finite_difference_check(loss_fn, params, eps=1e-5, analytic=None):

@@ -1,23 +1,26 @@
 """Averaged-word-embedding linear classifier baselines.
 
 Two input modes: item titles alone, or titles concatenated with the contents
-of the item's ten heaviest queries.  Training reuses the same BCE/Adam
-machinery as the graph models, full batch.
+of the item's ten heaviest queries.  The baseline reads the same tripartite
+graph as the graph models and trains through the same :func:`training.fit`
+loop, so it early-stops on the same validation metric: the macro mean of
+P@1 over the full-prediction and completion validation subsets.
 """
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Tensor
-from .data import COMPLETION_ROLES
-from .evaluation import precision_at_k
-from .graph import UNK_ID, tokenize_and_index
+from .autodiff import Tensor
+from .evaluation import rank_topk
+from .graph import UNK_ID, mean_token_rows
+from .model import ForwardResult
+from .training import fit, label_matrix, train_rows
 
 MODES = ("item", "item_queries")
 TOP_QUERIES = 10
 
 
-def item_feature_tokens(dataset, vocab, mode):
+def item_feature_tokens(graph, mode):
     """Per-item token-id lists for the chosen input mode.
 
     In ``item_queries`` mode the title is concatenated with the contents of
@@ -26,149 +29,78 @@ def item_feature_tokens(dataset, vocab, mode):
     """
     if mode not in MODES:
         raise ValueError(f"unknown baseline mode {mode!r}")
-    titles = {i: tokenize_and_index(text, vocab) for i, text in dataset.items}
     if mode == "item":
-        return [titles[i] for i, _ in dataset.items]
+        return graph.item_tokens
 
-    weights = {}
-    for q, i, w in dataset.qi:
-        key = (i, q)
-        weights[key] = weights.get(key, 0.0) + w
-    by_item = {}
-    for (i, q), w in weights.items():
-        by_item.setdefault(i, []).append((q, w))
-    query_text = dict(dataset.queries)
-    query_order = {q: n for n, (q, _) in enumerate(dataset.queries)}
-
+    by_item = [[] for _ in range(graph.n_items)]
+    for q, i, w in zip(graph.qi_query, graph.qi_item, graph.qi_weight):
+        by_item[i].append((-w, q))
     feats = []
-    for i, _ in dataset.items:
-        toks = list(titles[i])
-        linked = by_item.get(i, [])
-        linked.sort(key=lambda qw: (-qw[1], query_order[qw[0]]))
-        for q, _ in linked[:TOP_QUERIES]:
-            toks.extend(tokenize_and_index(query_text[q], vocab))
+    for title, linked in zip(graph.item_tokens, by_item):
+        toks = list(title)
+        for _, q in sorted(linked)[:TOP_QUERIES]:
+            toks.extend(graph.query_tokens[q])
         feats.append(toks)
     return feats
 
 
 class BaselineModel:
-    """Word table + linear head over tags, with cached per-item features."""
+    """Word table + linear head over tags."""
 
-    def __init__(self, words, weight, bias, mode, feature_tokens, tag_ids):
+    def __init__(self, words, weight, bias, mode):
         self.words = words
         self.weight = weight
         self.bias = bias
         self.mode = mode
-        self.feature_tokens = feature_tokens
-        self.tag_ids = list(tag_ids)
+        self._features = (None, None)  # (graph, token lists): graphs are immutable once built
 
     def parameters(self):
         return [self.words, self.weight, self.bias]
 
-    def _features(self, token_lists):
-        n = len(token_lists)
-        flat, owners = [], []
-        inv = np.zeros((n, 1))
-        for row, toks in enumerate(token_lists):
-            if toks:
-                inv[row, 0] = 1.0 / len(toks)
-                flat.extend(toks)
-                owners.extend([row] * len(toks))
-        if not flat:
-            return Tensor(np.zeros((n, self.words.shape[1])))
-        gathered = ad.gather_rows(self.words, np.asarray(flat, dtype=np.int64))
-        return ad.mul(ad.scatter_add_rows(gathered, np.asarray(owners, dtype=np.int64), n), inv)
+    def zero_frozen_grads(self):
+        # the unknown-token row never trains; all-empty features never touch the table
+        if self.words.grad is not None:
+            self.words.grad[UNK_ID] = 0.0
+
+    def feature_tokens(self, graph):
+        """:func:`item_feature_tokens` of ``graph`` in this model's mode, computed once per graph."""
+        if self._features[0] is not graph:
+            self._features = (graph, item_feature_tokens(graph, self.mode))
+        return self._features[1]
 
     def logits(self, token_lists):
-        return ad.add(ad.matmul(self._features(token_lists), self.weight), self.bias)
+        return ad.add(ad.matmul(mean_token_rows(self.words, token_lists), self.weight), self.bias)
 
-    def all_logits(self):
-        return self.logits(self.feature_tokens).data
+    def forward(self, graph, train_mode=False):
+        """Head logits for every graph item, shaped for :class:`evaluation.Predictor`."""
+        feats = mean_token_rows(self.words, self.feature_tokens(graph))
+        logits = ad.add(ad.matmul(feats, self.weight), self.bias)
+        return ForwardResult(reps=feats, initial=feats, item_reps=feats, tag_reps=None,
+                             initial_item_reps=feats, head_logits=logits)
 
 
-def train_baseline(dataset, mode, config, splits, vocab):
-    """Fit the linear baseline; early-stops on validation P@1 like the main loop."""
-    feats = item_feature_tokens(dataset, vocab, mode)
-    n_tags = len(dataset.tags)
+def train_baseline(graph, mode, config, splits, n_words):
+    """Fit the linear baseline on the graph's training items with :func:`training.fit`."""
     rng = np.random.default_rng([config.seed, 2])
-    words = rng.uniform(-0.05, 0.05, size=(len(vocab), config.dim))
+    words = rng.uniform(-0.05, 0.05, size=(n_words, config.dim))
     words[UNK_ID] = 0.0
     model = BaselineModel(
         words=Tensor(words, requires_grad=True),
-        weight=Tensor(rng.uniform(-0.05, 0.05, size=(config.dim, n_tags)), requires_grad=True),
-        bias=Tensor(np.zeros(n_tags), requires_grad=True),
+        weight=Tensor(rng.uniform(-0.05, 0.05, size=(config.dim, graph.n_tags)),
+                      requires_grad=True),
+        bias=Tensor(np.zeros(graph.n_tags), requires_grad=True),
         mode=mode,
-        feature_tokens=feats,
-        tag_ids=[t for t, _ in dataset.tags],
     )
+    rows = train_rows(graph, splits)
+    labels = label_matrix(graph, rows)
+    train_feats = [model.feature_tokens(graph)[r] for r in rows]
 
-    item_pos = {i: n for n, (i, _) in enumerate(dataset.items)}
-    tag_pos = {t: n for n, (t, _) in enumerate(dataset.tags)}
-    tag_map = dataset.item_tag_map()
-    train_rows = sorted(item_pos[i] for i, r in splits.roles.items() if r == "train")
-    labels = np.zeros((len(train_rows), n_tags))
-    item_ids = [i for i, _ in dataset.items]
-    for row, idx in enumerate(train_rows):
-        for t in tag_map[item_ids[idx]]:
-            labels[row, tag_pos[t]] = 1.0
+    def loss_fn():
+        return ad.bce_with_logits(model.logits(train_feats), labels), {}
 
-    val_items = [(item_pos[i], i, splits.roles[i]) for i in splits.roles
-                 if splits.roles[i] in ("val_full", "val_comp")]
-    val_items.sort()
-
-    params = model.parameters()
-    optimizer = Adam(params, lr=config.learning_rate)
-    train_feats = [feats[r] for r in train_rows]
-    best_val, best_state, bad, log = -np.inf, None, 0, []
-
-    for epoch in range(config.max_epochs):
-        ad.zero_grads(params)
-        loss = ad.bce_with_logits(model.logits(train_feats), labels)
-        ad.backward(loss)
-        if model.words.grad is not None:  # all-empty features never touch the table
-            model.words.grad[UNK_ID] = 0.0
-        optimizer.step()
-
-        record = {"epoch": epoch, "loss": float(loss.data), "val_p1": None}
-        if val_items:
-            scores = model.all_logits()
-            p1 = []
-            for idx, item_id, role in val_items:
-                truth = {tag_pos[t] for t in splits.truth[item_id]}
-                exclude = {tag_pos[t] for t in splits.known.get(item_id, ())} \
-                    if role in COMPLETION_ROLES else set()
-                p1.append(precision_at_k(_rank(scores[idx], exclude), truth, 1))
-            record["val_p1"] = float(np.mean(p1))
-        log.append(record)
-
-        if record["val_p1"] is not None:
-            if record["val_p1"] > best_val:
-                best_val, bad = record["val_p1"], 0
-                best_state = [p.data.copy() for p in params]
-            else:
-                bad += 1
-                if bad >= config.patience:
-                    break
-
-    if best_state is not None:
-        for p, a in zip(params, best_state):
-            p.data[...] = a
-    return model, log
-
-
-def _rank(scores, exclude):
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return [int(t) for t in order if int(t) not in exclude]
+    return fit(model, loss_fn, graph, splits, config)
 
 
 def predict_baseline(model, tokens, k, exclude=()):
     """Top-K tag indices for one item's feature tokens."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    scores = model.logits([tokens]).data[0]
-    return _rank(scores, set(exclude))[:k]
-
-
-def baseline_scores(model):
-    """Score matrix over the cached items, for evaluation harness reuse."""
-    return model.all_logits()
+    return rank_topk(model.logits([tokens]).data[0], k, exclude)

@@ -10,9 +10,9 @@ import sys
 
 from . import data as data_mod
 from . import evaluation, serialization, synthetic
-from .autodiff import finite_difference_check
+from .autodiff import NumericalError, finite_difference_check
 from .data import DataFormatError, FilterThresholds
-from .training import NumericalError, TrainConfig, combined_loss, train
+from .training import TrainConfig, combined_loss, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -55,18 +55,23 @@ def cmd_split(args):
     return 0
 
 
-def cmd_train(args):
+def _training_inputs(args):
+    """Config, splits, vocabulary and masked graph for ``train`` and ``ablate``."""
     config = _load_config(args.config)
     dataset = data_mod.load_dataset(args.data)
     if args.splits:
         splits = data_mod.load_splits(args.splits, dataset)
-    else:
-        counts = tuple(int(c) for c in args.counts.split(",")) if args.counts else None
-        if counts is None:
-            raise DataFormatError("provide --splits or --counts to derive a split")
+    elif args.counts:
+        counts = tuple(int(c) for c in args.counts.split(","))
         splits = data_mod.make_splits(dataset, counts, config.seed)
+    else:
+        raise DataFormatError("provide --splits or --counts to derive a split")
     vocab = data_mod.build_vocabulary(dataset, min_count=args.min_count)
-    graph = data_mod.dataset_to_graph(dataset, vocab, splits=splits)
+    return config, splits, vocab, data_mod.dataset_to_graph(dataset, vocab, splits=splits)
+
+
+def cmd_train(args):
+    config, splits, vocab, graph = _training_inputs(args)
 
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.jsonl")
@@ -116,8 +121,7 @@ def cmd_predict(args):
         raise DataFormatError(f"unknown item id {args.item_id!r}")
     index = dataset.item_index[args.item_id]
     predictor = evaluation.Predictor(model, graph)
-    linked = {t for i, t in zip(graph.it_item, graph.it_tag) if i == index}
-    ranked = predictor.topk(index, args.k, exclude=linked)
+    ranked = predictor.topk(index, args.k, exclude=graph.item_tag_sets()[index])
     for t in ranked:
         print(graph.tag_ids[t])
     return 0
@@ -137,11 +141,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
-    config = _load_config(args.config)
-    dataset = data_mod.load_dataset(args.data)
-    splits = data_mod.load_splits(args.splits, dataset)
-    vocab = data_mod.build_vocabulary(dataset, min_count=args.min_count)
-    graph = data_mod.dataset_to_graph(dataset, vocab, splits=splits)
+    config, splits, vocab, graph = _training_inputs(args)
     ks = tuple(int(k) for k in args.k.split(","))
 
     def run(name, **overrides):

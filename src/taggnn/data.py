@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import UNK_TOKEN, Vocabulary, build_graph, tokenize_and_index
+from .graph import UNK_TOKEN, Vocabulary, build_graph
 
 DATASET_FILES = {
     "items": "items.tsv",
@@ -49,9 +49,6 @@ class RawDataset:
         self.item_index = {i: n for n, (i, _) in enumerate(self.items)}
         self.query_index = {q: n for n, (q, _) in enumerate(self.queries)}
         self.tag_index = {t: n for n, (t, _) in enumerate(self.tags)}
-
-    def item_tags(self, item_id):
-        return {t for i, t in self.it if i == item_id}
 
     def item_tag_map(self):
         out = {i: set() for i, _ in self.items}
@@ -256,9 +253,6 @@ class SplitAssignment:
             if held & known:
                 raise ValueError(f"held-out and known tags overlap for item {item_id!r}")
 
-    def items_with_role(self, role):
-        return [i for i, r in self.roles.items() if r == role]
-
 
 def mask_completion_tags(tag_set, rng):
     """Uniformly hold out two tags; the rest stay known.
@@ -374,9 +368,9 @@ def dataset_to_graph(dataset, vocab, splits=None, include_known_tags=True):
     which is the degraded condition for measuring how much visible tags help).
     Query edges always stay.
     """
-    queries = [tokenize_and_index(text, vocab) for _, text in dataset.queries]
-    items = [tokenize_and_index(text, vocab) for _, text in dataset.items]
-    tags = [tokenize_and_index(text, vocab) for _, text in dataset.tags]
+    queries = [vocab.encode(text) for _, text in dataset.queries]
+    items = [vocab.encode(text) for _, text in dataset.items]
+    tags = [vocab.encode(text) for _, text in dataset.tags]
 
     qi_edges = [(dataset.query_index[q], dataset.item_index[i], w) for q, i, w in dataset.qi]
 

@@ -2,13 +2,16 @@
 
 A trained model is frozen into a :class:`Predictor` (one dropout-free
 forward pass); ranking is by dot-product similarity against every tag, or by
-head logits for the query-item variant.  Completion items never see their
-known tags among the candidates.
+head logits for the query-item variant and the baseline.  Every ranking goes
+through :func:`rank_topk`.  Completion items never see their known tags among
+the candidates.
 """
 
 import json
 
 import numpy as np
+
+from .autodiff import NumericalError
 
 
 def precision_at_k(predicted, truth, k):
@@ -22,55 +25,54 @@ def precision_at_k(predicted, truth, k):
     return hits / k
 
 
+def rank_topk(scores, k, exclude=()):
+    """Indices of the ``k`` highest scores, best first; ties go to the lower index.
+
+    Excluded indices never appear, so fewer than ``k`` come back when fewer
+    candidates remain.  A non-finite score raises :class:`NumericalError`.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise NumericalError("non-finite tag scores; the model parameters are corrupt")
+    keep = np.ones(len(scores), dtype=bool)
+    keep[list(exclude)] = False
+    candidates = np.flatnonzero(keep)
+    neg = -scores[candidates]
+    if k < len(candidates):
+        # only candidates at or above the k-th best score can make the list
+        top = neg <= np.partition(neg, k - 1)[k - 1]
+        candidates, neg = candidates[top], neg[top]
+    return candidates[np.lexsort((candidates, neg))[:k]].tolist()
+
+
 class Predictor:
     """Frozen model + graph: caches one eval-mode forward for repeated ranking."""
 
     def __init__(self, model, graph):
-        self.model = model
-        self.graph = graph
         out = model.forward(graph, train_mode=False)
         self._item_reps = out.item_reps.data
         self._tag_reps = out.tag_reps.data if out.tag_reps is not None else None
         self._head_logits = out.head_logits.data if out.head_logits is not None else None
-        self.n_tags = graph.n_tags
 
     def scores(self, item_index):
         """Similarity of one item against every tag."""
-        if self.model.variant.kind == "qi":
+        if self._head_logits is not None:
             return self._head_logits[item_index].copy()
         return self._tag_reps @ self._item_reps[item_index]
 
     def topk(self, item_index, k, exclude=()):
-        """Indices of the best-scoring tags; ties go to the lower tag index."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        s = self.scores(item_index)
-        if exclude:
-            s = s.copy()
-            s[list(exclude)] = -np.inf
-        order = np.lexsort((np.arange(self.n_tags), -s))
-        out = []
-        for t in order:
-            t = int(t)
-            if exclude and t in exclude:
-                continue
-            out.append(t)
-            if len(out) == k:
-                break
-        return out
+        """Indices of the best-scoring tags, by :func:`rank_topk`."""
+        return rank_topk(self.scores(item_index), k, exclude)
 
 
-def predict_topk(model, graph, item, k, exclude=()):
-    """One-off top-K prediction for a single item node (NodeRef or index)."""
-    index = item if isinstance(item, int) else item.index
-    return Predictor(model, graph).topk(index, k, exclude=exclude)
-
-
-def _role_items(graph, splits, role):
+def item_rows(graph, splits, roles):
+    """Sorted graph rows of the items whose split role is in ``roles``."""
     pos = {item_id: i for i, item_id in enumerate(graph.item_ids)}
-    out = [(pos[item_id], item_id) for item_id, r in splits.roles.items()
-           if r == role and item_id in pos]
-    return sorted(out)
+    rows = [pos[item_id] for item_id, role in splits.roles.items()
+            if role in roles and item_id in pos]
+    return np.array(sorted(rows), dtype=np.int64)
 
 
 def _subset_scores(predictor, graph, splits, role, ks):
@@ -78,8 +80,9 @@ def _subset_scores(predictor, graph, splits, role, ks):
     tag_pos = {tag_id: t for t, tag_id in enumerate(graph.tag_ids)}
     completion = role.endswith("_comp")
     per_k = {k: [] for k in ks}
-    items = _role_items(graph, splits, role)
-    for index, item_id in items:
+    rows = item_rows(graph, splits, (role,))
+    for index in rows:
+        item_id = graph.item_ids[index]
         truth_ids = splits.truth.get(item_id)
         if not truth_ids:
             raise ValueError(f"no ground-truth tags recorded for item {item_id!r}")
@@ -88,16 +91,16 @@ def _subset_scores(predictor, graph, splits, role, ks):
         ranked = predictor.topk(index, max(ks), exclude=exclude)
         for k in ks:
             per_k[k].append(precision_at_k(ranked, truth, k))
-    out = {f"p@{k}": (float(np.mean(per_k[k])) if items else None) for k in ks}
-    out["items"] = len(items)
+    out = {f"p@{k}": (float(np.mean(per_k[k])) if len(rows) else None) for k in ks}
+    out["items"] = len(rows)
     return out
 
 
 def subset_precision(model, graph, splits, roles, ks=(1, 3, 5)):
     """P@K per role over the given split roles (shared forward pass).
 
-    ``model`` may be anything with a Predictor-style ``topk``; a raw model is
-    frozen into one here.
+    ``model`` may be anything with a Predictor-style ``topk``; a model (graph
+    or baseline) is frozen into a :class:`Predictor` here.
     """
     predictor = model if hasattr(model, "topk") else Predictor(model, graph)
     return {role: _subset_scores(predictor, graph, splits, role, ks) for role in roles}

@@ -12,6 +12,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 
 
@@ -81,11 +82,6 @@ class Vocabulary:
             h.update(tok.encode("utf-8"))
             h.update(b"\n")
         return h.hexdigest()
-
-
-def tokenize_and_index(text, vocab):
-    """Map whitespace-separated tokens to vocabulary ids, unknowns to UNK."""
-    return vocab.encode(text)
 
 
 def standardize(weights):
@@ -280,6 +276,22 @@ class EmbeddingTable:
         return cls(words=Tensor(words, requires_grad=True),
                    tag_ids=Tensor(tag_ids, requires_grad=True),
                    dim=dim)
+
+
+def mean_token_rows(words, token_lists):
+    """Mean word embedding of each token list as an (n, d) Tensor; empty lists give zero rows."""
+    n = len(token_lists)
+    flat, owners = [], []
+    inv = np.zeros((n, 1))
+    for row, toks in enumerate(token_lists):
+        if toks:
+            inv[row, 0] = 1.0 / len(toks)
+            flat.extend(toks)
+            owners.extend([row] * len(toks))
+    if not flat:
+        return Tensor(np.zeros((n, words.shape[1])))
+    gathered = ad.gather_rows(words, np.asarray(flat, dtype=np.int64))
+    return ad.mul(ad.scatter_add_rows(gathered, np.asarray(owners, dtype=np.int64), n), inv)
 
 
 def initial_node_representation(node, graph, table, use_tag_names=True, use_tag_ids=True):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import IT, QI, NodeType, EmbeddingTable
+from .graph import IT, QI, NodeType, EmbeddingTable, mean_token_rows
 
 LEAKY_SLOPE = 0.2
 
@@ -88,13 +88,16 @@ class LayerParams:
             gate_bias=Tensor(np.zeros(dim), requires_grad=True),
         )
 
-    def parameters(self):
-        out = [self.attn_proj, self.attn_context]
-        for t in (self.update_query, self.update_item, self.update_tag):
-            if all(t is not u for u in out):
-                out.append(t)
-        out += [self.gate_new, self.gate_old, self.gate_bias]
-        return out
+    def named_parameters(self):
+        """(name, tensor) pairs; a homogeneous layer's one update matrix is ``update_shared``."""
+        if self.update_query is self.update_item is self.update_tag:
+            updates = [("update_shared", self.update_query)]
+        else:
+            updates = [("update_query", self.update_query), ("update_item", self.update_item),
+                       ("update_tag", self.update_tag)]
+        return [("attn_proj", self.attn_proj), ("attn_context", self.attn_context), *updates,
+                ("gate_new", self.gate_new), ("gate_old", self.gate_old),
+                ("gate_bias", self.gate_bias)]
 
 
 @dataclass
@@ -283,53 +286,38 @@ class TagGNNModel:
     def dim(self):
         return self.embeddings.dim
 
-    def parameters(self):
-        out = [self.embeddings.words, self.embeddings.tag_ids]
-        for layer in self.layers:
-            out.extend(layer.parameters())
+    def named_parameters(self):
+        """The parameter registry: (name, tensor) pairs in save order, each tensor once."""
+        out = [("embeddings.words", self.embeddings.words),
+               ("embeddings.tag_ids", self.embeddings.tag_ids)]
+        for n, layer in enumerate(self.layers):
+            out += [(f"layers.{n}.{name}", t) for name, t in layer.named_parameters()]
         if self.head_weight is not None:
-            out += [self.head_weight, self.head_bias]
+            out += [("head.weight", self.head_weight), ("head.bias", self.head_bias)]
         return out
+
+    def parameters(self):
+        return [t for _, t in self.named_parameters()]
 
     def zero_frozen_grads(self):
         # the unknown-token row never trains; it anchors the zero fallback
         if self.embeddings.words.grad is not None:
             self.embeddings.words.grad[0] = 0.0
 
-    def state_arrays(self):
-        return [p.data.copy() for p in self.parameters()]
-
-    def load_state_arrays(self, arrays):
-        for p, a in zip(self.parameters(), arrays):
-            p.data[...] = a
-
     # -- forward -------------------------------------------------------------
-
-    def _mean_token_block(self, token_lists, n_rows):
-        flat_tokens, owners = [], []
-        inv = np.zeros((n_rows, 1))
-        for row, toks in enumerate(token_lists):
-            if toks:
-                inv[row, 0] = 1.0 / len(toks)
-                flat_tokens.extend(toks)
-                owners.extend([row] * len(toks))
-        if not flat_tokens:
-            return Tensor(np.zeros((n_rows, self.dim)))
-        gathered = ad.gather_rows(self.embeddings.words, np.asarray(flat_tokens, dtype=np.int64))
-        summed = ad.scatter_add_rows(gathered, np.asarray(owners, dtype=np.int64), n_rows)
-        return ad.mul(summed, inv)
 
     def initial_representations(self, graph):
         """Stacked initial vectors for every node, in (queries, items, tags) order."""
+        words = self.embeddings.words
         blocks = []
         if graph.n_queries:
-            blocks.append(self._mean_token_block(graph.query_tokens, graph.n_queries))
+            blocks.append(mean_token_rows(words, graph.query_tokens))
         if graph.n_items:
-            blocks.append(self._mean_token_block(graph.item_tokens, graph.n_items))
+            blocks.append(mean_token_rows(words, graph.item_tokens))
         if graph.n_tags:
             tag_block = None
             if self.variant.use_tag_names:
-                tag_block = self._mean_token_block(graph.tag_tokens, graph.n_tags)
+                tag_block = mean_token_rows(words, graph.tag_tokens)
             if self.variant.use_tag_ids:
                 if self.embeddings.tag_ids.shape[0] != graph.n_tags:
                     raise ValueError("tag-id table does not match the graph's tag count")
@@ -362,7 +350,3 @@ class TagGNNModel:
             head_logits = ad.add(ad.matmul(item_reps, self.head_weight), self.head_bias)
         return ForwardResult(reps=H, initial=H0, item_reps=item_reps, tag_reps=tag_reps,
                              initial_item_reps=initial_items, head_logits=head_logits)
-
-
-def forward(graph, model, train_mode=False, dropout_p=0.5, rng=None):
-    return model.forward(graph, train_mode=train_mode, dropout_p=dropout_p, rng=rng)

@@ -12,53 +12,32 @@ import os
 
 import numpy as np
 
-from .autodiff import Tensor
-from .graph import EmbeddingTable, Vocabulary
-from .model import LayerParams, ModelVariant, TagGNNModel
+from .graph import Vocabulary
+from .model import ModelVariant, TagGNNModel
 
 FORMAT = "taggnn-model-v1"
+MANIFEST_KEYS = ("format", "dim", "gamma", "variant", "n_words", "n_tags", "tags",
+                 "vocab_sha256", "meta", "tensors")
+VARIANT_KEYS = ("kind", "heterogeneous", "use_tag_names", "use_tag_ids", "n_layers")
 
 
-def _named_tensors(model):
-    pairs = [("embeddings.words", model.embeddings.words),
-             ("embeddings.tag_ids", model.embeddings.tag_ids)]
-    for n, layer in enumerate(model.layers):
-        pairs += [(f"layers.{n}.attn_proj", layer.attn_proj),
-                  (f"layers.{n}.attn_context", layer.attn_context)]
-        if model.variant.heterogeneous:
-            pairs += [(f"layers.{n}.update_query", layer.update_query),
-                      (f"layers.{n}.update_item", layer.update_item),
-                      (f"layers.{n}.update_tag", layer.update_tag)]
-        else:
-            pairs.append((f"layers.{n}.update_shared", layer.update_query))
-        pairs += [(f"layers.{n}.gate_new", layer.gate_new),
-                  (f"layers.{n}.gate_old", layer.gate_old),
-                  (f"layers.{n}.gate_bias", layer.gate_bias)]
-    if model.head_weight is not None:
-        pairs += [("head.weight", model.head_weight), ("head.bias", model.head_bias)]
-    return pairs
+def _tensor_table(model):
+    """Manifest entries for the model's registry: name, shape and byte offset in params.bin."""
+    table, offset = [], 0
+    for name, tensor in model.named_parameters():
+        table.append({"name": name, "shape": list(tensor.shape), "offset": offset})
+        offset += 8 * tensor.data.size
+    return table, offset
 
 
 def save_model(model, vocab, directory, tag_ids, meta=None):
     os.makedirs(directory, exist_ok=True)
-    tensors, offset = [], 0
-    blob = bytearray()
-    for name, tensor in _named_tensors(model):
-        raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-        tensors.append({"name": name, "shape": list(tensor.data.shape), "offset": offset})
-        blob.extend(raw)
-        offset += len(raw)
+    tensors, _ = _tensor_table(model)
     manifest = {
         "format": FORMAT,
         "dim": model.dim,
         "gamma": model.gamma,
-        "variant": {
-            "kind": model.variant.kind,
-            "heterogeneous": model.variant.heterogeneous,
-            "use_tag_names": model.variant.use_tag_names,
-            "use_tag_ids": model.variant.use_tag_ids,
-            "n_layers": model.variant.n_layers,
-        },
+        "variant": {k: getattr(model.variant, k) for k in VARIANT_KEYS},
         "n_words": model.embeddings.words.data.shape[0],
         "n_tags": model.embeddings.tag_ids.data.shape[0],
         "tags": list(tag_ids),
@@ -70,63 +49,85 @@ def save_model(model, vocab, directory, tag_ids, meta=None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(directory, "params.bin"), "wb") as fh:
-        fh.write(bytes(blob))
+        for tensor in model.parameters():
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
     with open(os.path.join(directory, "vocab.json"), "w", encoding="utf-8") as fh:
         json.dump({"tokens": vocab.id_to_token[1:], "min_count": vocab.min_count}, fh)
         fh.write("\n")
 
 
+def _read(directory, name, binary=False):
+    path = os.path.join(directory, name)
+    if not os.path.isfile(path):
+        raise ValueError(f"model directory {os.fspath(directory)!r} has no {name}")
+    if binary:
+        with open(path, "rb") as fh:
+            return fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+
+def _require(mapping, keys, where):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise ValueError(f"{where} is missing {', '.join(map(repr, missing))}")
+
+
+def _table_diff(got, want):
+    got = {e.get("name"): e for e in got if isinstance(e, dict)}
+    want = {e["name"]: e for e in want}
+    missing = [n for n in want if n not in got]
+    extra = sorted((n for n in got if n not in want), key=str)
+    if missing or extra:
+        return f"missing {missing}, unexpected {extra}"
+    wrong = [n for n in want if got[n] != want[n]]
+    return f"{got[wrong[0]]}, expected {want[wrong[0]]}" if wrong else "tensors out of order"
+
+
 def load_model(directory):
-    """Rebuild (model, vocab, manifest) from a model directory."""
-    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != FORMAT:
-        raise ValueError(f"unsupported model format {manifest.get('format')!r}")
-    with open(os.path.join(directory, "vocab.json"), encoding="utf-8") as fh:
-        vdata = json.load(fh)
+    """Rebuild (model, vocab, manifest) from a model directory.
+
+    The model is initialised from the manifest's dimensions and every
+    registry tensor is copied in by name.  A missing file or key, a tensor
+    table that does not match the registry, or a ``params.bin`` of the wrong
+    length raises ``ValueError``.
+    """
+    manifest = _read(directory, "manifest.json")
+    _require(manifest, MANIFEST_KEYS, "manifest.json")
+    if manifest["format"] != FORMAT:
+        raise ValueError(f"unsupported model format {manifest['format']!r}")
+    vdata = _read(directory, "vocab.json")
+    _require(vdata, ("tokens", "min_count"), "vocab.json")
     vocab = Vocabulary(vdata["tokens"], min_count=vdata["min_count"])
     if vocab.sha256() != manifest["vocab_sha256"]:
         raise ValueError("vocabulary hash mismatch; model directory is inconsistent")
-
-    with open(os.path.join(directory, "params.bin"), "rb") as fh:
-        blob = fh.read()
-    arrays = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+    blob = _read(directory, "params.bin", binary=True)
 
     v = manifest["variant"]
-    variant = ModelVariant(kind=v["kind"], heterogeneous=v["heterogeneous"],
-                           use_tag_names=v["use_tag_names"], use_tag_ids=v["use_tag_ids"],
-                           n_layers=v["n_layers"])
-    dim = manifest["dim"]
-    embeddings = EmbeddingTable(
-        words=Tensor(arrays["embeddings.words"], requires_grad=True),
-        tag_ids=Tensor(arrays["embeddings.tag_ids"], requires_grad=True),
-        dim=dim,
-    )
-    layers = []
-    for n in range(variant.n_layers):
-        if variant.heterogeneous:
-            uq = Tensor(arrays[f"layers.{n}.update_query"], requires_grad=True)
-            ui = Tensor(arrays[f"layers.{n}.update_item"], requires_grad=True)
-            ut = Tensor(arrays[f"layers.{n}.update_tag"], requires_grad=True)
-        else:
-            uq = ui = ut = Tensor(arrays[f"layers.{n}.update_shared"], requires_grad=True)
-        layers.append(LayerParams(
-            attn_proj=Tensor(arrays[f"layers.{n}.attn_proj"], requires_grad=True),
-            attn_context=Tensor(arrays[f"layers.{n}.attn_context"], requires_grad=True),
-            update_query=uq, update_item=ui, update_tag=ut,
-            gate_new=Tensor(arrays[f"layers.{n}.gate_new"], requires_grad=True),
-            gate_old=Tensor(arrays[f"layers.{n}.gate_old"], requires_grad=True),
-            gate_bias=Tensor(arrays[f"layers.{n}.gate_bias"], requires_grad=True),
-        ))
-    head_w = head_b = None
-    if variant.needs_head:
-        head_w = Tensor(arrays["head.weight"], requires_grad=True)
-        head_b = Tensor(arrays["head.bias"], requires_grad=True)
-    model = TagGNNModel(embeddings, layers, variant, gamma=manifest["gamma"],
-                        head_weight=head_w, head_bias=head_b)
+    _require(v, VARIANT_KEYS, "manifest.json variant")
+    counts = (manifest["dim"], manifest["n_words"], manifest["n_tags"], v["n_layers"])
+    if not all(isinstance(c, int) for c in counts) or min(counts[:3]) <= 0:
+        raise ValueError(f"manifest.json dim, n_words, n_tags and n_layers must be integers "
+                         f"(the first three positive), got {counts}")
+    dim, n_words, n_tags, n_layers = counts
+    variant = ModelVariant(**{k: v[k] for k in VARIANT_KEYS})
+    # every layer holds at least one dim x dim matrix: refuse to allocate past params.bin
+    if 8 * dim * (n_words + n_tags + n_layers * dim) > len(blob):
+        raise ValueError("manifest.json dimensions exceed the size of params.bin")
+    model = TagGNNModel.init(n_words, n_tags, dim, variant, gamma=manifest["gamma"])
+
+    table, size = _tensor_table(model)
+    if manifest["tensors"] != table:
+        raise ValueError("manifest.json tensor table does not match the model its dimensions "
+                         f"imply: {_table_diff(manifest['tensors'], table)}")
+    if len(blob) != size:
+        raise ValueError(f"params.bin holds {len(blob)} bytes, the tensor table needs {size}")
+    for tensor, entry in zip(model.parameters(), table):
+        tensor.data[...] = np.frombuffer(blob, dtype="<f8", count=tensor.data.size,
+                                         offset=entry["offset"]).reshape(tensor.shape)
     return model, vocab, manifest

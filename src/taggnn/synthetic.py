@@ -15,15 +15,6 @@ from .training import label_matrix
 from . import data as data_mod
 
 
-def _dataset(items, queries, tags, qi, it):
-    return RawDataset(items=items, queries=queries, tags=tags, qi=qi, it=it)
-
-
-def _all_train_splits(dataset):
-    roles = {i: "train" for i, _ in dataset.items}
-    return SplitAssignment(roles=roles)
-
-
 def overfit_dataset(n_items=50, n_tags=20, n_queries=30, seed=0):
     """Small fully-connected-ish dataset a capable model should memorize."""
     rng = np.random.default_rng(seed)
@@ -39,8 +30,8 @@ def overfit_dataset(n_items=50, n_tags=20, n_queries=30, seed=0):
     for m in range(n_queries):
         for n in sorted(rng.choice(n_items, size=4, replace=False)):
             qi.append((f"q{m}", f"i{n}", float(rng.integers(1, 6))))
-    ds = _dataset(items, queries, tags, qi, it)
-    return ds, _all_train_splits(ds)
+    return (RawDataset(items, queries, tags, qi, it),
+            SplitAssignment(roles={i: "train" for i, _ in items}))
 
 
 def cold_start_dataset(n_items=150, n_tags=40, n_test=30, seed=0):
@@ -69,7 +60,7 @@ def cold_start_dataset(n_items=150, n_tags=40, n_test=30, seed=0):
             truth_map[i] = truth[i]
         else:
             roles[i] = "train"
-    ds = _dataset(items, [], tags, [], it)
+    ds = RawDataset(items, [], tags, [], it)
     return ds, SplitAssignment(roles=roles, truth=truth_map)
 
 
@@ -107,7 +98,7 @@ def query_signal_dataset(n_items=100, n_tags=10, n_test=30, queries_per_tag=6,
             truth_map[i] = truth[i]
         else:
             roles[i] = "train"
-    ds = _dataset(items, queries, tags, qi, it)
+    ds = RawDataset(items, queries, tags, qi, it)
     return ds, SplitAssignment(roles=roles, truth=truth_map)
 
 
@@ -131,7 +122,7 @@ def clustered_tags_dataset(n_items=90, n_clusters=5, cluster_size=4, n_test=30, 
         it.extend((f"i{n}", f"t{j}") for j in mine)
         cluster_of[f"i{n}"] = c
 
-    ds = _dataset(items, [], tags, [], it)
+    ds = RawDataset(items, [], tags, [], it)
     tag_map = ds.item_tag_map()
     test_ids = [f"i{n}" for n in sorted(rng.choice(n_items, size=n_test, replace=False))]
     roles, heldout, truth, known = {}, {}, {}, {}
@@ -157,7 +148,7 @@ def gradcheck_instance(dim=6, n_layers=2, seed=7):
     qi = [("q0", "i0", 2.0), ("q0", "i1", 1.0), ("q1", "i1", 3.0),
           ("q1", "i2", 1.0), ("q2", "i0", 1.0), ("q2", "i2", 2.0)]
     it = [("i0", "t0"), ("i0", "t1"), ("i1", "t1"), ("i1", "t2"), ("i2", "t3"), ("i2", "t4")]
-    ds = _dataset(items, queries, tags, qi, it)
+    ds = RawDataset(items, queries, tags, qi, it)
     vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
     graph = data_mod.dataset_to_graph(ds, vocab)
 

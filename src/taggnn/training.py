@@ -3,24 +3,23 @@
 The objective pairs a primary loss on propagated item representations with a
 gamma-weighted dual loss that scores the *unpropagated* item vectors against
 the same propagated tag side, so the trained model keeps working for items
-with no edges at all.
+with no edges at all.  :func:`fit` is the one training loop; the graph models
+and the baseline each hand it a loss closure.
 """
 
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import evaluation
-from .autodiff import Adam
+from .autodiff import Adam, NumericalError
 from .model import ModelVariant, TagGNNModel
 
-
-class NumericalError(RuntimeError):
-    """Training produced a non-finite loss."""
+VAL_ROLES = ("val_full", "val_comp")
 
 
 @dataclass
@@ -107,95 +106,88 @@ def label_matrix(graph, item_indices):
 
 @dataclass
 class TrainResult:
-    model: TagGNNModel
-    log: list = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_p1: float = None
-    epochs_trained: int = 0
+    model: object           # TagGNNModel, or BaselineModel from train_baseline
+    log: list               # one record per epoch, as written to train_log.jsonl
+    best_epoch: int
+    best_val_p1: float      # None without validation items
+    epochs_trained: int
 
 
-def _item_indices_by_role(graph, splits, roles):
-    pos = {item_id: i for i, item_id in enumerate(graph.item_ids)}
-    out = []
-    for item_id, role in splits.roles.items():
-        if role in roles and item_id in pos:
-            out.append(pos[item_id])
-    return np.asarray(sorted(out), dtype=np.int64)
+def train_rows(graph, splits):
+    """Graph rows of the training items; an empty training set is an error."""
+    rows = evaluation.item_rows(graph, splits, ("train",))
+    if len(rows) == 0:
+        raise ValueError("no training items in the split assignment")
+    return rows
 
 
-def vocab_size_of(graph):
-    """Smallest word-table size covering every token id used in the graph."""
-    top = 0
-    for token_lists in (graph.query_tokens, graph.item_tokens, graph.tag_tokens):
-        for toks in token_lists:
-            if toks:
-                top = max(top, max(toks))
-    return top + 1
+def train(graph, splits, config, n_words, log_stream=None):
+    """Initialise a TagGNN model from ``config`` and train it with :func:`train_model`.
 
-
-def train(graph, splits, config, n_words=None, log_stream=None):
-    """Full-batch training: one forward on the whole graph per epoch, one Adam step.
-
-    After every epoch validation P@1 is measured on the full-prediction and
-    completion subsets (macro mean of the two).  Training stops when that
-    metric has not improved for ``patience`` consecutive epochs, and the
-    parameters from the best epoch are returned.  Without validation items
-    the loop simply runs to ``max_epochs``.
+    ``n_words`` is the vocabulary size, which sets the rows of the word table.
     """
-    variant = config.model_variant()
-    if n_words is None:
-        n_words = vocab_size_of(graph)
-    model = TagGNNModel.init(n_words, graph.n_tags, config.dim, variant,
+    model = TagGNNModel.init(n_words, graph.n_tags, config.dim, config.model_variant(),
                              gamma=config.gamma, rng=np.random.default_rng([config.seed, 0]))
     return train_model(model, graph, splits, config, log_stream=log_stream)
 
 
 def train_model(model, graph, splits, config, log_stream=None):
-    train_idx = _item_indices_by_role(graph, splits, ("train",))
-    if len(train_idx) == 0:
-        raise ValueError("no training items in the split assignment")
+    """Fit ``model`` on the primary + dual loss with feature dropout."""
+    train_idx = train_rows(graph, splits)
     labels = label_matrix(graph, train_idx)
-
-    params = model.parameters()
-    optimizer = Adam(params, lr=config.learning_rate)
     dropout_rng = np.random.default_rng([config.seed, 1])
 
-    has_val = any(r in ("val_full", "val_comp") for r in splits.roles.values())
+    def loss_fn():
+        total, l1, l2 = combined_loss(graph, model, train_idx, labels,
+                                      train_mode=True, dropout_p=config.dropout,
+                                      rng=dropout_rng)
+        return total, {"l1": float(l1.data), "l2": float(l2.data)}
+
+    return fit(model, loss_fn, graph, splits, config, log_stream=log_stream)
+
+
+def validation_p1(model, graph, splits):
+    """P@1 on each validation subset and their macro mean (None where a subset is empty)."""
+    val = evaluation.subset_precision(model, graph, splits, roles=VAL_ROLES, ks=(1,))
+    full, comp = (val[r]["p@1"] for r in VAL_ROLES)
+    parts = [p for p in (full, comp) if p is not None]
+    return {"val_p1_full": full, "val_p1_comp": comp,
+            "val_p1": float(np.mean(parts)) if parts else None}
+
+
+def fit(model, loss_fn, graph, splits, config, log_stream=None):
+    """Full-batch Adam on ``loss_fn()`` with early stopping on validation P@1.
+
+    ``model`` exposes ``parameters()``, ``zero_frozen_grads()`` and the
+    eval-mode ``forward(graph)`` that validation ranks with; ``loss_fn()`` returns the scalar loss Tensor and a dict of extra log
+    fields.  After every epoch :func:`validation_p1` scores the model (the
+    macro mean over the full-prediction and completion subsets).  Training
+    stops when that metric has not improved for ``patience`` consecutive
+    epochs, and the parameters from the best epoch are restored.  Without
+    validation items the loop simply runs to ``max_epochs``.
+    """
+    params = model.parameters()
+    optimizer = Adam(params, lr=config.learning_rate)
+    has_val = any(r in VAL_ROLES for r in splits.roles.values())
     best_val, best_epoch, best_state, bad_epochs = -np.inf, -1, None, 0
     log = []
 
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
         ad.zero_grads(params)
-        total, l1, l2 = combined_loss(graph, model, train_idx, labels,
-                                      train_mode=True, dropout_p=config.dropout,
-                                      rng=dropout_rng)
+        total, parts = loss_fn()
         if not np.isfinite(total.data):
-            raise NumericalError(f"non-finite loss at epoch {epoch}: "
-                                 f"l1={float(l1.data)} l2={float(l2.data)}")
+            detail = " ".join(f"{k}={v}" for k, v in parts.items())
+            raise NumericalError(f"non-finite loss at epoch {epoch}: {detail}")
         ad.backward(total)
         model.zero_frozen_grads()
         optimizer.step()
 
-        record = {
-            "epoch": epoch,
-            "loss": float(total.data),
-            "l1": float(l1.data),
-            "l2": float(l2.data),
-            "val_p1_full": None,
-            "val_p1_comp": None,
-            "val_p1": None,
-            "seconds": None,
-        }
-
+        record = {"epoch": epoch, "loss": float(total.data), **parts}
         if has_val:
-            val = evaluation.subset_precision(model, graph, splits,
-                                              roles=("val_full", "val_comp"), ks=(1,))
-            parts = [val[r]["p@1"] for r in ("val_full", "val_comp") if val[r]["items"] > 0]
-            record["val_p1_full"] = val["val_full"]["p@1"] if val["val_full"]["items"] else None
-            record["val_p1_comp"] = val["val_comp"]["p@1"] if val["val_comp"]["items"] else None
-            record["val_p1"] = float(np.mean(parts)) if parts else None
-
+            record.update(validation_p1(model, graph, splits))
+        else:
+            record.update(val_p1_full=None, val_p1_comp=None, val_p1=None)
         record["seconds"] = time.perf_counter() - started
         log.append(record)
         if log_stream is not None:
@@ -204,7 +196,7 @@ def train_model(model, graph, splits, config, log_stream=None):
         if record["val_p1"] is not None:
             if record["val_p1"] > best_val:
                 best_val, best_epoch, bad_epochs = record["val_p1"], epoch, 0
-                best_state = model.state_arrays()
+                best_state = [p.data.copy() for p in params]
             else:
                 bad_epochs += 1
                 if bad_epochs >= config.patience:  # patience 0: first flat epoch stops
@@ -212,7 +204,8 @@ def train_model(model, graph, splits, config, log_stream=None):
 
     epochs_trained = len(log)
     if best_state is not None:
-        model.load_state_arrays(best_state)
+        for p, a in zip(params, best_state):
+            p.data[...] = a
     else:
         best_epoch = epochs_trained - 1
         best_val = None

@@ -157,10 +157,11 @@ class TestAdam:
         opt.step()
         assert opt.t == 1
 
-    def test_functional_wrapper(self):
+    def test_step_applies_assigned_gradient(self):
         p = Tensor(1.0, requires_grad=True)
         state = Adam([p], lr=0.001)
-        ad.adam_step([p], [np.asarray(0.5)], state)
+        p.grad = np.asarray(0.5)
+        state.step()
         assert p.data == pytest.approx(0.999, abs=1e-8)
 
 

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from taggnn import data as dm
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
-from taggnn.baseline import (BaselineModel, baseline_scores, item_feature_tokens,
-                             predict_baseline, train_baseline)
+from taggnn.baseline import BaselineModel, item_feature_tokens, predict_baseline, train_baseline
 from taggnn.data import RawDataset, SplitAssignment
-from taggnn.evaluation import precision_at_k
+from taggnn.evaluation import Predictor, precision_at_k, subset_precision
 from taggnn.graph import Vocabulary
-from taggnn.training import TrainConfig
+from taggnn.training import TrainConfig, validation_p1
+
+
+def _graph(ds, splits=None):
+    vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
+    return dm.dataset_to_graph(ds, vocab, splits=splits), vocab
 
 
 def _separable_dataset(n_per_class=10):
@@ -27,48 +32,43 @@ def _separable_dataset(n_per_class=10):
 
 def test_linearly_separable_data_is_memorized():
     ds, splits = _separable_dataset()
-    vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
+    graph, vocab = _graph(ds, splits)
     cfg = TrainConfig(dim=16, max_epochs=60, seed=0)
-    model, _ = train_baseline(ds, "item", cfg, splits, vocab)
-    scores = baseline_scores(model)
-    tag_pos = {t: n for n, (t, _) in enumerate(ds.tags)}
-    hits = [precision_at_k(np.argsort(-scores[n]).tolist(),
-                           {tag_pos[t] for t in ds.item_tags(i)}, 1)
-            for n, (i, _) in enumerate(ds.items)]
+    model = train_baseline(graph, "item", cfg, splits, len(vocab)).model
+    predictor = Predictor(model, graph)
+    hits = [precision_at_k(predictor.topk(n, 1), tags, 1)
+            for n, tags in enumerate(graph.item_tag_sets())]
     assert np.mean(hits) == 1.0
 
 
 def test_query_mode_beats_title_mode_on_query_signal_data():
     ds, splits = synthetic.query_signal_dataset(seed=0)
-    # carve a validation slice out of the training items so early stopping works
-    vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
+    graph, vocab = _graph(ds, splits)
     cfg = TrainConfig(dim=24, max_epochs=80, seed=0)
-    tag_pos = {t: n for n, (t, _) in enumerate(ds.tags)}
-    test_rows = [(ds.item_index[i], i) for i, r in splits.roles.items() if r == "test_full"]
 
     def test_p1(mode):
-        model, _ = train_baseline(ds, mode, cfg, splits, vocab)
-        scores = baseline_scores(model)
-        vals = []
-        for idx, item_id in sorted(test_rows):
-            truth = {tag_pos[t] for t in splits.truth[item_id]}
-            vals.append(precision_at_k(np.argsort(-scores[idx]).tolist(), truth, 1))
-        return float(np.mean(vals))
+        model = train_baseline(graph, mode, cfg, splits, len(vocab)).model
+        return subset_precision(model, graph, splits, ("test_full",), ks=(1,))["test_full"]["p@1"]
 
     qi = test_p1("item_queries")
     title_only = test_p1("item")
     assert qi > title_only
 
 
+def test_early_stops_on_macro_validation_p1(toy_setup):
+    _, splits, vocab, graph = toy_setup
+    cfg = TrainConfig(dim=8, max_epochs=30, patience=3, seed=1)
+    result = train_baseline(graph, "item_queries", cfg, splits, len(vocab))
+    assert result.best_val_p1 == max(r["val_p1"] for r in result.log)
+    assert validation_p1(result.model, graph, splits)["val_p1"] == result.best_val_p1
+
+
 def test_empty_features_predict_deterministically():
-    ds = RawDataset(items=[("i0", "")], queries=[],
-                    tags=[("t0", "x"), ("t1", "y"), ("t2", "z")], qi=[], it=[("i0", "t0")])
-    vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
     model = BaselineModel(
-        words=Tensor(np.zeros((len(vocab), 4)), requires_grad=True),
+        words=Tensor(np.zeros((3, 4)), requires_grad=True),
         weight=Tensor(np.zeros((4, 3)), requires_grad=True),
         bias=Tensor(np.zeros(3), requires_grad=True),
-        mode="item", feature_tokens=[[]], tag_ids=["t0", "t1", "t2"])
+        mode="item")
     # uniform logits: ties broken by ascending tag index
     assert predict_baseline(model, [], 2) == [0, 1]
     assert predict_baseline(model, [], 2, exclude={0}) == [1, 2]
@@ -79,9 +79,8 @@ def test_top_ten_queries_by_weight():
     qi = [(f"q{m}", "i0", float(m)) for m in range(12)]  # q11 heaviest
     ds = RawDataset(items=[("i0", "title")], queries=queries,
                     tags=[("t0", "x")], qi=qi, it=[("i0", "t0")])
-    vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
-    feats = item_feature_tokens(ds, vocab, "item_queries")
-    toks = feats[0]
+    graph, vocab = _graph(ds)
+    toks = item_feature_tokens(graph, "item_queries")[0]
     assert toks[0] == vocab.token_to_id["title"]
     picked = {vocab.id_to_token[t] for t in toks[1:]}
     assert picked == {f"qw{m}" for m in range(2, 12)}  # the ten heaviest
@@ -89,12 +88,12 @@ def test_top_ten_queries_by_weight():
     # an item with no queries falls back to its title
     ds2 = RawDataset(items=[("i0", "title")], queries=queries, tags=[("t0", "x")],
                      qi=[], it=[("i0", "t0")])
-    feats2 = item_feature_tokens(ds2, vocab, "item_queries")
-    assert feats2[0] == [vocab.token_to_id["title"]]
+    graph2, vocab2 = _graph(ds2)
+    assert item_feature_tokens(graph2, "item_queries")[0] == [vocab2.token_to_id["title"]]
 
 
 def test_unknown_mode_rejected():
     ds, _ = _separable_dataset(2)
-    vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
+    graph, _ = _graph(ds)
     with pytest.raises(ValueError, match="unknown baseline mode"):
-        item_feature_tokens(ds, vocab, "frobnicate")
+        item_feature_tokens(graph, "frobnicate")

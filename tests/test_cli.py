@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from taggnn.cli import cli_main
@@ -115,3 +116,38 @@ def test_ablate_report_shape(workspace, capsys):
     assert names == ["base", "no_dual", "no_dual_no_tag_names", "homogeneous"]
     assert [row["name"] for row in payload["layer_sweep"]] == \
            ["layers_1", "layers_2", "layers_3", "layers_4"]
+
+
+def _trained_model_dir(tmp_path, data):
+    splits = str(tmp_path / "splits.tsv")
+    model_dir = tmp_path / "model"
+    cli_main(["split", "--data", data, "--counts", "8,2,2", "--seed", "11", "--out", splits])
+    cli_main(["train", "--config", _config(tmp_path), "--data", data,
+              "--splits", splits, "--out", str(model_dir)])
+    return model_dir
+
+
+def test_nonfinite_parameters_exit_two(workspace, capsys):
+    tmp_path, data = workspace
+    model_dir = _trained_model_dir(tmp_path, data)
+    blob = model_dir / "params.bin"
+    blob.write_bytes(np.full(len(blob.read_bytes()) // 8, np.nan).astype("<f8").tobytes())
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert cli_main(["eval", "--model", str(model_dir), "--data", data]) == 2
+        assert cli_main(["predict", "--model", str(model_dir), "--data", data,
+                         "--item-id", "i01", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+
+
+def test_corrupt_model_directory_exits_one(workspace, capsys):
+    tmp_path, data = workspace
+    model_dir = _trained_model_dir(tmp_path, data)
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    del manifest["dim"]
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli_main(["eval", "--model", str(model_dir), "--data", data]) == 1
+    assert "missing 'dim'" in capsys.readouterr().err

@@ -226,7 +226,7 @@ class TestGraphMasking:
                 known = {tag_pos[t] for t in splits.known[item_id]}
                 assert tag_sets[idx] == known and not tag_sets[idx] & held
             else:
-                assert tag_sets[idx] == {tag_pos[t] for t in dataset.item_tags(item_id)}
+                assert tag_sets[idx] == {tag_pos[t] for t in dataset.item_tag_map()[item_id]}
 
     def test_query_edges_always_retained(self, toy_setup):
         dataset, splits, vocab, graph = toy_setup

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taggnn.evaluation import (Predictor, evaluate, precision_at_k, predict_topk,
-                               report_to_json, subset_precision)
-from taggnn.graph import NodeRef, NodeType
+from taggnn.autodiff import NumericalError
+from taggnn.evaluation import (Predictor, evaluate, precision_at_k, rank_topk, report_to_json,
+                               subset_precision)
 from taggnn.training import TrainConfig, train
 
 
@@ -44,12 +44,33 @@ class _StubPredictor:
 
     def __init__(self, scores):
         self.scores_matrix = np.asarray(scores, dtype=float)
-        self.n_tags = self.scores_matrix.shape[1]
 
     def topk(self, item_index, k, exclude=()):
-        s = self.scores_matrix[item_index].copy()
-        order = np.lexsort((np.arange(self.n_tags), -s))
-        return [int(t) for t in order if int(t) not in set(exclude)][:k]
+        return rank_topk(self.scores_matrix[item_index], k, exclude)
+
+
+def _lexsort_oracle(scores, k, exclude):
+    # rank every index by (descending score, ascending index), then filter
+    order = np.lexsort((np.arange(len(scores)), -np.asarray(scores, dtype=float)))
+    return [int(t) for t in order if int(t) not in exclude][:k]
+
+
+class TestRankTopK:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_raises(self, bad):
+        with pytest.raises(NumericalError):
+            rank_topk([0.1, bad, 0.2], 1)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_oracle(self, data):
+        n = data.draw(st.integers(1, 30))
+        # few distinct values, so ties are common; signed zeros tie too
+        values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.25, 1.0, 3.0])
+        scores = data.draw(st.lists(values | st.floats(-5, 5), min_size=n, max_size=n))
+        exclude = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+        k = data.draw(st.integers(1, n + 3))
+        assert rank_topk(scores, k, exclude) == _lexsort_oracle(scores, k, exclude)
 
 
 class TestTopK:
@@ -60,14 +81,11 @@ class TestTopK:
         return result.model, graph
 
     def test_highest_similarity_first(self):
-        stub = _StubPredictor([[0.9, 0.1]])
-        assert stub.topk(0, 1) == [0]
+        assert rank_topk([0.9, 0.1], 1) == [0]
 
     def test_tie_breaks_by_lower_index(self):
-        stub = _StubPredictor([[0.5, 0.7, 0.7]])
-        assert stub.topk(0, 2) == [1, 2]
-        stub = _StubPredictor([[0.7, 0.7, 0.5]])
-        assert stub.topk(0, 2) == [0, 1]
+        assert rank_topk([0.5, 0.7, 0.7], 2) == [1, 2]
+        assert rank_topk([0.7, 0.7, 0.5], 2) == [0, 1]
 
     def test_exclusion_shrinks_candidates(self, toy_setup):
         model, graph = self._trained(toy_setup)
@@ -80,11 +98,6 @@ class TestTopK:
         model, graph = self._trained(toy_setup)
         with pytest.raises(ValueError):
             Predictor(model, graph).topk(0, 0)
-
-    def test_predict_topk_accepts_noderef(self, toy_setup):
-        model, graph = self._trained(toy_setup)
-        direct = Predictor(model, graph).topk(3, 2)
-        assert predict_topk(model, graph, NodeRef(NodeType.ITEM, 3), 2) == direct
 
     def test_rescaling_tag_reps_preserves_order(self, toy_setup):
         model, graph = self._trained(toy_setup)
@@ -100,8 +113,8 @@ class TestEvaluate:
         dataset, splits, vocab, graph = toy_setup
         tag_pos = {t: n for n, t in enumerate(graph.tag_ids)}
         labels = np.zeros((graph.n_items, graph.n_tags))
-        for item_id, _ in dataset.items:
-            for t in dataset.item_tags(item_id):
+        for item_id, tags in dataset.item_tag_map().items():
+            for t in tags:
                 labels[dataset.item_index[item_id], tag_pos[t]] = 1.0
         oracle = _StubPredictor(labels)
         out = subset_precision(oracle, graph, splits,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from taggnn import graph as g
 from taggnn.graph import (EmbeddingTable, NodeRef, NodeType, Vocabulary, build_graph,
                           initial_node_representation, standardize,
-                          standardize_edge_weights, tokenize_and_index)
+                          standardize_edge_weights)
 
 from conftest import random_tiny_graph
 
@@ -16,23 +16,23 @@ from conftest import random_tiny_graph
 class TestVocabulary:
     def test_known_tokens(self):
         vocab = Vocabulary.from_texts(["pikachu game", "pikachu go"], min_count=1)
-        ids = tokenize_and_index("pikachu game", vocab)
+        ids = vocab.encode("pikachu game")
         assert ids == [vocab.token_to_id["pikachu"], vocab.token_to_id["game"]]
         assert 0 not in ids
 
     def test_unseen_token_maps_to_unk(self):
         vocab = Vocabulary.from_texts(["pikachu game"], min_count=1)
-        assert tokenize_and_index("zzzz", vocab) == [g.UNK_ID]
+        assert vocab.encode("zzzz") == [g.UNK_ID]
 
     def test_empty_text(self):
         vocab = Vocabulary.from_texts(["pikachu"], min_count=1)
-        assert tokenize_and_index("", vocab) == []
+        assert vocab.encode("") == []
 
     def test_min_count_threshold(self):
         vocab = Vocabulary.from_texts(["a a a b", "a b c"], min_count=3)
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id  # 2 < 3
-        assert tokenize_and_index("b c", vocab) == [g.UNK_ID, g.UNK_ID]
+        assert vocab.encode("b c") == [g.UNK_ID, g.UNK_ID]
 
     def test_ids_are_dense(self):
         vocab = Vocabulary.from_texts(["x y z"], min_count=1)

@@ -181,7 +181,7 @@ class TestPropagateLayer:
     def test_homogeneous_layer_shares_one_tensor(self):
         layer = make_layer(3, heterogeneous=False)
         assert layer.update_query is layer.update_item is layer.update_tag
-        assert len(layer.parameters()) == 6
+        assert len(layer.named_parameters()) == 6
 
 
 class TestForward:

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from taggnn.evaluation import Predictor
+from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.serialization import load_model, save_model
 from taggnn.training import TrainConfig, train
 
@@ -75,3 +77,85 @@ def test_homogeneous_model_roundtrips_shared_matrix(toy_setup, tmp_path):
     loaded, _, _ = load_model(tmp_path)
     layer = loaded.layers[0]
     assert layer.update_query is layer.update_item is layer.update_tag
+
+
+@pytest.mark.parametrize("kind", ["it", "qi", "full"])
+@pytest.mark.parametrize("heterogeneous", [True, False])
+def test_roundtrip_every_variant(toy_setup, tmp_path, kind, heterogeneous):
+    _, splits, vocab, graph = toy_setup
+    cfg = TrainConfig(dim=6, n_layers=2, max_epochs=2, seed=3, variant=kind,
+                      heterogeneous=heterogeneous)
+    model = train(graph, splits, cfg, n_words=len(vocab)).model
+    save_model(model, vocab, tmp_path, graph.tag_ids)
+    loaded, _, _ = load_model(tmp_path)
+    assert loaded.variant == model.variant
+    assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in model.named_parameters()]
+    for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert Predictor(loaded, graph).topk(0, 3) == Predictor(model, graph).topk(0, 3)
+
+
+def test_registry_names_are_the_manifest_format():
+    # the tensor table of manifest.json is the registry: names and order are format
+    het = TagGNNModel.init(5, 3, 2, ModelVariant(kind="qi", n_layers=1))
+    assert [n for n, _ in het.named_parameters()] == [
+        "embeddings.words", "embeddings.tag_ids", "layers.0.attn_proj",
+        "layers.0.attn_context", "layers.0.update_query", "layers.0.update_item",
+        "layers.0.update_tag", "layers.0.gate_new", "layers.0.gate_old", "layers.0.gate_bias",
+        "head.weight", "head.bias"]
+    hom = TagGNNModel.init(5, 3, 2, ModelVariant(heterogeneous=False, n_layers=1))
+    assert [n for n, _ in hom.named_parameters()][2:] == [
+        "layers.0.attn_proj", "layers.0.attn_context", "layers.0.update_shared",
+        "layers.0.gate_new", "layers.0.gate_old", "layers.0.gate_bias"]
+
+
+def _edit_manifest(edit):
+    def corrupt(path):
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _edit_blob(edit):
+    def corrupt(path):
+        (path / "params.bin").write_bytes(edit((path / "params.bin").read_bytes()))
+    return corrupt
+
+
+def _delete(name):
+    return lambda path: (path / name).unlink()
+
+
+CORRUPTIONS = {
+    "missing_tensor": (_edit_manifest(lambda m: m["tensors"].pop()), "missing .*gate_bias"),
+    "extra_tensor": (_edit_manifest(lambda m: m["tensors"].append(
+        {"name": "extra", "shape": [1], "offset": 0})), "unexpected .*extra"),
+    "reordered_tensors": (_edit_manifest(lambda m: m["tensors"].reverse()), "out of order"),
+    "wrong_dim": (_edit_manifest(lambda m: m.update(dim=m["dim"] + 1)), "shape"),
+    "huge_dim": (_edit_manifest(lambda m: m.update(dim=10**9)), "exceed"),
+    "wrong_n_layers": (_edit_manifest(lambda m: m["variant"].update(n_layers=1)),
+                       "unexpected .*'layers.1.attn_proj'"),
+    "wrong_shape_entry": (_edit_manifest(lambda m: m["tensors"][2].update(shape=[6, 4])),
+                          "shape"),
+    "extra_bytes": (_edit_blob(lambda b: b + bytes(8)), "params.bin holds"),
+    "truncated_bytes": (_edit_blob(lambda b: b[:-8]), "params.bin holds"),
+    "missing_params": (_delete("params.bin"), "no params.bin"),
+    "missing_manifest": (_delete("manifest.json"), "no manifest.json"),
+    "missing_vocab": (_delete("vocab.json"), "no vocab.json"),
+    "missing_dim_key": (_edit_manifest(lambda m: m.pop("dim")), "missing 'dim'"),
+    "missing_variant_key": (_edit_manifest(lambda m: m["variant"].pop("n_layers")),
+                            "missing 'n_layers'"),
+    "not_json": (lambda path: (path / "manifest.json").write_text("{"), "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_model_directory_rejected(toy_setup, tmp_path, name):
+    _, _, vocab, graph = toy_setup
+    model = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=2))
+    save_model(model, vocab, tmp_path, graph.tag_ids)
+    corrupt, message = CORRUPTIONS[name]
+    corrupt(tmp_path)
+    with pytest.raises(ValueError, match=message):
+        load_model(tmp_path)

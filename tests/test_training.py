@@ -106,7 +106,7 @@ class TestCombinedLoss:
         _, _, l2 = combined_loss(graph, model, np.arange(2), labels)
         ad.backward(l2)
         for layer in model.layers:
-            for p in layer.parameters():
+            for _, p in layer.named_parameters():
                 assert p.grad is None or not np.any(p.grad)
         assert model.embeddings.words.grad is not None
 
