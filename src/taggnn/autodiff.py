@@ -1,15 +1,19 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over float64 arrays.
 
 A small tape-based engine: every operation produces a new :class:`Tensor`
 that remembers its inputs and a closure computing the local backward step.
 The op set is deliberately tiny -- just what the tagging models need.
-Everything is float64 and single-threaded, so a fixed seed reproduces a
-training run bit for bit.
+Tensors are dense; the one sparse operand is the fixed-layout matrix of
+:func:`spmm` (a :class:`SparsePattern` plus a values Tensor), multiplied
+through scipy's CSR kernels.  Everything is float64 and single-threaded, so
+a fixed seed reproduces a training run bit for bit.
 """
 
 import itertools
 
 import numpy as np
+import scipy.sparse
+from scipy.special import expit
 
 _ids = itertools.count()
 
@@ -205,19 +209,9 @@ def leaky_relu(x, negative_slope=0.2):
     return _from_op(data, "leaky_relu", (x,), back)
 
 
-def _sigmoid(x):
-    # two-branch form: never exponentiates a large positive argument
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(x):
     x = _wrap(x)
-    data = _sigmoid(x.data)
+    data = expit(x.data)
 
     def back(g):
         if x.requires_grad:
@@ -297,7 +291,7 @@ def bce_with_logits(logits, labels):
 
     def back(g):
         if logits.requires_grad:
-            logits.accumulate_grad((_sigmoid(x) - y) * (g / x.size))
+            logits.accumulate_grad((expit(x) - y) * (g / x.size))
 
     return _from_op(data, "bce_with_logits", (logits,), back)
 
@@ -347,6 +341,104 @@ def scatter_add_rows(values, index, num_rows):
             values.accumulate_grad(g[index])
 
     return _from_op(data, "scatter_add_rows", (values,), back)
+
+
+class SparsePattern:
+    """The entry layout of an ``n_rows x n_cols`` sparse matrix, in CSR order.
+
+    ``rows`` must be non-decreasing; entries keep their given order within a
+    row, and ``cols`` may repeat or be unsorted.  The transpose lists each
+    column's entries in that same order (a stable sort), so both ``A @ x``
+    and ``A.T @ g`` add up every output row in entry order, exactly as
+    ``np.add.at`` over the entries would.  Build one per graph and reuse it.
+    """
+
+    def __init__(self, rows, cols, shape):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        n_rows, n_cols = shape
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError("rows and cols must be 1-D and of equal length")
+        if len(rows) and (rows.min() < 0 or rows.max() >= n_rows
+                          or cols.min() < 0 or cols.max() >= n_cols):
+            raise ValueError(f"entry index outside a {n_rows} x {n_cols} matrix")
+        if np.any(rows[1:] < rows[:-1]):
+            raise ValueError("rows must be sorted")
+        self.shape = (n_rows, n_cols)
+        self.rows, self.cols = rows, cols
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+        self._t_order = np.argsort(cols, kind="stable")
+        self._t_indices = rows[self._t_order]
+        self._t_indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
+
+    @property
+    def nnz(self):
+        return len(self.rows)
+
+    def matrix(self, values):
+        """The CSR matrix holding ``values`` (one per entry, in entry order)."""
+        return scipy.sparse.csr_matrix((values, self.cols, self._indptr), shape=self.shape)
+
+    def transpose(self, values):
+        """The CSR matrix of the transpose, ``matrix(values).T``."""
+        return scipy.sparse.csr_matrix((values[self._t_order], self._t_indices, self._t_indptr),
+                                       shape=self.shape[::-1])
+
+
+def spmm(values, pattern, x):
+    """Sparse-dense product ``A @ x``, where ``A`` holds ``values`` at ``pattern``'s entries.
+
+    Rows of ``A`` without entries give zero rows.  The backward pass is
+    ``dx = A.T @ g`` and, per entry ``(r, c)``, ``dvalue = g[r] . x[c]``.
+    """
+    values, x = _wrap(values), _wrap(x)
+    v = values.data.reshape(-1)
+    if v.shape[0] != pattern.nnz:
+        raise ValueError(f"{v.shape[0]} values for a pattern of {pattern.nnz} entries")
+    if x.data.ndim != 2 or x.data.shape[0] != pattern.shape[1]:
+        raise ValueError(f"cannot multiply a {pattern.shape} pattern by shape {x.data.shape}")
+    data = pattern.matrix(v) @ x.data
+
+    def back(g):
+        if x.requires_grad:
+            x.accumulate_grad(pattern.transpose(v) @ g)
+        if values.requires_grad:
+            gv = np.einsum("ij,ij->i", g[pattern.rows], x.data[pattern.cols])
+            values.accumulate_grad(gv.reshape(values.data.shape))
+
+    return _from_op(data, "spmm", (values, x), back)
+
+
+def edge_scores(x, context, centers, neighbors):
+    """Per-edge score ``concat([x[c], x[n]]) @ context`` as an (E, 1) column.
+
+    ``context`` is a (2d, 1) vector whose halves a1 and a2 score the center
+    and the neighbor.  The score is computed as ``(x@a1)[c] + (x@a2)[n]``,
+    so no E x 2d block is built; the backward pass sums each node's edge
+    gradients with ``np.bincount``.
+    """
+    x, context = _wrap(x), _wrap(context)
+    centers = np.asarray(centers, dtype=np.int64)
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    n, d = x.data.shape
+    if context.data.shape != (2 * d, 1):
+        raise ValueError(f"context must have shape ({2 * d}, 1), got {context.data.shape}")
+    if centers.shape != neighbors.shape:
+        raise ValueError("one neighbor per center required")
+    halves = context.data.reshape(2, d).T   # columns a1, a2
+    node_scores = x.data @ halves
+    data = (node_scores[centers, 0] + node_scores[neighbors, 1])[:, None]
+
+    def back(g):
+        gf = g.reshape(-1)
+        per_node = np.stack([np.bincount(centers, weights=gf, minlength=n),
+                             np.bincount(neighbors, weights=gf, minlength=n)], axis=1)
+        if x.requires_grad:
+            x.accumulate_grad(per_node @ halves.T)
+        if context.requires_grad:
+            context.accumulate_grad((x.data.T @ per_node).T.reshape(2 * d, 1))
+
+    return _from_op(data, "edge_scores", (x, context), back)
 
 
 def where_rows(mask, a, b):

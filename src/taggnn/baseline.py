@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluation import rank_topk
-from .graph import UNK_ID, mean_token_rows
+from .graph import UNK_ID, TokenPooling, mean_token_rows
 from .model import ForwardResult
 from .training import fit, label_matrix, train_rows
 
@@ -52,7 +52,7 @@ class BaselineModel:
         self.weight = weight
         self.bias = bias
         self.mode = mode
-        self._features = (None, None)  # (graph, token lists): graphs are immutable once built
+        self._features = (None, None, None)  # (graph, token lists, pooling): graphs are immutable
 
     def parameters(self):
         return [self.words, self.weight, self.bias]
@@ -62,18 +62,21 @@ class BaselineModel:
         if self.words.grad is not None:
             self.words.grad[UNK_ID] = 0.0
 
-    def feature_tokens(self, graph):
-        """:func:`item_feature_tokens` of ``graph`` in this model's mode, computed once per graph."""
+    def features(self, graph):
+        """:func:`item_feature_tokens` of ``graph`` in this model's mode and its
+        :class:`graph.TokenPooling`, computed once per graph."""
         if self._features[0] is not graph:
-            self._features = (graph, item_feature_tokens(graph, self.mode))
-        return self._features[1]
+            tokens = item_feature_tokens(graph, self.mode)
+            self._features = (graph, tokens, TokenPooling(tokens))
+        return self._features[1:]
 
-    def logits(self, token_lists):
-        return ad.add(ad.matmul(mean_token_rows(self.words, token_lists), self.weight), self.bias)
+    def logits(self, pooling):
+        """Head logits of the token lists a :class:`graph.TokenPooling` was built from."""
+        return ad.add(ad.matmul(mean_token_rows(self.words, pooling), self.weight), self.bias)
 
     def forward(self, graph, train_mode=False):
         """Head logits for every graph item, shaped for :class:`evaluation.Predictor`."""
-        feats = mean_token_rows(self.words, self.feature_tokens(graph))
+        feats = mean_token_rows(self.words, self.features(graph)[1])
         logits = ad.add(ad.matmul(feats, self.weight), self.bias)
         return ForwardResult(reps=feats, initial=feats, item_reps=feats, tag_reps=None,
                              initial_item_reps=feats, head_logits=logits)
@@ -93,7 +96,8 @@ def train_baseline(graph, mode, config, splits, n_words):
     )
     rows = train_rows(graph, splits)
     labels = label_matrix(graph, rows)
-    train_feats = [model.feature_tokens(graph)[r] for r in rows]
+    tokens, _ = model.features(graph)
+    train_feats = TokenPooling([tokens[r] for r in rows])
 
     def loss_fn():
         return ad.bce_with_logits(model.logits(train_feats), labels), {}
@@ -103,4 +107,4 @@ def train_baseline(graph, mode, config, splits, n_words):
 
 def predict_baseline(model, tokens, k, exclude=()):
     """Top-K tag indices for one item's feature tokens."""
-    return rank_topk(model.logits([tokens]).data[0], k, exclude)
+    return rank_topk(model.logits(TokenPooling([tokens])).data[0], k, exclude)

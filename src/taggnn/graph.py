@@ -6,6 +6,7 @@ multipliers stay positive.  The graph is immutable once built.
 """
 
 import hashlib
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -158,6 +159,7 @@ class TripartiteGraph:
         self.qi_mult = None
         self._adjacency = None
         self._pack_cache = {}
+        self._pooling_cache = {}
 
     # -- sizes and indexing ------------------------------------------------
 
@@ -195,6 +197,15 @@ class TripartiteGraph:
         if ref.node_type is NodeType.ITEM:
             return self.item_tokens[ref.index]
         return self.tag_tokens[ref.index]
+
+    def token_pooling(self, node_type):
+        """:class:`TokenPooling` of one node type's token lists, built on first use."""
+        pooling = self._pooling_cache.get(node_type)
+        if pooling is None:
+            lists = {NodeType.QUERY: self.query_tokens, NodeType.ITEM: self.item_tokens,
+                     NodeType.TAG: self.tag_tokens}[node_type]
+            pooling = self._pooling_cache[node_type] = TokenPooling(lists)
+        return pooling
 
     # -- edges and adjacency -----------------------------------------------
 
@@ -278,20 +289,43 @@ class EmbeddingTable:
                    dim=dim)
 
 
-def mean_token_rows(words, token_lists):
-    """Mean word embedding of each token list as an (n, d) Tensor; empty lists give zero rows."""
-    n = len(token_lists)
-    flat, owners = [], []
-    inv = np.zeros((n, 1))
-    for row, toks in enumerate(token_lists):
-        if toks:
-            inv[row, 0] = 1.0 / len(toks)
-            flat.extend(toks)
-            owners.extend([row] * len(toks))
-    if not flat:
-        return Tensor(np.zeros((n, words.shape[1])))
-    gathered = ad.gather_rows(words, np.asarray(flat, dtype=np.int64))
-    return ad.mul(ad.scatter_add_rows(gathered, np.asarray(owners, dtype=np.int64), n), inv)
+class TokenPooling:
+    """The fixed layout of :func:`mean_token_rows` over a list of token-id lists.
+
+    Row ``r`` of the (lists x vocabulary) count matrix holds one entry per
+    token of list ``r``, in list order; ``inv`` holds ``1/len`` (0 for an
+    empty list).  Build one per token-list collection and reuse it: the
+    sparse pattern is made once, on first use.
+    """
+
+    def __init__(self, token_lists):
+        lengths = np.array([len(toks) for toks in token_lists], dtype=np.int64)
+        self.n_rows = len(lengths)
+        self.inv = np.zeros((self.n_rows, 1))
+        self.inv[lengths > 0, 0] = 1.0 / lengths[lengths > 0]
+        self.tokens = np.fromiter(itertools.chain.from_iterable(token_lists), dtype=np.int64,
+                                  count=int(lengths.sum()))
+        self.owners = np.repeat(np.arange(self.n_rows), lengths)
+        self._pattern = None
+
+    def pattern(self, n_words):
+        """The :class:`autodiff.SparsePattern` of the count matrix over ``n_words`` columns."""
+        if self._pattern is None or self._pattern.shape[1] != n_words:
+            self._pattern = ad.SparsePattern(self.owners, self.tokens, (self.n_rows, n_words))
+        return self._pattern
+
+
+def mean_token_rows(words, pooling):
+    """Mean word embedding of each of ``pooling``'s token lists as an (n, d) Tensor.
+
+    Empty lists give zero rows.  Each row is summed in token order, so the
+    result and the gradient into ``words`` are bit-identical to gathering the
+    rows and adding them up with ``np.add.at``.
+    """
+    if not len(pooling.tokens):
+        return Tensor(np.zeros((pooling.n_rows, words.shape[1])))
+    ones = np.ones(len(pooling.tokens))
+    return ad.mul(ad.spmm(ones, pooling.pattern(words.shape[0]), words), pooling.inv)
 
 
 def initial_node_representation(node, graph, table, use_tag_names=True, use_tag_ids=True):

@@ -7,6 +7,7 @@ without edges pass through bit for bit.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,12 @@ class PackedEdges:
     neighbors: np.ndarray    # global row of the message source
     multipliers: np.ndarray  # positive scalar per directed edge
     active: np.ndarray       # bool per global row: has at least one edge
+
+    @cached_property
+    def pattern(self):
+        """The (center, neighbor) adjacency as a :class:`SparsePattern`, built on first use."""
+        n = len(self.active)
+        return ad.SparsePattern(self.centers, self.neighbors, (n, n))
 
 
 def pack_edges(graph, kind):
@@ -218,14 +225,12 @@ def propagate_layer(graph, H, params, kind="full"):
         return H
 
     Wh = ad.matmul(H, params.attn_proj)
-    h_center = ad.gather_rows(Wh, edges.centers)
-    h_neighbor = ad.gather_rows(Wh, edges.neighbors)
-    raw = ad.matmul(ad.concat([h_center, h_neighbor], axis=1), params.attn_context)
+    raw = ad.edge_scores(Wh, params.attn_context, edges.centers, edges.neighbors)
     scores = ad.leaky_relu(raw, LEAKY_SLOPE)
     attn = ad.segment_softmax(scores, edges.centers)
     alpha = ad.mul(attn, edges.multipliers[:, None])
 
-    message = ad.relu(ad.scatter_add_rows(ad.mul(alpha, h_neighbor), edges.centers, graph.n_nodes))
+    message = ad.relu(ad.spmm(alpha, edges.pattern, Wh))
     fused = ad.add(H, message)
 
     nq, ni = graph.n_queries, graph.n_items
@@ -253,7 +258,7 @@ class ForwardResult:
     item_reps: Tensor       # final item block
     tag_reps: Tensor        # final tag block
     initial_item_reps: Tensor
-    head_logits: Tensor = None  # (n_items, n_tags), qi variant only
+    head_logits: Tensor = None  # (n_items, n_tags), qi variant in eval mode only
 
 
 class TagGNNModel:
@@ -311,13 +316,13 @@ class TagGNNModel:
         words = self.embeddings.words
         blocks = []
         if graph.n_queries:
-            blocks.append(mean_token_rows(words, graph.query_tokens))
+            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.QUERY)))
         if graph.n_items:
-            blocks.append(mean_token_rows(words, graph.item_tokens))
+            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.ITEM)))
         if graph.n_tags:
             tag_block = None
             if self.variant.use_tag_names:
-                tag_block = mean_token_rows(words, graph.tag_tokens)
+                tag_block = mean_token_rows(words, graph.token_pooling(NodeType.TAG))
             if self.variant.use_tag_ids:
                 if self.embeddings.tag_ids.shape[0] != graph.n_tags:
                     raise ValueError("tag-id table does not match the graph's tag count")
@@ -346,7 +351,8 @@ class TagGNNModel:
         tag_reps = ad.gather_rows(H, tag_rows) if graph.n_tags else None
         initial_items = ad.gather_rows(H0, item_rows)
         head_logits = None
-        if self.variant.needs_head:
+        if self.variant.needs_head and not train_mode:
+            # only Predictor ranks by these; the losses apply the head to their own rows
             head_logits = ad.add(ad.matmul(item_reps, self.head_weight), self.head_bias)
         return ForwardResult(reps=H, initial=H0, item_reps=item_reps, tag_reps=tag_reps,
                              initial_item_reps=initial_items, head_logits=head_logits)

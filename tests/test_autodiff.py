@@ -247,6 +247,33 @@ class TestOpGradients:
         v = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         _fd(lambda: ad.mean(ad.scatter_add_rows(v, idx, 5)), [v])
 
+    def test_spmm(self):
+        # row 1 is empty; row 2 lists its columns out of order, with a repeat
+        rows = np.array([0, 0, 2, 2, 2, 3])
+        cols = np.array([1, 3, 4, 0, 4, 2])
+        pattern = ad.SparsePattern(rows, cols, (4, 5))
+        v = Tensor(self.rng.normal(size=6), requires_grad=True)
+        x = Tensor(self.rng.normal(size=(5, 3)), requires_grad=True)
+        dense = np.zeros((4, 5))
+        np.add.at(dense, (rows, cols), v.data)
+        np.testing.assert_allclose(ad.spmm(v, pattern, x).data, dense @ x.data, rtol=1e-15)
+        w = self.rng.normal(size=(4, 3))
+        _fd(lambda: ad.mean(ad.mul(ad.spmm(v, pattern, x), w)), [v, x])
+        column = Tensor(v.data[:, None], requires_grad=True)  # attention weights arrive as (E, 1)
+        _fd(lambda: ad.mean(ad.mul(ad.spmm(column, pattern, x), w)), [column, x])
+
+    def test_edge_scores(self):
+        x = Tensor(self.rng.normal(size=(5, 3)), requires_grad=True)
+        context = Tensor(self.rng.normal(size=(6, 1)), requires_grad=True)
+        centers = np.array([0, 0, 1, 3, 3, 4])
+        neighbors = np.array([2, 4, 0, 1, 4, 3])
+        concat = np.concatenate([x.data[centers], x.data[neighbors]], axis=1) @ context.data
+        np.testing.assert_allclose(ad.edge_scores(x, context, centers, neighbors).data, concat,
+                                   rtol=1e-14)
+        w = self.rng.normal(size=(6, 1))
+        _fd(lambda: ad.mean(ad.mul(ad.edge_scores(x, context, centers, neighbors), w)),
+            [x, context])
+
     def test_where_rows(self):
         a = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         b = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taggnn import autodiff as ad
 from taggnn import graph as g
+from taggnn.autodiff import Tensor
 from taggnn.graph import (EmbeddingTable, NodeRef, NodeType, Vocabulary, build_graph,
-                          initial_node_representation, standardize,
+                          initial_node_representation, mean_token_rows, standardize,
                           standardize_edge_weights)
 
 from conftest import random_tiny_graph
@@ -161,3 +163,32 @@ class TestInitialRepresentation:
         table = EmbeddingTable.init(5, 2, 4, np.random.default_rng(1))
         np.testing.assert_array_equal(table.words.data[g.UNK_ID], np.zeros(4))
         assert np.all(table.words.data[1:] != 0)
+
+
+def _gather_scatter_mean(words, token_lists):
+    """Mean token rows by gathering word rows and summing them with ``np.add.at``."""
+    flat = [t for toks in token_lists for t in toks]
+    owners = [row for row, toks in enumerate(token_lists) for _ in toks]
+    inv = np.array([[1.0 / len(toks) if toks else 0.0] for toks in token_lists])
+    gathered = ad.gather_rows(words, np.asarray(flat, dtype=np.int64))
+    return ad.mul(ad.scatter_add_rows(gathered, np.asarray(owners, dtype=np.int64),
+                                      len(token_lists)), inv)
+
+
+def test_mean_token_rows_bit_identical_to_gather_scatter(toy_setup):
+    _, _, vocab, graph = toy_setup
+    rng = np.random.default_rng(5)
+    cases = [(graph.token_pooling(NodeType.QUERY), graph.query_tokens),
+             (graph.token_pooling(NodeType.ITEM), graph.item_tokens),
+             (g.TokenPooling(graph.tag_tokens + [[]]), graph.tag_tokens + [[]])]
+    for pooling, lists in cases:
+        initial = rng.normal(size=(len(vocab), 4))
+        w = rng.normal(size=(len(lists), 4))
+        results = []
+        for mean_rows in (lambda words: mean_token_rows(words, pooling),
+                          lambda words: _gather_scatter_mean(words, lists)):
+            words = Tensor(initial.copy(), requires_grad=True)
+            out = mean_rows(words)
+            ad.backward(ad.mean(ad.mul(out, w)))
+            results.append((out.data.tobytes(), words.grad.tobytes()))
+        assert results[0] == results[1]

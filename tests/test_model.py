@@ -238,6 +238,22 @@ class TestForward:
         out = model.forward(graph)
         assert out.head_logits.shape == (1, graph.n_tags)
 
+    def test_train_mode_qi_forward_tapes_no_head_matmul(self, monkeypatch):
+        graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
+        graph.standardize_weights()
+        model = self._model(graph, 4, kind="qi")
+        right_operands = []
+        matmul = ad.matmul
+
+        def recording(a, b, **kwargs):
+            right_operands.append(b)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(ad, "matmul", recording)
+        out = model.forward(graph, train_mode=True, rng=np.random.default_rng(0))
+        assert out.head_logits is None
+        assert right_operands and not any(b is model.head_weight for b in right_operands)
+
     def test_head_presence_tied_to_variant(self):
         qi = TagGNNModel.init(3, 2, 4, ModelVariant(kind="qi"), rng=np.random.default_rng(0))
         full = TagGNNModel.init(3, 2, 4, ModelVariant(kind="full"), rng=np.random.default_rng(0))
