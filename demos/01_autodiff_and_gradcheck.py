@@ -20,8 +20,9 @@ print(f"  df/dy   = {y.grad}   (expected x + 1 = 4)")
 
 # --- the attention-style softmax, normalized per neighborhood --------------
 scores = Tensor([1.0, 2.0, 0.5, 0.5], requires_grad=True)
-segments = np.array([0, 0, 1, 1])     # two centers, two neighbors each
-soft = ad.segment_softmax(scores, segments)
+# rows are the centers 0 and 1, columns their neighbors 2 and 3
+neighborhoods = ad.SparsePattern([0, 0, 1, 1], [2, 3, 2, 3], (4, 4))
+soft = ad.segment_softmax(scores, neighborhoods)
 print("\nsegment_softmax over two neighborhoods:", np.round(soft.data, 4))
 print("  per-segment sums:", soft.data[:2].sum(), soft.data[2:].sum())
 

@@ -3,10 +3,11 @@
 A small tape-based engine: every operation produces a new :class:`Tensor`
 that remembers its inputs and a closure computing the local backward step.
 The op set is deliberately tiny -- just what the tagging models need.
-Tensors are dense; the one sparse operand is the fixed-layout matrix of
-:func:`spmm` (a :class:`SparsePattern` plus a values Tensor), multiplied
-through scipy's CSR kernels.  Everything is float64 and single-threaded, so
-a fixed seed reproduces a training run bit for bit.
+Tensors are dense; sparse ops (:func:`spmm`, :func:`segment_softmax`,
+:func:`edge_scores`) take a :class:`SparsePattern`, the fixed CSR layout of
+a graph's adjacency or token lists, and run through scipy's CSR kernels.
+Everything is float64 and single-threaded, so a fixed seed reproduces a
+training run bit for bit.
 """
 
 import itertools
@@ -154,21 +155,6 @@ def matmul(a, b, transpose_b=False):
     return _from_op(data, "matmul", (a, b), back)
 
 
-def rowwise_dot(a, b):
-    """Per-row dot product: sum of the elementwise product over the last axis."""
-    a, b = _wrap(a), _wrap(b)
-    data = np.sum(a.data * b.data, axis=-1)
-
-    def back(g):
-        ge = np.expand_dims(g, -1)
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(ge * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(ge * a.data, b.data.shape))
-
-    return _from_op(data, "rowwise_dot", (a, b), back)
-
-
 def concat(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
     if not tensors:
@@ -231,43 +217,33 @@ def mean(x):
     return _from_op(data, "mean", (x,), back)
 
 
-def segment_softmax(scores, segments):
-    """Softmax normalized independently within each segment.
+def segment_softmax(scores, pattern):
+    """Softmax normalized independently within each row of a :class:`SparsePattern`.
 
-    ``scores`` is a vector (or column vector); ``segments`` assigns each
-    entry a non-negative integer segment id.  Within every segment the
-    outputs are positive and sum to 1; the max is subtracted before
-    exponentiation for numerical stability.
+    ``scores`` is a vector (or column vector) with one entry per pattern
+    entry, in entry order.  Within every row the outputs are positive and sum
+    to 1; the row max is subtracted before exponentiation for numerical
+    stability, and each row is summed in entry order.
     """
     scores = _wrap(scores)
-    segments = np.asarray(segments)
-    if segments.ndim != 1 or not np.issubdtype(segments.dtype, np.integer):
-        raise ValueError("segments must be a 1-D integer array")
     flat = scores.data.reshape(-1)
-    if flat.shape[0] != segments.shape[0]:
-        raise ValueError(
-            f"scores ({flat.shape[0]}) and segments ({segments.shape[0]}) differ in length"
-        )
+    if flat.shape[0] != pattern.nnz:
+        raise ValueError(f"{flat.shape[0]} scores for a pattern of {pattern.nnz} entries")
     if flat.size == 0:
         return _from_op(np.empty_like(scores.data), "segment_softmax", (scores,), lambda g: None)
-    if segments.min() < 0:
-        raise ValueError("segment ids must be non-negative")
 
-    nseg = int(segments.max()) + 1
-    seg_max = np.full(nseg, -np.inf)
-    np.maximum.at(seg_max, segments, flat)
-    e = np.exp(flat - seg_max[segments])
-    denom = np.zeros(nseg)
-    np.add.at(denom, segments, e)
-    y = e / denom[segments]
+    starts = pattern.indptr[:-1]
+    nonempty = starts < pattern.indptr[1:]
+    row_max = np.full(pattern.shape[0], -np.inf)
+    row_max[nonempty] = np.maximum.reduceat(flat, starts[nonempty])
+    e = np.exp(flat - row_max[pattern.rows])
+    y = e / pattern.row_sums(e)[pattern.rows]
     data = y.reshape(scores.data.shape)
 
     def back(g):
         if scores.requires_grad:
             gf = g.reshape(-1)
-            seg_dot = np.zeros(nseg)
-            np.add.at(seg_dot, segments, gf * y)
-            gx = y * (gf - seg_dot[segments])
+            gx = y * (gf - pattern.row_sums(gf * y)[pattern.rows])
             scores.accumulate_grad(gx.reshape(scores.data.shape))
 
     return _from_op(data, "segment_softmax", (scores,), back)
@@ -314,14 +290,26 @@ def dropout(x, p, rng):
 
 
 def gather_rows(x, index):
+    """Rows ``x[index]`` for an index array or a ``slice``.
+
+    The forward always copies, so the output never aliases ``x``.  A slice
+    assigns its gradient block; an index array adds repeated rows up.
+    """
     x = _wrap(x)
-    index = np.asarray(index, dtype=np.int64)
-    data = x.data[index]
+    block = isinstance(index, slice)
+    if block:
+        data = x.data[index].copy()
+    else:
+        index = np.asarray(index, dtype=np.int64)
+        data = x.data[index]
 
     def back(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            np.add.at(gx, index, g)
+            if block:
+                gx[index] = g
+            else:
+                np.add.at(gx, index, g)
             x.accumulate_grad(gx)
 
     return _from_op(data, "gather_rows", (x,), back)
@@ -366,7 +354,7 @@ class SparsePattern:
             raise ValueError("rows must be sorted")
         self.shape = (n_rows, n_cols)
         self.rows, self.cols = rows, cols
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
         self._t_order = np.argsort(cols, kind="stable")
         self._t_indices = rows[self._t_order]
         self._t_indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
@@ -377,7 +365,11 @@ class SparsePattern:
 
     def matrix(self, values):
         """The CSR matrix holding ``values`` (one per entry, in entry order)."""
-        return scipy.sparse.csr_matrix((values, self.cols, self._indptr), shape=self.shape)
+        return scipy.sparse.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
+
+    def row_sums(self, values):
+        """Per-row sums of ``values`` (one per entry), each added up in entry order."""
+        return self.matrix(values) @ np.ones(self.shape[1])
 
     def transpose(self, values):
         """The CSR matrix of the transpose, ``matrix(values).T``."""
@@ -409,30 +401,29 @@ def spmm(values, pattern, x):
     return _from_op(data, "spmm", (values, x), back)
 
 
-def edge_scores(x, context, centers, neighbors):
-    """Per-edge score ``concat([x[c], x[n]]) @ context`` as an (E, 1) column.
+def edge_scores(x, context, pattern):
+    """Per-entry score ``concat([x[r], x[c]]) @ context`` of a square pattern, as an (E, 1) column.
 
-    ``context`` is a (2d, 1) vector whose halves a1 and a2 score the center
-    and the neighbor.  The score is computed as ``(x@a1)[c] + (x@a2)[n]``,
-    so no E x 2d block is built; the backward pass sums each node's edge
-    gradients with ``np.bincount``.
+    ``context`` is a (2d, 1) vector whose halves a1 and a2 score the row
+    (center) and the column (neighbor) node.  The score is computed as
+    ``(x@a1)[r] + (x@a2)[c]``, so no E x 2d block is built; the backward
+    pass sums each node's entry gradients with ``np.bincount``.
     """
     x, context = _wrap(x), _wrap(context)
-    centers = np.asarray(centers, dtype=np.int64)
-    neighbors = np.asarray(neighbors, dtype=np.int64)
     n, d = x.data.shape
     if context.data.shape != (2 * d, 1):
         raise ValueError(f"context must have shape ({2 * d}, 1), got {context.data.shape}")
-    if centers.shape != neighbors.shape:
-        raise ValueError("one neighbor per center required")
+    if pattern.shape != (n, n):
+        raise ValueError(f"a {pattern.shape} pattern cannot score the rows of {n} nodes")
+    rows, cols = pattern.rows, pattern.cols
     halves = context.data.reshape(2, d).T   # columns a1, a2
     node_scores = x.data @ halves
-    data = (node_scores[centers, 0] + node_scores[neighbors, 1])[:, None]
+    data = (node_scores[rows, 0] + node_scores[cols, 1])[:, None]
 
     def back(g):
         gf = g.reshape(-1)
-        per_node = np.stack([np.bincount(centers, weights=gf, minlength=n),
-                             np.bincount(neighbors, weights=gf, minlength=n)], axis=1)
+        per_node = np.stack([np.bincount(rows, weights=gf, minlength=n),
+                             np.bincount(cols, weights=gf, minlength=n)], axis=1)
         if x.requires_grad:
             x.accumulate_grad(per_node @ halves.T)
         if context.requires_grad:

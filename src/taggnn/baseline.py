@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluation import rank_topk
-from .graph import UNK_ID, TokenPooling, mean_token_rows
+from .graph import UNK_ID, mean_token_rows, token_pattern
 from .model import ForwardResult
 from .training import fit, label_matrix, train_rows
 
@@ -52,7 +52,7 @@ class BaselineModel:
         self.weight = weight
         self.bias = bias
         self.mode = mode
-        self._features = (None, None, None)  # (graph, token lists, pooling): graphs are immutable
+        self._features = (None, None, None)  # (graph, token lists, pattern): graphs are immutable
 
     def parameters(self):
         return [self.words, self.weight, self.bias]
@@ -63,16 +63,16 @@ class BaselineModel:
             self.words.grad[UNK_ID] = 0.0
 
     def features(self, graph):
-        """:func:`item_feature_tokens` of ``graph`` in this model's mode and its
-        :class:`graph.TokenPooling`, computed once per graph."""
+        """:func:`item_feature_tokens` of ``graph`` in this model's mode and their
+        :func:`graph.token_pattern`, computed once per graph."""
         if self._features[0] is not graph:
             tokens = item_feature_tokens(graph, self.mode)
-            self._features = (graph, tokens, TokenPooling(tokens))
+            self._features = (graph, tokens, token_pattern(tokens, self.words.shape[0]))
         return self._features[1:]
 
-    def logits(self, pooling):
-        """Head logits of the token lists a :class:`graph.TokenPooling` was built from."""
-        return ad.add(ad.matmul(mean_token_rows(self.words, pooling), self.weight), self.bias)
+    def logits(self, pattern):
+        """Head logits of the token lists a :func:`graph.token_pattern` was built from."""
+        return ad.add(ad.matmul(mean_token_rows(self.words, pattern), self.weight), self.bias)
 
     def forward(self, graph, train_mode=False):
         """Head logits for every graph item, shaped for :class:`evaluation.Predictor`."""
@@ -97,7 +97,7 @@ def train_baseline(graph, mode, config, splits, n_words):
     rows = train_rows(graph, splits)
     labels = label_matrix(graph, rows)
     tokens, _ = model.features(graph)
-    train_feats = TokenPooling([tokens[r] for r in rows])
+    train_feats = token_pattern([tokens[r] for r in rows], n_words)
 
     def loss_fn():
         return ad.bce_with_logits(model.logits(train_feats), labels), {}
@@ -107,4 +107,5 @@ def train_baseline(graph, mode, config, splits, n_words):
 
 def predict_baseline(model, tokens, k, exclude=()):
     """Top-K tag indices for one item's feature tokens."""
-    return rank_topk(model.logits(TokenPooling([tokens])).data[0], k, exclude)
+    pattern = token_pattern([tokens], model.words.shape[0])
+    return rank_topk(model.logits(pattern).data[0], k, exclude)

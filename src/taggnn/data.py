@@ -387,9 +387,7 @@ def dataset_to_graph(dataset, vocab, splits=None, include_known_tags=True):
                     continue
         it_edges.append((dataset.item_index[i], dataset.tag_index[t]))
 
-    graph = build_graph(queries, items, tags, qi_edges, it_edges,
-                        query_ids=[q for q, _ in dataset.queries],
-                        item_ids=[i for i, _ in dataset.items],
-                        tag_ids=[t for t, _ in dataset.tags])
-    graph.standardize_weights()
-    return graph
+    return build_graph(queries, items, tags, qi_edges, it_edges,
+                       query_ids=[q for q, _ in dataset.queries],
+                       item_ids=[i for i, _ in dataset.items],
+                       tag_ids=[t for t, _ in dataset.tags])

@@ -156,10 +156,10 @@ class TripartiteGraph:
         self.it_item = np.array([k[0] for k in keys], dtype=np.int64)
         self.it_tag = np.array([k[1] for k in keys], dtype=np.int64)
 
-        self.qi_mult = None
         self._adjacency = None
         self._pack_cache = {}
         self._pooling_cache = {}
+        self.standardize_weights()
 
     # -- sizes and indexing ------------------------------------------------
 
@@ -198,19 +198,20 @@ class TripartiteGraph:
             return self.item_tokens[ref.index]
         return self.tag_tokens[ref.index]
 
-    def token_pooling(self, node_type):
-        """:class:`TokenPooling` of one node type's token lists, built on first use."""
-        pooling = self._pooling_cache.get(node_type)
-        if pooling is None:
+    def token_pooling(self, node_type, n_words):
+        """:func:`token_pattern` of one node type's token lists, built on first use."""
+        key = (node_type, n_words)
+        pattern = self._pooling_cache.get(key)
+        if pattern is None:
             lists = {NodeType.QUERY: self.query_tokens, NodeType.ITEM: self.item_tokens,
                      NodeType.TAG: self.tag_tokens}[node_type]
-            pooling = self._pooling_cache[node_type] = TokenPooling(lists)
-        return pooling
+            pattern = self._pooling_cache[key] = token_pattern(lists, n_words)
+        return pattern
 
     # -- edges and adjacency -----------------------------------------------
 
     def standardize_weights(self):
-        """Fill per-edge attention multipliers from the raw query-item weights."""
+        """Fill per-edge attention multipliers from the raw query-item weights (run on build)."""
         self.qi_mult = standardize_edge_weights(self.qi_weight)
         self._pack_cache.clear()
         return self.qi_mult
@@ -289,43 +290,32 @@ class EmbeddingTable:
                    dim=dim)
 
 
-class TokenPooling:
-    """The fixed layout of :func:`mean_token_rows` over a list of token-id lists.
+def token_pattern(token_lists, n_words):
+    """The (lists x ``n_words``) count matrix of token-id lists as an :class:`autodiff.SparsePattern`.
 
-    Row ``r`` of the (lists x vocabulary) count matrix holds one entry per
-    token of list ``r``, in list order; ``inv`` holds ``1/len`` (0 for an
-    empty list).  Build one per token-list collection and reuse it: the
-    sparse pattern is made once, on first use.
+    Row ``r`` holds one entry per token of list ``r``, in list order.  Build
+    one per token-list collection and reuse it.
     """
-
-    def __init__(self, token_lists):
-        lengths = np.array([len(toks) for toks in token_lists], dtype=np.int64)
-        self.n_rows = len(lengths)
-        self.inv = np.zeros((self.n_rows, 1))
-        self.inv[lengths > 0, 0] = 1.0 / lengths[lengths > 0]
-        self.tokens = np.fromiter(itertools.chain.from_iterable(token_lists), dtype=np.int64,
-                                  count=int(lengths.sum()))
-        self.owners = np.repeat(np.arange(self.n_rows), lengths)
-        self._pattern = None
-
-    def pattern(self, n_words):
-        """The :class:`autodiff.SparsePattern` of the count matrix over ``n_words`` columns."""
-        if self._pattern is None or self._pattern.shape[1] != n_words:
-            self._pattern = ad.SparsePattern(self.owners, self.tokens, (self.n_rows, n_words))
-        return self._pattern
+    lengths = np.array([len(toks) for toks in token_lists], dtype=np.int64)
+    tokens = np.fromiter(itertools.chain.from_iterable(token_lists), dtype=np.int64,
+                         count=int(lengths.sum()))
+    owners = np.repeat(np.arange(len(lengths)), lengths)
+    return ad.SparsePattern(owners, tokens, (len(lengths), n_words))
 
 
-def mean_token_rows(words, pooling):
-    """Mean word embedding of each of ``pooling``'s token lists as an (n, d) Tensor.
+def mean_token_rows(words, pattern):
+    """Mean word embedding of each row of a :func:`token_pattern` as an (n, d) Tensor.
 
     Empty lists give zero rows.  Each row is summed in token order, so the
     result and the gradient into ``words`` are bit-identical to gathering the
     rows and adding them up with ``np.add.at``.
     """
-    if not len(pooling.tokens):
-        return Tensor(np.zeros((pooling.n_rows, words.shape[1])))
-    ones = np.ones(len(pooling.tokens))
-    return ad.mul(ad.spmm(ones, pooling.pattern(words.shape[0]), words), pooling.inv)
+    if not pattern.nnz:
+        return Tensor(np.zeros((pattern.shape[0], words.shape[1])))
+    lengths = np.diff(pattern.indptr)
+    inv = np.zeros((pattern.shape[0], 1))
+    inv[lengths > 0, 0] = 1.0 / lengths[lengths > 0]
+    return ad.mul(ad.spmm(np.ones(pattern.nnz), pattern, words), inv)
 
 
 def initial_node_representation(node, graph, table, use_tag_names=True, use_tag_ids=True):

@@ -7,7 +7,6 @@ without edges pass through bit for bit.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -103,24 +102,14 @@ class LayerParams:
 
 @dataclass
 class PackedEdges:
-    """Directed edge arrays for one variant, sorted by (center, neighbor)."""
+    """Directed edges for one variant: the (center, neighbor) adjacency in CSR order."""
 
-    centers: np.ndarray      # global row of the node being updated
-    neighbors: np.ndarray    # global row of the message source
-    multipliers: np.ndarray  # positive scalar per directed edge
-    active: np.ndarray       # bool per global row: has at least one edge
-
-    @cached_property
-    def pattern(self):
-        """The (center, neighbor) adjacency as a :class:`SparsePattern`, built on first use."""
-        n = len(self.active)
-        return ad.SparsePattern(self.centers, self.neighbors, (n, n))
+    pattern: ad.SparsePattern  # rows are centers (the nodes updated), columns neighbors
+    multipliers: np.ndarray    # positive scalar per directed edge, in entry order
 
 
 def pack_edges(graph, kind):
-    """Flatten the variant's undirected edges into directed center/neighbor arrays."""
-    if graph.qi_mult is None and len(graph.qi_query) and kind in ("qi", "full"):
-        raise ValueError("edge weights not standardized; call graph.standardize_weights()")
+    """Flatten the variant's undirected edges into a directed adjacency, cached per graph."""
     key = kind
     cached = graph._pack_cache.get(key)
     if cached is not None:
@@ -150,13 +139,11 @@ def pack_edges(graph, kind):
         order = np.lexsort((neighbors, centers))
         centers, neighbors, mult = centers[order], neighbors[order], mult[order]
     else:
-        centers = np.empty(0, dtype=np.int64)
-        neighbors = np.empty(0, dtype=np.int64)
+        centers = neighbors = np.empty(0, dtype=np.int64)
         mult = np.empty(0, dtype=np.float64)
 
-    active = np.zeros(graph.n_nodes, dtype=bool)
-    active[centers] = True
-    packed = PackedEdges(centers=centers, neighbors=neighbors, multipliers=mult, active=active)
+    n = graph.n_nodes
+    packed = PackedEdges(pattern=ad.SparsePattern(centers, neighbors, (n, n)), multipliers=mult)
     graph._pack_cache[key] = packed
     return packed
 
@@ -221,16 +208,17 @@ def propagate_layer(graph, H, params, kind="full"):
     if not isinstance(H, Tensor):
         H = Tensor(H)
     edges = pack_edges(graph, kind)
-    if len(edges.centers) == 0:
+    pattern = edges.pattern
+    if pattern.nnz == 0:
         return H
 
     Wh = ad.matmul(H, params.attn_proj)
-    raw = ad.edge_scores(Wh, params.attn_context, edges.centers, edges.neighbors)
+    raw = ad.edge_scores(Wh, params.attn_context, pattern)
     scores = ad.leaky_relu(raw, LEAKY_SLOPE)
-    attn = ad.segment_softmax(scores, edges.centers)
+    attn = ad.segment_softmax(scores, pattern)
     alpha = ad.mul(attn, edges.multipliers[:, None])
 
-    message = ad.relu(ad.spmm(alpha, edges.pattern, Wh))
+    message = ad.relu(ad.spmm(alpha, pattern, Wh))
     fused = ad.add(H, message)
 
     nq, ni = graph.n_queries, graph.n_items
@@ -239,14 +227,14 @@ def propagate_layer(graph, H, params, kind="full"):
                            (nq, nq + ni, params.update_item),
                            (nq + ni, graph.n_nodes, params.update_tag)):
         if hi > lo:
-            blocks.append(ad.matmul(ad.gather_rows(fused, np.arange(lo, hi)), W_type))
+            blocks.append(ad.matmul(ad.gather_rows(fused, slice(lo, hi)), W_type))
     hat = ad.relu(ad.concat(blocks, axis=0) if len(blocks) > 1 else blocks[0])
 
     z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, params.gate_new),
                                  ad.matmul(H, params.gate_old)),
                           params.gate_bias))
     updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H))
-    return ad.where_rows(edges.active, updated, H)
+    return ad.where_rows(np.diff(pattern.indptr) > 0, updated, H)
 
 
 @dataclass
@@ -314,15 +302,16 @@ class TagGNNModel:
     def initial_representations(self, graph):
         """Stacked initial vectors for every node, in (queries, items, tags) order."""
         words = self.embeddings.words
+        n_words = words.shape[0]
         blocks = []
         if graph.n_queries:
-            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.QUERY)))
+            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.QUERY, n_words)))
         if graph.n_items:
-            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.ITEM)))
+            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.ITEM, n_words)))
         if graph.n_tags:
             tag_block = None
             if self.variant.use_tag_names:
-                tag_block = mean_token_rows(words, graph.token_pooling(NodeType.TAG))
+                tag_block = mean_token_rows(words, graph.token_pooling(NodeType.TAG, n_words))
             if self.variant.use_tag_ids:
                 if self.embeddings.tag_ids.shape[0] != graph.n_tags:
                     raise ValueError("tag-id table does not match the graph's tag count")
@@ -345,8 +334,8 @@ class TagGNNModel:
             H = propagate_layer(graph, H, layer, kind=self.variant.kind)
 
         nq, ni = graph.n_queries, graph.n_items
-        item_rows = np.arange(nq, nq + ni)
-        tag_rows = np.arange(nq + ni, graph.n_nodes)
+        item_rows = slice(nq, nq + ni)
+        tag_rows = slice(nq + ni, graph.n_nodes)
         item_reps = ad.gather_rows(H, item_rows)
         tag_reps = ad.gather_rows(H, tag_rows) if graph.n_tags else None
         initial_items = ad.gather_rows(H0, item_rows)

@@ -53,6 +53,4 @@ def random_tiny_graph(rng, with_queries=True):
         for t in range(nt):
             if rng.random() < 0.5:
                 it.append((i, t))
-    graph = build_graph(queries, items, tags, qi, it)
-    graph.standardize_weights()
-    return graph, n_words
+    return build_graph(queries, items, tags, qi, it), n_words

@@ -46,45 +46,81 @@ def test_unreachable_parameter_keeps_zero_grad():
     assert other.grad is None  # treated as zero by the optimizer
 
 
+def _segments(ids):
+    """A pattern whose rows are the given sorted segment ids, one entry per id."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n_rows = int(ids.max()) + 1 if len(ids) else 0
+    return ad.SparsePattern(ids, np.arange(len(ids)), (n_rows, len(ids)))
+
+
+def _scatter_softmax(scores, segments, g):
+    """Forward and input gradient of a segment softmax reduced with ``np.ufunc.at``."""
+    nseg = int(segments.max()) + 1
+    seg_max = np.full(nseg, -np.inf)
+    np.maximum.at(seg_max, segments, scores)
+    e = np.exp(scores - seg_max[segments])
+    denom = np.zeros(nseg)
+    np.add.at(denom, segments, e)
+    y = e / denom[segments]
+    seg_dot = np.zeros(nseg)
+    np.add.at(seg_dot, segments, g * y)
+    return y, y * (g - seg_dot[segments])
+
+
 class TestSegmentSoftmax:
     def test_symmetry(self):
-        out = ad.segment_softmax(Tensor([0.0, 0.0]), np.array([0, 0]))
+        out = ad.segment_softmax(Tensor([0.0, 0.0]), _segments([0, 0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
     def test_ratio_forced_by_log2(self):
-        out = ad.segment_softmax(Tensor([math.log(2.0), 0.0]), np.array([0, 0]))
+        out = ad.segment_softmax(Tensor([math.log(2.0), 0.0]), _segments([0, 0]))
         np.testing.assert_allclose(out.data, [2 / 3, 1 / 3])
 
     def test_single_element_segment(self):
-        out = ad.segment_softmax(Tensor([17.3]), np.array([0]))
+        out = ad.segment_softmax(Tensor([17.3]), _segments([0]))
         np.testing.assert_allclose(out.data, [1.0])
 
     def test_empty_input(self):
-        out = ad.segment_softmax(Tensor(np.empty(0)), np.empty(0, dtype=np.int64))
+        out = ad.segment_softmax(Tensor(np.empty(0)), _segments([]))
         assert out.data.size == 0
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            ad.segment_softmax(Tensor([1.0, 2.0]), np.array([0]))
+            ad.segment_softmax(Tensor([1.0, 2.0]), _segments([0]))
 
     def test_large_scores_stable(self):
-        out = ad.segment_softmax(Tensor([1e4, 1e4 - 1.0]), np.array([0, 0]))
+        out = ad.segment_softmax(Tensor([1e4, 1e4 - 1.0]), _segments([0, 0]))
         assert np.all(np.isfinite(out.data))
         assert out.data.sum() == pytest.approx(1.0)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30), st.data())
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one_per_segment(self, scores, data):
-        segs = np.array([data.draw(st.integers(0, 4)) for _ in scores])
-        out = ad.segment_softmax(Tensor(scores), segs).data
+        # sorted ids drawn from a wider range than needed, so some rows stay empty
+        segs = np.sort([data.draw(st.integers(0, 8)) for _ in scores])
+        out = ad.segment_softmax(Tensor(scores), _segments(segs)).data
         assert np.all(out > 0) and np.all(out <= 1.0)
         for s in np.unique(segs):
             assert abs(out[segs == s].sum() - 1.0) < 1e-12
 
+    def test_bit_identical_to_scatter_reduction(self):
+        # rows 0, 2 and 5 are empty; row 3 has 20 entries, past numpy's
+        # 8-element pairwise-summation block
+        rng = np.random.default_rng(3)
+        segs = np.repeat(np.arange(7), [0, 3, 0, 20, 1, 0, 9])
+        scores = rng.normal(scale=4.0, size=len(segs))
+        g = rng.normal(size=len(segs))
+        x = Tensor(scores[:, None], requires_grad=True)
+        out = ad.segment_softmax(x, _segments(segs))
+        ad.backward(ad.mean(ad.mul(out, g[:, None])))  # upstream gradient (1/n) * g
+        y, gx = _scatter_softmax(scores, segs, (1.0 / len(segs)) * g)
+        assert out.data[:, 0].tobytes() == y.tobytes()
+        assert x.grad[:, 0].tobytes() == gx.tobytes()
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=7), requires_grad=True)
-        segs = np.array([0, 0, 1, 1, 1, 3, 3])
+        segs = _segments([0, 0, 1, 1, 1, 3, 3])
         w = rng.normal(size=7)
 
         def loss_fn():
@@ -233,17 +269,14 @@ class TestOpGradients:
         _fd(lambda: ad.mean(ad.leaky_relu(x, 0.2)), [x])
         _fd(lambda: ad.mean(ad.sigmoid(x)), [x])
 
-    def test_rowwise_dot(self):
-        a = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
-        b = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
-        _fd(lambda: ad.mean(ad.rowwise_dot(a, b)), [a, b])
-        c = Tensor(self.rng.normal(size=3), requires_grad=True)
-        _fd(lambda: ad.mean(ad.rowwise_dot(a, c)), [a, c])
-
     def test_gather_and_scatter(self):
         x = Tensor(self.rng.normal(size=(5, 3)), requires_grad=True)
         idx = np.array([0, 2, 2, 4])
         _fd(lambda: ad.mean(ad.gather_rows(x, idx)), [x])
+        w = self.rng.normal(size=(3, 3))
+        block = ad.gather_rows(x, slice(1, 4))
+        assert not np.shares_memory(block.data, x.data)
+        _fd(lambda: ad.mean(ad.mul(ad.gather_rows(x, slice(1, 4)), w)), [x])
         v = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         _fd(lambda: ad.mean(ad.scatter_add_rows(v, idx, 5)), [v])
 
@@ -267,12 +300,13 @@ class TestOpGradients:
         context = Tensor(self.rng.normal(size=(6, 1)), requires_grad=True)
         centers = np.array([0, 0, 1, 3, 3, 4])
         neighbors = np.array([2, 4, 0, 1, 4, 3])
+        pattern = ad.SparsePattern(centers, neighbors, (5, 5))
         concat = np.concatenate([x.data[centers], x.data[neighbors]], axis=1) @ context.data
-        np.testing.assert_allclose(ad.edge_scores(x, context, centers, neighbors).data, concat,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(ad.edge_scores(x, context, pattern).data, concat, rtol=1e-14)
         w = self.rng.normal(size=(6, 1))
-        _fd(lambda: ad.mean(ad.mul(ad.edge_scores(x, context, centers, neighbors), w)),
-            [x, context])
+        _fd(lambda: ad.mean(ad.mul(ad.edge_scores(x, context, pattern), w)), [x, context])
+        with pytest.raises(ValueError):
+            ad.edge_scores(x, context, ad.SparsePattern(centers, neighbors, (5, 6)))
 
     def test_where_rows(self):
         a = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)

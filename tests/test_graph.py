@@ -178,14 +178,14 @@ def _gather_scatter_mean(words, token_lists):
 def test_mean_token_rows_bit_identical_to_gather_scatter(toy_setup):
     _, _, vocab, graph = toy_setup
     rng = np.random.default_rng(5)
-    cases = [(graph.token_pooling(NodeType.QUERY), graph.query_tokens),
-             (graph.token_pooling(NodeType.ITEM), graph.item_tokens),
-             (g.TokenPooling(graph.tag_tokens + [[]]), graph.tag_tokens + [[]])]
-    for pooling, lists in cases:
+    cases = [(graph.token_pooling(NodeType.QUERY, len(vocab)), graph.query_tokens),
+             (graph.token_pooling(NodeType.ITEM, len(vocab)), graph.item_tokens),
+             (g.token_pattern(graph.tag_tokens + [[]], len(vocab)), graph.tag_tokens + [[]])]
+    for pattern, lists in cases:
         initial = rng.normal(size=(len(vocab), 4))
         w = rng.normal(size=(len(lists), 4))
         results = []
-        for mean_rows in (lambda words: mean_token_rows(words, pooling),
+        for mean_rows in (lambda words: mean_token_rows(words, pattern),
                           lambda words: _gather_scatter_mean(words, lists)):
             words = Tensor(initial.copy(), requires_grad=True)
             out = mean_rows(words)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from taggnn import autodiff as ad
 from taggnn.autodiff import Tensor
-from taggnn.graph import NodeRef, NodeType, build_graph, initial_node_representation
+from taggnn.graph import (NodeRef, NodeType, build_graph, initial_node_representation,
+                          standardize_edge_weights)
 from taggnn.model import (LayerParams, ModelVariant, TagGNNModel,
                           aggregate_message, attention_coefficients,
                           gated_update, pack_edges, propagate_layer)
@@ -198,8 +199,7 @@ class TestForward:
         assert out.reps is out.initial
 
     def test_isolated_item_unchanged_for_any_depth(self):
-        graph = build_graph([[1]], [[2], [3]], [[1]], [(0, 0, 2.0)], [(0, 0)])
-        graph.standardize_weights()  # item 1 has no edges at all
+        graph = build_graph([[1]], [[2], [3]], [[1]], [(0, 0, 2.0)], [(0, 0)])  # item 1: no edges
         for n_layers in (1, 2, 3, 4):
             model = self._model(graph, 4, n_layers=n_layers, seed=n_layers)
             out = model.forward(graph)
@@ -233,14 +233,12 @@ class TestForward:
 
     def test_qi_variant_has_head_logits(self):
         graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
-        graph.standardize_weights()
         model = self._model(graph, 4, kind="qi")
         out = model.forward(graph)
         assert out.head_logits.shape == (1, graph.n_tags)
 
     def test_train_mode_qi_forward_tapes_no_head_matmul(self, monkeypatch):
         graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
-        graph.standardize_weights()
         model = self._model(graph, 4, kind="qi")
         right_operands = []
         matmul = ad.matmul
@@ -265,21 +263,37 @@ class TestForward:
                         head_weight=qi.head_weight, head_bias=qi.head_bias)
 
 
+class TestPackEdges:
+    def test_bare_graph_packs_softplus_multipliers(self):
+        # two queries share item 0; weights 1 and 3 standardize to -1 and +1
+        graph = build_graph([[1], [2]], [[3]], [], [(0, 0, 1.0), (1, 0, 3.0)], [])
+        edges = pack_edges(graph, "qi")
+        softplus = np.log1p(np.exp([-1.0, 1.0]))
+        np.testing.assert_allclose(standardize_edge_weights(graph.qi_weight), softplus,
+                                   rtol=1e-15)
+        # rows: query 0 -> item, query 1 -> item, then the item -> queries 0 and 1
+        np.testing.assert_array_equal(edges.pattern.rows, [0, 1, 2, 2])
+        np.testing.assert_array_equal(edges.pattern.cols, [2, 2, 0, 1])
+        np.testing.assert_array_equal(edges.multipliers,
+                                      np.tile(standardize_edge_weights(graph.qi_weight), 2))
+
+
 class TestAttentionNormalization:
     def test_softmax_part_sums_to_one_over_random_graphs(self):
         rng = np.random.default_rng(12)
         for trial in range(25):
             graph, _ = random_tiny_graph(rng)
             edges = pack_edges(graph, "full")
-            if len(edges.centers) == 0:
+            centers = edges.pattern.rows
+            if len(centers) == 0:
                 continue
             layer = make_layer(3, seed=trial)
             H = Tensor(rng.normal(size=(graph.n_nodes, 3)))
             Wh = ad.matmul(H, layer.attn_proj)
-            hc = ad.gather_rows(Wh, edges.centers)
-            hn = ad.gather_rows(Wh, edges.neighbors)
+            hc = ad.gather_rows(Wh, centers)
+            hn = ad.gather_rows(Wh, edges.pattern.cols)
             raw = ad.matmul(ad.concat([hc, hn], axis=1), layer.attn_context)
-            attn = ad.segment_softmax(ad.leaky_relu(raw, 0.2), edges.centers).data[:, 0]
-            for c in np.unique(edges.centers):
-                assert abs(attn[edges.centers == c].sum() - 1.0) < 1e-10
+            attn = ad.segment_softmax(ad.leaky_relu(raw, 0.2), edges.pattern).data[:, 0]
+            for c in np.unique(centers):
+                assert abs(attn[centers == c].sum() - 1.0) < 1e-10
             assert np.all(edges.multipliers > 0)

@@ -99,7 +99,6 @@ class TestCombinedLoss:
         # receive gradient through it
         graph = build_graph([[1]], [[2], [3]], [[1], [2]],
                             [(0, 0, 1.0), (0, 1, 2.0)], [])
-        graph.standardize_weights()
         model = TagGNNModel.init(4, 2, 3, ModelVariant(kind="full", n_layers=2),
                                  rng=np.random.default_rng(1))
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
