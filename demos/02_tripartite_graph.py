@@ -7,10 +7,10 @@ import os
 
 import numpy as np
 
+from taggnn import autodiff as ad
 from taggnn import data as dm
-from taggnn.graph import (NodeRef, NodeType, Vocabulary, initial_node_representation,
-                          standardize_edge_weights)
-from taggnn.model import ModelVariant, TagGNNModel, attention_coefficients
+from taggnn.graph import Vocabulary, standardize_edge_weights
+from taggnn.model import LEAKY_SLOPE, ModelVariant, TagGNNModel, pack_edges
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "..", "tests", "fixtures", "toydata")
@@ -30,23 +30,26 @@ raw = graph.qi_weight[:6]
 print("\nraw weights          :", raw)
 print("softplus multipliers :", np.round(standardize_edge_weights(graph.qi_weight)[:6], 4))
 
-# initial representations: mean word embedding, tags add their id embedding
+# initial representations: mean word embedding, tags add their id embedding;
+# node rows are ordered queries | items | tags
 model = TagGNNModel.init(len(vocab), graph.n_tags, dim=8,
                          variant=ModelVariant(kind="full", n_layers=1), seed=0)
-item0 = NodeRef(NodeType.ITEM, 0)
-tag0 = NodeRef(NodeType.TAG, 0)
-print(f"\nitem '{graph.item_ids[0]}' initial vector:",
-      np.round(initial_node_representation(item0, graph, model.embeddings), 3))
-print(f"tag  '{graph.tag_ids[0]}' initial vector:",
-      np.round(initial_node_representation(tag0, graph, model.embeddings), 3))
+H = model.initial_representations(graph)
+item0, tag0 = graph.n_queries, graph.n_queries + graph.n_items
+print(f"\nitem '{graph.item_ids[0]}' initial vector:", np.round(H.data[item0], 3))
+print(f"tag  '{graph.tag_ids[0]}' initial vector:", np.round(H.data[tag0], 3))
 
-# attention over one item's neighborhood (queries and tags mixed)
-H = model.initial_representations(graph).data
-alpha = attention_coefficients(item0, H, model.layers[0], graph, kind="full")
-neighbors = graph.neighbors(item0)
+# attention over one item's neighborhood (queries and tags mixed): the first
+# layer's softmax over each row of the packed adjacency, times the multipliers
+layer = model.layers[0]
+edges = pack_edges(graph, "full")
+Wh = ad.matmul(H, layer.attn_proj)
+scores = ad.leaky_relu(ad.edge_scores(Wh, layer.attn_context, edges.pattern), LEAKY_SLOPE)
+alpha = ad.segment_softmax(scores, edges.pattern).data[:, 0] * edges.multipliers
+lo, hi = edges.pattern.indptr[item0], edges.pattern.indptr[item0 + 1]
+kinds = ["query"] * graph.n_queries + ["item"] * graph.n_items + ["tag"] * graph.n_tags
+names = graph.query_ids + graph.item_ids + graph.tag_ids
 print(f"\nattention at item '{graph.item_ids[0]}':")
-for ref, a in zip(neighbors, alpha):
-    name = {NodeType.QUERY: graph.query_ids, NodeType.ITEM: graph.item_ids,
-            NodeType.TAG: graph.tag_ids}[ref.node_type][ref.index]
-    print(f"  {ref.node_type.value:5s} {name:8s} alpha = {a:.4f}")
+for row, a in zip(edges.pattern.cols[lo:hi], alpha[lo:hi]):
+    print(f"  {kinds[row]:5s} {names[row]:8s} alpha = {a:.4f}")
 print("(query edges carry their softplus multiplier, tag edges exactly 1)")

@@ -232,18 +232,19 @@ def segment_softmax(scores, pattern):
     if flat.size == 0:
         return _from_op(np.empty_like(scores.data), "segment_softmax", (scores,), lambda g: None)
 
+    rows, n_rows = pattern.rows, pattern.shape[0]
     starts = pattern.indptr[:-1]
     nonempty = starts < pattern.indptr[1:]
-    row_max = np.full(pattern.shape[0], -np.inf)
+    row_max = np.full(n_rows, -np.inf)
     row_max[nonempty] = np.maximum.reduceat(flat, starts[nonempty])
-    e = np.exp(flat - row_max[pattern.rows])
-    y = e / pattern.row_sums(e)[pattern.rows]
+    e = np.exp(flat - row_max[rows])
+    y = e / np.bincount(rows, weights=e, minlength=n_rows)[rows]
     data = y.reshape(scores.data.shape)
 
     def back(g):
         if scores.requires_grad:
             gf = g.reshape(-1)
-            gx = y * (gf - pattern.row_sums(gf * y)[pattern.rows])
+            gx = y * (gf - np.bincount(rows, weights=gf * y, minlength=n_rows)[rows])
             scores.accumulate_grad(gx.reshape(scores.data.shape))
 
     return _from_op(data, "segment_softmax", (scores,), back)
@@ -366,10 +367,6 @@ class SparsePattern:
     def matrix(self, values):
         """The CSR matrix holding ``values`` (one per entry, in entry order)."""
         return scipy.sparse.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
-
-    def row_sums(self, values):
-        """Per-row sums of ``values`` (one per entry), each added up in entry order."""
-        return self.matrix(values) @ np.ones(self.shape[1])
 
     def transpose(self, values):
         """The CSR matrix of the transpose, ``matrix(values).T``."""

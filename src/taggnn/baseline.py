@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .evaluation import rank_topk
 from .graph import UNK_ID, mean_token_rows, token_pattern
 from .model import ForwardResult
 from .training import fit, label_matrix, train_rows
@@ -70,16 +69,15 @@ class BaselineModel:
             self._features = (graph, tokens, token_pattern(tokens, self.words.shape[0]))
         return self._features[1:]
 
-    def logits(self, pattern):
-        """Head logits of the token lists a :func:`graph.token_pattern` was built from."""
-        return ad.add(ad.matmul(mean_token_rows(self.words, pattern), self.weight), self.bias)
+    def logits(self, feats):
+        """Head logits of pooled feature rows (:func:`graph.mean_token_rows` of the words)."""
+        return ad.add(ad.matmul(feats, self.weight), self.bias)
 
     def forward(self, graph, train_mode=False):
         """Head logits for every graph item, shaped for :class:`evaluation.Predictor`."""
         feats = mean_token_rows(self.words, self.features(graph)[1])
-        logits = ad.add(ad.matmul(feats, self.weight), self.bias)
         return ForwardResult(reps=feats, initial=feats, item_reps=feats, tag_reps=None,
-                             initial_item_reps=feats, head_logits=logits)
+                             initial_item_reps=feats, head_logits=self.logits(feats))
 
 
 def train_baseline(graph, mode, config, splits, n_words):
@@ -100,12 +98,8 @@ def train_baseline(graph, mode, config, splits, n_words):
     train_feats = token_pattern([tokens[r] for r in rows], n_words)
 
     def loss_fn():
-        return ad.bce_with_logits(model.logits(train_feats), labels), {}
+        logits = model.logits(mean_token_rows(model.words, train_feats))
+        return ad.bce_with_logits(logits, labels), {}
 
     return fit(model, loss_fn, graph, splits, config)
 
-
-def predict_baseline(model, tokens, k, exclude=()):
-    """Top-K tag indices for one item's feature tokens."""
-    pattern = token_pattern([tokens], model.words.shape[0])
-    return rank_topk(model.logits(pattern).data[0], k, exclude)

@@ -1,4 +1,4 @@
-"""The query-item-tag tripartite graph and its initial node representations.
+"""The query-item-tag tripartite graph and the word pooling behind its initial node vectors.
 
 Nodes carry token-id lists; query-item edges carry weights that are
 standardized and pushed through a softplus so the per-edge attention
@@ -21,14 +21,6 @@ class NodeType(Enum):
     QUERY = "query"
     ITEM = "item"
     TAG = "tag"
-
-
-@dataclass(frozen=True)
-class NodeRef:
-    """A typed node handle: a node type plus the index within that type."""
-
-    node_type: NodeType
-    index: int
 
 
 UNK_ID = 0
@@ -108,17 +100,14 @@ def standardize_edge_weights(weights):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
-# edge kinds in adjacency structures
-QI = 0
-IT = 1
-
-
 class TripartiteGraph:
     """Undirected tripartite graph over query, item and tag nodes.
 
-    Construct through :func:`build_graph`.  Adjacency lists are sorted by
-    neighbor index so iteration order (and therefore any floating-point
-    accumulation that follows it) is deterministic.
+    Construct through :func:`build_graph`.  Node rows are ordered queries |
+    items | tags.  Edges are held as parallel arrays (``qi_query``/
+    ``qi_item``/``qi_weight`` and ``it_item``/``it_tag``), deduplicated and
+    sorted by endpoint, so any floating-point accumulation over them is
+    deterministic.
     """
 
     def __init__(self, query_tokens, item_tokens, tag_tokens, qi_edges, it_edges,
@@ -156,12 +145,11 @@ class TripartiteGraph:
         self.it_item = np.array([k[0] for k in keys], dtype=np.int64)
         self.it_tag = np.array([k[1] for k in keys], dtype=np.int64)
 
-        self._adjacency = None
         self._pack_cache = {}
         self._pooling_cache = {}
         self.standardize_weights()
 
-    # -- sizes and indexing ------------------------------------------------
+    # -- sizes and token pooling -------------------------------------------
 
     @property
     def n_queries(self):
@@ -179,25 +167,6 @@ class TripartiteGraph:
     def n_nodes(self):
         return self.n_queries + self.n_items + self.n_tags
 
-    def global_index(self, ref):
-        """Pack a NodeRef into the global row index (queries, items, tags)."""
-        if ref.node_type is NodeType.QUERY:
-            base, count = 0, self.n_queries
-        elif ref.node_type is NodeType.ITEM:
-            base, count = self.n_queries, self.n_items
-        else:
-            base, count = self.n_queries + self.n_items, self.n_tags
-        if not 0 <= ref.index < count:
-            raise IndexError(f"{ref.node_type.value} index {ref.index} out of range")
-        return base + ref.index
-
-    def tokens_of(self, ref):
-        if ref.node_type is NodeType.QUERY:
-            return self.query_tokens[ref.index]
-        if ref.node_type is NodeType.ITEM:
-            return self.item_tokens[ref.index]
-        return self.tag_tokens[ref.index]
-
     def token_pooling(self, node_type, n_words):
         """:func:`token_pattern` of one node type's token lists, built on first use."""
         key = (node_type, n_words)
@@ -208,49 +177,13 @@ class TripartiteGraph:
             pattern = self._pooling_cache[key] = token_pattern(lists, n_words)
         return pattern
 
-    # -- edges and adjacency -----------------------------------------------
+    # -- edges --------------------------------------------------------------
 
     def standardize_weights(self):
         """Fill per-edge attention multipliers from the raw query-item weights (run on build)."""
         self.qi_mult = standardize_edge_weights(self.qi_weight)
         self._pack_cache.clear()
         return self.qi_mult
-
-    def _build_adjacency(self):
-        adj = {g: [] for g in range(self.n_nodes)}
-        qoff, ioff, toff = 0, self.n_queries, self.n_queries + self.n_items
-        for e in range(len(self.qi_query)):
-            q, i = qoff + self.qi_query[e], ioff + self.qi_item[e]
-            adj[q].append((i, QI, e))
-            adj[i].append((q, QI, e))
-        for e in range(len(self.it_item)):
-            i, t = ioff + self.it_item[e], toff + self.it_tag[e]
-            adj[i].append((t, IT, e))
-            adj[t].append((i, IT, e))
-        self._adjacency = {g: sorted(entries) for g, entries in adj.items()}
-
-    def adjacency(self, gidx):
-        """Sorted ``(neighbor global idx, edge kind, edge id)`` triples."""
-        if self._adjacency is None:
-            self._build_adjacency()
-        return self._adjacency[gidx]
-
-    def neighbors(self, ref):
-        """Neighbor NodeRefs of ``ref`` in ascending global-index order."""
-        out = []
-        for g, _, _ in self.adjacency(self.global_index(ref)):
-            out.append(self.ref_of(g))
-        return out
-
-    def ref_of(self, gidx):
-        if gidx < self.n_queries:
-            return NodeRef(NodeType.QUERY, gidx)
-        if gidx < self.n_queries + self.n_items:
-            return NodeRef(NodeType.ITEM, gidx - self.n_queries)
-        return NodeRef(NodeType.TAG, gidx - self.n_queries - self.n_items)
-
-    def degree(self, ref):
-        return len(self.adjacency(self.global_index(ref)))
 
     def item_tag_sets(self):
         """Per-item set of linked tag indices (the label structure)."""
@@ -317,22 +250,3 @@ def mean_token_rows(words, pattern):
     inv[lengths > 0, 0] = 1.0 / lengths[lengths > 0]
     return ad.mul(ad.spmm(np.ones(pattern.nnz), pattern, words), inv)
 
-
-def initial_node_representation(node, graph, table, use_tag_names=True, use_tag_ids=True):
-    """Initial vector of one node: mean word embedding, plus the id embedding for tags.
-
-    Queries and items with no tokens fall back to the zero vector; tags fall
-    back to their id embedding alone.
-    """
-    words = table.words.data
-    tokens = graph.tokens_of(node)
-    if node.node_type is not NodeType.TAG:
-        if not tokens:
-            return np.zeros(table.dim)
-        return words[tokens].sum(axis=0) * (1.0 / len(tokens))
-    rep = np.zeros(table.dim)
-    if use_tag_names and tokens:
-        rep = rep + words[tokens].sum(axis=0) * (1.0 / len(tokens))
-    if use_tag_ids:
-        rep = rep + table.tag_ids.data[node.index]
-    return rep

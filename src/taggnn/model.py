@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import IT, QI, NodeType, EmbeddingTable, mean_token_rows
+from .graph import NodeType, EmbeddingTable, mean_token_rows
 
 LEAKY_SLOPE = 0.2
 
@@ -146,57 +146,6 @@ def pack_edges(graph, kind):
     packed = PackedEdges(pattern=ad.SparsePattern(centers, neighbors, (n, n)), multipliers=mult)
     graph._pack_cache[key] = packed
     return packed
-
-
-def attention_coefficients(center, reps, params, graph, kind="full"):
-    """Attention weights over one node's neighborhood, in adjacency order.
-
-    The softmax part sums to 1 over the neighbor set; each weight is then
-    scaled by the edge's positive multiplier (standardized-softplus weight
-    for query-item edges, exactly 1 for item-tag edges).
-    """
-    H = reps.data if isinstance(reps, Tensor) else np.asarray(reps, dtype=np.float64)
-    gidx = graph.global_index(center)
-    entries = [e for e in graph.adjacency(gidx)
-               if (e[1] == QI and kind in ("qi", "full")) or (e[1] == IT and kind in ("it", "full"))]
-    if not entries:
-        raise ValueError("attention undefined for an isolated node")
-    W = params.attn_proj.data
-    a = params.attn_context.data
-    hc = H[gidx] @ W
-    scores = np.empty(len(entries))
-    mult = np.empty(len(entries))
-    for j, (nb, ekind, eid) in enumerate(entries):
-        s = np.concatenate([hc, H[nb] @ W]) @ a[:, 0]
-        scores[j] = s if s > 0 else LEAKY_SLOPE * s
-        mult[j] = graph.qi_mult[eid] if ekind == QI else 1.0
-    shifted = np.exp(scores - scores.max())
-    return mult * (shifted / shifted.sum())
-
-
-def aggregate_message(alpha, neighbor_reps, proj):
-    """Attention-weighted sum of projected neighbor vectors, then ReLU."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    reps = np.asarray(neighbor_reps, dtype=np.float64)
-    W = proj.data if isinstance(proj, Tensor) else np.asarray(proj)
-    return np.maximum((alpha[:, None] * (reps @ W)).sum(axis=0), 0.0)
-
-
-def gated_update(h_v, h_m, node_type, params, heterogeneous=True):
-    """Blend the fused candidate with the previous vector through a sigmoid gate."""
-    h_v = np.asarray(h_v, dtype=np.float64)
-    h_m = np.asarray(h_m, dtype=np.float64)
-    if heterogeneous:
-        W = {NodeType.QUERY: params.update_query,
-             NodeType.ITEM: params.update_item,
-             NodeType.TAG: params.update_tag}[node_type].data
-    else:
-        W = params.update_query.data
-    hat = np.maximum((h_v + h_m) @ W, 0.0)
-    z = 1.0 / (1.0 + np.exp(-(hat @ params.gate_new.data
-                              + h_v @ params.gate_old.data
-                              + params.gate_bias.data)))
-    return z * hat + (1.0 - z) * h_v
 
 
 def propagate_layer(graph, H, params, kind="full"):

@@ -9,6 +9,7 @@ and the baseline each hand it a loss closure.
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -37,6 +38,26 @@ class TrainConfig:
     use_tag_names: bool = True
     use_tag_ids: bool = True
 
+    def __post_init__(self):
+        """Reject a wrongly typed or out-of-range field with a ValueError that names it."""
+        def check(name, ok, rule):
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"config field {name} must be {rule}, got {value!r}")
+
+        def finite(v):
+            return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+        for name, low in (("dim", 1), ("n_layers", 0), ("max_epochs", 0), ("patience", 0),
+                          ("seed", 0)):
+            check(name, lambda v: type(v) is int and v >= low, f"an integer >= {low}")
+        check("learning_rate", lambda v: finite(v) and v > 0, "a finite number > 0")
+        check("gamma", lambda v: finite(v) and v >= 0, "a finite number >= 0")
+        check("dropout", lambda v: finite(v) and 0 <= v < 1, "a number in [0, 1)")
+        for name in ("heterogeneous", "use_tag_names", "use_tag_ids"):
+            check(name, lambda v: type(v) is bool, "true or false")
+        self.model_variant()
+
     def model_variant(self):
         return ModelVariant(kind=self.variant, heterogeneous=self.heterogeneous,
                             use_tag_names=self.use_tag_names, use_tag_ids=self.use_tag_ids,
@@ -47,6 +68,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:

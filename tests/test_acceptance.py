@@ -13,7 +13,7 @@ from taggnn import data as dm
 from taggnn import synthetic
 from taggnn.autodiff import Tensor, finite_difference_check
 from taggnn.evaluation import Predictor, evaluate, precision_at_k, report_to_json
-from taggnn.graph import NodeRef, NodeType, Vocabulary, build_graph
+from taggnn.graph import Vocabulary, build_graph
 from taggnn.model import LayerParams, ModelVariant, TagGNNModel, pack_edges
 from taggnn.training import TrainConfig, combined_loss, train
 
@@ -62,9 +62,7 @@ def test_criterion_2_attention_normalization():
         layer = LayerParams.init(3, np.random.default_rng(trial))
         H = Tensor(rng.normal(size=(graph.n_nodes, 3)))
         Wh = ad.matmul(H, layer.attn_proj)
-        raw = ad.matmul(ad.concat([ad.gather_rows(Wh, centers),
-                                   ad.gather_rows(Wh, edges.pattern.cols)], axis=1),
-                        layer.attn_context)
+        raw = ad.edge_scores(Wh, layer.attn_context, edges.pattern)
         attn = ad.segment_softmax(ad.leaky_relu(raw, 0.2), edges.pattern).data[:, 0]
         assert np.all(edges.multipliers > 0)
         for c in np.unique(centers):
@@ -83,7 +81,7 @@ def test_criterion_3_isolated_node_invariance():
                                  rng=np.random.default_rng([n_layers, 0]))
         out = model.forward(graph)
         for item in (1, 2):
-            row = graph.global_index(NodeRef(NodeType.ITEM, item))
+            row = graph.n_queries + item
             ok = ok and out.reps.data[row].tobytes() == out.initial.data[row].tobytes()
     _verdict(3, ok, "degree-0 items bit-identical through 1-4 layers")
 

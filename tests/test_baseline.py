@@ -4,10 +4,10 @@ import pytest
 from taggnn import data as dm
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
-from taggnn.baseline import BaselineModel, item_feature_tokens, predict_baseline, train_baseline
+from taggnn.baseline import BaselineModel, item_feature_tokens, train_baseline
 from taggnn.data import RawDataset, SplitAssignment
 from taggnn.evaluation import Predictor, precision_at_k, subset_precision
-from taggnn.graph import Vocabulary
+from taggnn.graph import Vocabulary, build_graph
 from taggnn.training import TrainConfig, validation_p1
 
 
@@ -69,9 +69,11 @@ def test_empty_features_predict_deterministically():
         weight=Tensor(np.zeros((4, 3)), requires_grad=True),
         bias=Tensor(np.zeros(3), requires_grad=True),
         mode="item")
+    graph = build_graph([], [[]], [[1], [2], [3]], [], [])  # one item, empty title
+    predictor = Predictor(model, graph)
     # uniform logits: ties broken by ascending tag index
-    assert predict_baseline(model, [], 2) == [0, 1]
-    assert predict_baseline(model, [], 2, exclude={0}) == [1, 2]
+    assert predictor.topk(0, 2) == [0, 1]
+    assert predictor.topk(0, 2, exclude={0}) == [1, 2]
 
 
 def test_top_ten_queries_by_weight():

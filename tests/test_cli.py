@@ -74,6 +74,23 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"dim": "8"}, "dim"), ({"dim": 0}, "dim"), ({"patience": None}, "patience"),
+    ({"seed": True}, "seed"), ({"learning_rate": 0}, "learning_rate"),
+    ({"gamma": float("nan")}, "gamma"), ({"dropout": 1.0}, "dropout"),
+    ({"heterogeneous": 1}, "heterogeneous"), ({"variant": "graph"}, "variant"),
+    (8, "JSON object"),
+])
+def test_bad_config_value_exits_one(workspace, capsys, config, named):
+    tmp_path, data = workspace
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["train", "--config", str(path), "--data", data, "--counts", "8,2,2",
+                     "--out", str(tmp_path / "model")]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_unknown_item_exits_one(workspace, capsys):
     tmp_path, data = workspace
     splits = str(tmp_path / "splits.tsv")

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from taggnn import autodiff as ad
 from taggnn import graph as g
 from taggnn.autodiff import Tensor
-from taggnn.graph import (EmbeddingTable, NodeRef, NodeType, Vocabulary, build_graph,
-                          initial_node_representation, mean_token_rows, standardize,
-                          standardize_edge_weights)
+from taggnn.graph import (EmbeddingTable, NodeType, Vocabulary, build_graph, mean_token_rows,
+                          standardize, standardize_edge_weights)
+from taggnn.model import ModelVariant, TagGNNModel, pack_edges
 
 from conftest import random_tiny_graph
 
@@ -69,12 +69,15 @@ class TestEdgeWeightStandardization:
         assert np.all(np.diff(out[order]) > 0)
 
 
+def degrees(graph):
+    """Per-row degree (queries | items | tags) in the full variant's packed adjacency."""
+    return np.diff(pack_edges(graph, "full").pattern.indptr).tolist()
+
+
 class TestBuildGraph:
     def test_tiny_chain_degrees(self):
         graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
-        assert graph.degree(NodeRef(NodeType.ITEM, 0)) == 2
-        assert graph.degree(NodeRef(NodeType.QUERY, 0)) == 1
-        assert graph.degree(NodeRef(NodeType.TAG, 0)) == 1
+        assert degrees(graph) == [1, 2, 1]  # query, item, tag
 
     def test_duplicate_edges_merge_with_summed_weights(self):
         graph = build_graph([[1]], [[2]], [], [(0, 0, 1.5), (0, 0, 2.0)], [])
@@ -83,7 +86,7 @@ class TestBuildGraph:
 
     def test_empty_item_tag_edges_is_valid(self):
         graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
-        assert graph.degree(NodeRef(NodeType.TAG, 0)) == 0
+        assert degrees(graph) == [1, 1, 0]
 
     def test_dangling_edge_raises(self):
         with pytest.raises(ValueError, match="unknown item"):
@@ -93,9 +96,9 @@ class TestBuildGraph:
         rng = np.random.default_rng(5)
         for _ in range(20):
             graph, _ = random_tiny_graph(rng)
-            for v in range(graph.n_nodes):
-                for w, _, _ in graph.adjacency(v):
-                    assert any(nb == v for nb, _, _ in graph.adjacency(w))
+            pattern = pack_edges(graph, "full").pattern
+            entries = set(zip(pattern.rows.tolist(), pattern.cols.tolist()))
+            assert entries == {(c, r) for r, c in entries}
 
     def test_deterministic_rebuild(self):
         args = ([[1], [2]], [[3]], [[4]], [(0, 0, 2.0), (1, 0, 1.0)], [(0, 0)])
@@ -103,48 +106,50 @@ class TestBuildGraph:
         np.testing.assert_array_equal(g1.qi_query, g2.qi_query)
         np.testing.assert_array_equal(g1.qi_weight, g2.qi_weight)
         np.testing.assert_array_equal(g1.it_item, g2.it_item)
-        assert [g1.adjacency(v) for v in range(g1.n_nodes)] == \
-               [g2.adjacency(v) for v in range(g2.n_nodes)]
+        e1, e2 = pack_edges(g1, "full"), pack_edges(g2, "full")
+        for a, b in ((e1.pattern.rows, e2.pattern.rows), (e1.pattern.cols, e2.pattern.cols),
+                     (e1.multipliers, e2.multipliers)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestInitialRepresentation:
-    def _table(self, words):
+    def _model(self, words, graph):
         words = np.asarray(words, dtype=np.float64)
-        table = EmbeddingTable.init(words.shape[0], 3, words.shape[1],
+        table = EmbeddingTable.init(words.shape[0], graph.n_tags, words.shape[1],
                                     np.random.default_rng(0))
         table.words.data[...] = words
-        return table
+        return TagGNNModel(table, [], ModelVariant(n_layers=0))
+
+    def _rep(self, model, graph):
+        # every graph here has one node, so its vector is row 0
+        return model.initial_representations(graph).data[0]
 
     def test_item_mean(self):
-        table = self._table([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         graph = build_graph([], [[1, 2]], [], [], [])
-        rep = initial_node_representation(NodeRef(NodeType.ITEM, 0), graph, table)
-        np.testing.assert_allclose(rep, [0.5, 0.5])
+        model = self._model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], graph)
+        np.testing.assert_allclose(self._rep(model, graph), [0.5, 0.5])
 
     def test_tag_adds_id_embedding(self):
-        table = self._table([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         graph = build_graph([], [], [[1, 2]], [], [])
-        rep = initial_node_representation(NodeRef(NodeType.TAG, 0), graph, table)
-        np.testing.assert_allclose(rep, np.array([0.5, 0.5]) + table.tag_ids.data[0])
+        model = self._model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], graph)
+        np.testing.assert_allclose(self._rep(model, graph),
+                                   np.array([0.5, 0.5]) + model.embeddings.tag_ids.data[0])
 
     def test_tag_without_tokens_uses_id_alone(self):
-        table = self._table([[0.0, 0.0], [1.0, 0.0]])
         graph = build_graph([], [], [[]], [], [])
-        rep = initial_node_representation(NodeRef(NodeType.TAG, 0), graph, table)
-        np.testing.assert_array_equal(rep, table.tag_ids.data[0])
+        model = self._model([[0.0, 0.0], [1.0, 0.0]], graph)
+        np.testing.assert_array_equal(self._rep(model, graph), model.embeddings.tag_ids.data[0])
 
     def test_item_with_no_tokens_is_zero(self):
-        table = self._table([[0.0, 0.0], [1.0, 0.0]])
         graph = build_graph([], [[]], [], [], [])
-        rep = initial_node_representation(NodeRef(NodeType.ITEM, 0), graph, table)
-        np.testing.assert_array_equal(rep, np.zeros(2))
+        model = self._model([[0.0, 0.0], [1.0, 0.0]], graph)
+        np.testing.assert_array_equal(self._rep(model, graph), np.zeros(2))
 
     def test_item_with_only_unknown_tokens_is_zero(self):
         # UNK embedding row is pinned to zero, so the mean stays zero
-        table = self._table([[0.0, 0.0], [1.0, 0.0]])
         graph = build_graph([], [[g.UNK_ID, g.UNK_ID]], [], [], [])
-        rep = initial_node_representation(NodeRef(NodeType.ITEM, 0), graph, table)
-        np.testing.assert_array_equal(rep, np.zeros(2))
+        model = self._model([[0.0, 0.0], [1.0, 0.0]], graph)
+        np.testing.assert_array_equal(self._rep(model, graph), np.zeros(2))
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
@@ -152,12 +157,11 @@ class TestInitialRepresentation:
         rng = np.random.default_rng(9)
         words = rng.normal(size=(4, 3))
         words[0] = 0.0
-        table = self._table(words)
         graph = build_graph([], [[1, 2, 3]], [], [], [])
-        base = initial_node_representation(NodeRef(NodeType.ITEM, 0), graph, table)
-        table.words.data *= c
-        scaled = initial_node_representation(NodeRef(NodeType.ITEM, 0), graph, table)
-        np.testing.assert_allclose(scaled, c * base, rtol=1e-12)
+        model = self._model(words, graph)
+        base = self._rep(model, graph)
+        model.embeddings.words.data *= c
+        np.testing.assert_allclose(self._rep(model, graph), c * base, rtol=1e-12)
 
     def test_unk_row_initialized_to_zero(self):
         table = EmbeddingTable.init(5, 2, 4, np.random.default_rng(1))

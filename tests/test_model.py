@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from taggnn import autodiff as ad
 from taggnn.autodiff import Tensor
-from taggnn.graph import (NodeRef, NodeType, build_graph, initial_node_representation,
-                          standardize_edge_weights)
-from taggnn.model import (LayerParams, ModelVariant, TagGNNModel,
-                          aggregate_message, attention_coefficients,
-                          gated_update, pack_edges, propagate_layer)
+from taggnn.graph import build_graph, standardize_edge_weights
+from taggnn.model import (LEAKY_SLOPE, LayerParams, ModelVariant, TagGNNModel, pack_edges,
+                          propagate_layer)
 
+import oracle
 from conftest import random_tiny_graph
 
 
@@ -24,96 +23,121 @@ def zero_gate(layer):
     layer.gate_bias.data[...] = 0.0
 
 
+def layer_attention(graph, H, layer, kind, row):
+    """The vectorized layer's attention weights at one row, multipliers applied."""
+    edges = pack_edges(graph, kind)
+    Wh = ad.matmul(Tensor(H), layer.attn_proj)
+    scores = ad.leaky_relu(ad.edge_scores(Wh, layer.attn_context, edges.pattern), LEAKY_SLOPE)
+    alpha = ad.segment_softmax(scores, edges.pattern).data[:, 0] * edges.multipliers
+    return alpha[edges.pattern.indptr[row]:edges.pattern.indptr[row + 1]]
+
+
+def one_edge_graph():
+    """One item (row 0) linked to one tag (row 1)."""
+    return build_graph([], [[1]], [[1]], [], [(0, 0)])
+
+
+def one_edge_candidates(H, layer):
+    """Fused candidates of the one-edge graph's rows (each attends to the other with weight 1)."""
+    W = layer.attn_proj.data
+    hat_item = np.maximum((H[0] + np.maximum(H[1] @ W, 0.0)) @ layer.update_item.data, 0.0)
+    hat_tag = np.maximum((H[1] + np.maximum(H[0] @ W, 0.0)) @ layer.update_tag.data, 0.0)
+    return np.stack([hat_item, hat_tag])
+
+
 class TestAttentionCoefficients:
     def test_single_neighbor(self):
-        graph = build_graph([], [[1]], [[1]], [], [(0, 0)])
+        graph = one_edge_graph()
         layer = make_layer(2)
         H = np.random.default_rng(0).normal(size=(graph.n_nodes, 2))
-        alpha = attention_coefficients(NodeRef(NodeType.ITEM, 0), H, layer, graph, kind="it")
-        np.testing.assert_allclose(alpha, [1.0])
+        np.testing.assert_allclose(layer_attention(graph, H, layer, "it", 0), [1.0])
 
     def test_identical_neighbors_split_evenly(self):
         graph = build_graph([], [[1]], [[1], [1]], [], [(0, 0), (0, 1)])
         layer = make_layer(3)
         H = np.random.default_rng(1).normal(size=(graph.n_nodes, 3))
         H[2] = H[1]  # the two tag nodes look the same
-        alpha = attention_coefficients(NodeRef(NodeType.ITEM, 0), H, layer, graph, kind="it")
-        np.testing.assert_allclose(alpha, [0.5, 0.5])
+        np.testing.assert_allclose(layer_attention(graph, H, layer, "it", 0), [0.5, 0.5])
 
     def test_scalar_multipliers_scale_softmax(self):
-        graph = build_graph([[1], [1]], [[2]], [], [(0, 0, 1.0), (1, 0, 1.0)], [])
-        graph.qi_mult = np.array([2.0, 1.0])  # as if softplus produced 2 and 1
+        # raw weights 1 and 3 standardize to -1 and +1, then softplus
+        graph = build_graph([[1], [1]], [[2]], [], [(0, 0, 1.0), (1, 0, 3.0)], [])
         layer = make_layer(3, seed=2)
         H = np.random.default_rng(2).normal(size=(graph.n_nodes, 3))
         H[1] = H[0]  # equal scores for both query neighbors
-        alpha = attention_coefficients(NodeRef(NodeType.ITEM, 0), H, layer, graph, kind="qi")
-        np.testing.assert_allclose(alpha, [1.0, 0.5])
-
-    def test_isolated_center_rejected(self):
-        graph = build_graph([], [[1]], [[1]], [], [])
-        layer = make_layer(2)
-        with pytest.raises(ValueError):
-            attention_coefficients(NodeRef(NodeType.ITEM, 0), np.zeros((2, 2)), layer,
-                                   graph, kind="it")
+        alpha = layer_attention(graph, H, layer, "qi", graph.n_queries)
+        np.testing.assert_allclose(alpha, 0.5 * np.log1p(np.exp([-1.0, 1.0])))
 
 
 class TestAggregateMessage:
+    # the item row of a one-item graph read through a saturated open gate with an
+    # identity update and a zero attention context (uniform attention): with
+    # H[item] = 0 the output is the layer's message itself
+    def _message(self, neighbor_rows, proj):
+        k, d = neighbor_rows.shape
+        graph = build_graph([], [[1]], [[1]] * k, [], [(0, t) for t in range(k)])
+        layer = make_layer(d)
+        zero_gate(layer)
+        layer.gate_bias.data[...] = 50.0
+        layer.attn_context.data[...] = 0.0
+        layer.attn_proj.data[...] = proj
+        layer.update_item.data[...] = np.eye(d)
+        H = np.vstack([np.zeros(d), neighbor_rows])
+        return propagate_layer(graph, Tensor(H), layer, kind="it").data[0]
+
     def test_identity_passthrough(self):
         h = np.array([[0.3, 1.2]])
-        out = aggregate_message([1.0], h, np.eye(2))
-        np.testing.assert_allclose(out, h[0])
+        np.testing.assert_allclose(self._message(h, np.eye(2)), h[0])
 
     def test_zero_projection(self):
-        out = aggregate_message([0.5, 0.5], np.ones((2, 3)), np.zeros((3, 3)))
+        out = self._message(np.ones((2, 3)), np.zeros((3, 3)))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_relu_after_sum(self):
-        out = aggregate_message([0.5, 0.5], np.array([[1.0, -2.0], [3.0, 0.0]]), np.eye(2))
+        out = self._message(np.array([[1.0, -2.0], [3.0, 0.0]]), np.eye(2))
         np.testing.assert_allclose(out, [2.0, 0.0])
 
 
 class TestGatedUpdate:
     def test_zero_gate_params_blend_halfway(self):
+        # one query-item edge: each side attends to the other with the lone
+        # edge's multiplier ln 2, and moves halfway toward its candidate
+        graph = build_graph([[1]], [[2]], [], [(0, 0, 1.0)], [])
         layer = make_layer(2, seed=3)
         zero_gate(layer)
-        h_v = np.array([0.4, -0.2])
-        h_m = np.array([0.1, 0.3])
-        W = layer.update_item.data
-        hat = np.maximum((h_v + h_m) @ W, 0.0)
-        out = gated_update(h_v, h_m, NodeType.ITEM, layer)
-        np.testing.assert_allclose(out, 0.5 * (hat + h_v))
+        H = np.array([[0.4, -0.2], [0.1, 0.3]])
+        out = propagate_layer(graph, Tensor(H), layer, kind="qi").data
+        W = layer.attn_proj.data
+        msg = np.maximum(np.log(2.0) * (H[::-1] @ W), 0.0)
+        hat = np.stack([np.maximum((H[0] + msg[0]) @ layer.update_query.data, 0.0),
+                        np.maximum((H[1] + msg[1]) @ layer.update_item.data, 0.0)])
+        np.testing.assert_allclose(out, 0.5 * (hat + H))
 
     def test_saturated_open_gate_returns_candidate(self):
         layer = make_layer(2, seed=4)
         zero_gate(layer)
         layer.gate_bias.data[...] = 50.0
-        h_v = np.array([0.4, -0.2])
-        h_m = np.array([0.1, 0.3])
-        hat = np.maximum((h_v + h_m) @ layer.update_item.data, 0.0)
-        out = gated_update(h_v, h_m, NodeType.ITEM, layer)
-        np.testing.assert_allclose(out, hat, atol=1e-12)
+        H = np.array([[0.4, -0.2], [0.1, 0.3]])
+        out = propagate_layer(one_edge_graph(), Tensor(H), layer, kind="it").data
+        np.testing.assert_allclose(out, one_edge_candidates(H, layer), atol=1e-12)
 
     def test_saturated_closed_gate_keeps_previous(self):
         layer = make_layer(2, seed=5)
         zero_gate(layer)
         layer.gate_bias.data[...] = -50.0
-        layer.update_item.data[...] = np.eye(2)
-        h_v = np.array([0.4, 0.2])
-        out = gated_update(h_v, np.zeros(2), NodeType.ITEM, layer)
-        np.testing.assert_allclose(out, h_v, atol=1e-12)
+        H = np.array([[0.4, 0.2], [0.1, 0.3]])
+        out = propagate_layer(one_edge_graph(), Tensor(H), layer, kind="it").data
+        np.testing.assert_allclose(out, H, atol=1e-12)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_output_between_previous_and_candidate(self, seed):
-        rng = np.random.default_rng(seed)
         layer = make_layer(3, seed=seed)
-        h_v = rng.normal(size=3)
-        h_m = rng.normal(size=3)
-        hat = np.maximum((h_v + h_m) @ layer.update_item.data, 0.0)
-        out = gated_update(h_v, h_m, NodeType.ITEM, layer)
-        lo = np.minimum(h_v, hat) - 1e-12
-        hi = np.maximum(h_v, hat) + 1e-12
-        assert np.all(out >= lo) and np.all(out <= hi)
+        H = np.random.default_rng(seed).normal(size=(2, 3))
+        out = propagate_layer(one_edge_graph(), Tensor(H), layer, kind="it").data
+        hat = one_edge_candidates(H, layer)
+        assert np.all(out >= np.minimum(H, hat) - 1e-12)
+        assert np.all(out <= np.maximum(H, hat) + 1e-12)
 
 
 class TestPropagateLayer:
@@ -125,43 +149,29 @@ class TestPropagateLayer:
         assert out.data.tobytes() == H.tobytes()
 
     def test_matches_per_node_reference(self):
-        # the vectorized layer must equal composing the per-node ops, in any
-        # node processing order (synchronous semantics)
+        # the vectorized layer must equal the per-node oracle on every variant
         rng = np.random.default_rng(7)
         for trial in range(8):
             graph, _ = random_tiny_graph(rng)
             dim = 3
             layer = make_layer(dim, seed=trial)
             H = rng.normal(size=(graph.n_nodes, dim))
-            out = propagate_layer(graph, Tensor(H), layer, kind="full").data
-
-            for v in rng.permutation(graph.n_nodes):
-                ref = graph.ref_of(int(v))
-                entries = graph.adjacency(int(v))
-                if not entries:
-                    np.testing.assert_array_equal(out[v], H[v])
-                    continue
-                alpha = attention_coefficients(ref, H, layer, graph, kind="full")
-                nbr = np.stack([H[nb] for nb, _, _ in entries])
-                h_m = aggregate_message(alpha, nbr, layer.attn_proj)
-                expect = gated_update(H[v], h_m, ref.node_type, layer)
-                np.testing.assert_allclose(out[v], expect, rtol=1e-10, atol=1e-12)
+            for kind in ("it", "qi", "full"):
+                out = propagate_layer(graph, Tensor(H), layer, kind=kind).data
+                expect = oracle.propagate(graph, H, layer, kind=kind)
+                np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-12)
+                for v in range(graph.n_nodes):
+                    if not oracle.neighbours(graph, v, kind):
+                        np.testing.assert_array_equal(out[v], H[v])
 
     def test_half_blend_example(self):
         # one item linked to one tag, zero gate params: both nodes move
         # halfway toward their fused candidate
-        graph = build_graph([], [[1]], [[1]], [], [(0, 0)])
         layer = make_layer(2, seed=8)
         zero_gate(layer)
         H = np.array([[0.5, -0.3], [0.2, 0.9]])
-        out = propagate_layer(graph, Tensor(H), layer, kind="it").data
-        W = layer.attn_proj.data
-        msg_item = np.maximum(H[1] @ W, 0.0)   # alpha = 1 for the single neighbor
-        msg_tag = np.maximum(H[0] @ W, 0.0)
-        hat_item = np.maximum((H[0] + msg_item) @ layer.update_item.data, 0.0)
-        hat_tag = np.maximum((H[1] + msg_tag) @ layer.update_tag.data, 0.0)
-        np.testing.assert_allclose(out[0], 0.5 * (hat_item + H[0]))
-        np.testing.assert_allclose(out[1], 0.5 * (hat_tag + H[1]))
+        out = propagate_layer(one_edge_graph(), Tensor(H), layer, kind="it").data
+        np.testing.assert_allclose(out, 0.5 * (one_edge_candidates(H, layer) + H))
 
     def test_homogeneous_equals_tied_heterogeneous(self):
         rng = np.random.default_rng(9)
@@ -203,26 +213,27 @@ class TestForward:
         for n_layers in (1, 2, 3, 4):
             model = self._model(graph, 4, n_layers=n_layers, seed=n_layers)
             out = model.forward(graph)
-            row = graph.global_index(NodeRef(NodeType.ITEM, 1))
+            row = graph.n_queries + 1
             assert out.reps.data[row].tobytes() == out.initial.data[row].tobytes()
 
     def test_vectorized_initial_matches_per_node(self):
         rng = np.random.default_rng(11)
         for trial in range(5):
             graph, n_words = random_tiny_graph(rng)
-            model = self._model(graph, n_words, seed=trial)
-            H0 = model.initial_representations(graph).data
-            for v in range(graph.n_nodes):
-                ref = graph.ref_of(v)
-                expect = initial_node_representation(ref, graph, model.embeddings)
-                np.testing.assert_array_equal(H0[v], expect)
+            for names, ids in ((True, True), (False, True), (True, False)):
+                variant = ModelVariant(use_tag_names=names, use_tag_ids=ids)
+                model = TagGNNModel.init(n_words, graph.n_tags, 4, variant,
+                                         rng=np.random.default_rng([trial, 0]))
+                H0 = model.initial_representations(graph).data
+                for v in range(graph.n_nodes):
+                    np.testing.assert_array_equal(H0[v], oracle.initial_row(graph, model, v))
 
     def test_tag_name_toggle(self):
         graph = build_graph([], [[1]], [[2]], [], [(0, 0)])
         variant = ModelVariant(kind="it", use_tag_names=False, n_layers=1)
         model = TagGNNModel.init(3, 1, 4, variant, rng=np.random.default_rng(0))
         H0 = model.initial_representations(graph).data
-        row = graph.global_index(NodeRef(NodeType.TAG, 0))
+        row = graph.n_queries + graph.n_items
         np.testing.assert_array_equal(H0[row], model.embeddings.tag_ids.data[0])
 
     def test_train_mode_needs_rng(self):
@@ -290,9 +301,7 @@ class TestAttentionNormalization:
             layer = make_layer(3, seed=trial)
             H = Tensor(rng.normal(size=(graph.n_nodes, 3)))
             Wh = ad.matmul(H, layer.attn_proj)
-            hc = ad.gather_rows(Wh, centers)
-            hn = ad.gather_rows(Wh, edges.pattern.cols)
-            raw = ad.matmul(ad.concat([hc, hn], axis=1), layer.attn_context)
+            raw = ad.edge_scores(Wh, layer.attn_context, edges.pattern)
             attn = ad.segment_softmax(ad.leaky_relu(raw, 0.2), edges.pattern).data[:, 0]
             for c in np.unique(centers):
                 assert abs(attn[centers == c].sum() - 1.0) < 1e-10
