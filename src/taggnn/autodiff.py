@@ -6,6 +6,7 @@ The op set is deliberately tiny -- just what the tagging models need.
 Tensors are dense; sparse ops (:func:`spmm`, :func:`segment_softmax`,
 :func:`edge_scores`) take a :class:`SparsePattern`, the fixed CSR layout of
 a graph's adjacency or token lists, and run through scipy's CSR kernels.
+:func:`bce_with_logits` takes its positive labels as one.
 Everything is float64 and single-threaded, so a fixed seed reproduces a
 training run bit for bit.
 """
@@ -55,8 +56,9 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -250,27 +252,74 @@ def segment_softmax(scores, pattern):
     return _from_op(data, "segment_softmax", (scores,), back)
 
 
-def bce_with_logits(logits, labels):
-    """Mean binary cross-entropy between logits and 0/1 labels.
+_BCE_BLOCK_ELEMENTS = 2**20   # logits per row block of bce_with_logits
 
-    Uses the log-sum-exp form ``max(x,0) - x*y + log1p(exp(-|x|))`` so it
-    stays finite for arbitrarily large logits.  Labels are constants.
+
+def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
+    """Mean binary cross-entropy of the logits ``a @ b (+ bias)`` against sparse 0/1 labels.
+
+    With ``transpose_b``, as in :func:`matmul`, the logits are ``a @ b.T``.
+    ``labels`` is a :class:`SparsePattern` shaped like the logits whose
+    entries are the positives; every other logit is a negative.  Each
+    entry's loss is ``max(x,0) - x*y + log1p(exp(-|x|))``, finite for any
+    logit.  The forward pass walks row blocks of about ``2**20`` logits,
+    sums the block's losses and, when an input needs a gradient, forms
+    ``(sigmoid(x) - y) / N`` and folds it into the input gradients, so no
+    whole logit matrix is ever held.  The backward pass only scales them.
     """
-    logits = _wrap(logits)
-    y = labels.data if isinstance(labels, Tensor) else np.asarray(labels, dtype=np.float64)
-    if y.shape != logits.data.shape:
-        raise ValueError(f"logit shape {logits.data.shape} != label shape {y.shape}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
-    x = logits.data
-    per = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    data = np.mean(per)
+    a, b = _wrap(a), _wrap(b)
+    bias = None if bias is None else _wrap(bias)
+    inputs = (a, b) if bias is None else (a, b, bias)
+    w = b.data.T if transpose_b else b.data
+    n_rows, n_cols = a.data.shape[0], w.shape[1]
+    if labels.shape != (n_rows, n_cols):
+        raise ValueError(f"a {labels.shape} label pattern for {n_rows} x {n_cols} logits")
+    if n_rows * n_cols == 0:
+        raise ValueError("no logits to score")
+    if np.unique(labels.rows * n_cols + labels.cols).size != labels.nnz:
+        raise ValueError("duplicate label entry")
+    da, db, dbias = (np.zeros_like(t.data) if t is not None and t.requires_grad else None
+                     for t in (a, b, bias))
+    needs_grad = any(t.requires_grad for t in inputs)
+    scale = 1.0 / (n_rows * n_cols)
+    total = 0.0
+    step = max(1, _BCE_BLOCK_ELEMENTS // n_cols)
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, min(lo + step, n_rows))
+        span = slice(labels.indptr[rows.start], labels.indptr[rows.stop])
+        r, c = labels.rows[span] - lo, labels.cols[span]
+        a_rows = a.data[rows]
+        x = a_rows @ w
+        if bias is not None:
+            x += bias.data
+        loss = np.maximum(x, 0.0)
+        loss[r, c] -= x[r, c]
+        total += loss.sum()
+        np.abs(x, out=loss)                 # then log1p(exp(-|x|)), in place
+        np.negative(loss, out=loss)
+        np.exp(loss, out=loss)
+        np.log1p(loss, out=loss)
+        total += loss.sum()
+        del loss                            # at most two blocks are alive at once
+        if not needs_grad:
+            continue
+        expit(x, out=x)                     # x becomes the gradient (sigmoid(x) - y) / N
+        x[r, c] -= 1.0
+        x *= scale
+        if da is not None:
+            da[rows] += x @ (b.data if transpose_b else b.data.T)
+        if db is not None:
+            db += x.T @ a_rows if transpose_b else a_rows.T @ x
+        if dbias is not None:
+            dbias += x.sum(axis=0)
+    data = np.asarray(total / (n_rows * n_cols))
 
     def back(g):
-        if logits.requires_grad:
-            logits.accumulate_grad((expit(x) - y) * (g / x.size))
+        for t, grad in ((a, da), (b, db), (bias, dbias)):
+            if grad is not None:
+                t.accumulate_grad(grad * g)
 
-    return _from_op(data, "bce_with_logits", (logits,), back)
+    return _from_op(data, "bce_with_logits", inputs, back)
 
 
 def dropout(x, p, rng):

@@ -53,8 +53,8 @@ class BaselineModel:
         self.mode = mode
         self._features = (None, None, None)  # (graph, token lists, pattern): graphs are immutable
 
-    def parameters(self):
-        return [self.words, self.weight, self.bias]
+    def named_parameters(self):
+        return [("words", self.words), ("weight", self.weight), ("bias", self.bias)]
 
     def zero_frozen_grads(self):
         # the unknown-token row never trains; all-empty features never touch the table
@@ -69,15 +69,12 @@ class BaselineModel:
             self._features = (graph, tokens, token_pattern(tokens, self.words.shape[0]))
         return self._features[1:]
 
-    def logits(self, feats):
-        """Head logits of pooled feature rows (:func:`graph.mean_token_rows` of the words)."""
-        return ad.add(ad.matmul(feats, self.weight), self.bias)
-
     def forward(self, graph, train_mode=False):
         """Head logits for every graph item, shaped for :class:`evaluation.Predictor`."""
         feats = mean_token_rows(self.words, self.features(graph)[1])
+        head_logits = ad.add(ad.matmul(feats, self.weight), self.bias)
         return ForwardResult(reps=feats, initial=feats, item_reps=feats, tag_reps=None,
-                             initial_item_reps=feats, head_logits=self.logits(feats))
+                             initial_item_reps=feats, head_logits=head_logits)
 
 
 def train_baseline(graph, mode, config, splits, n_words):
@@ -98,8 +95,8 @@ def train_baseline(graph, mode, config, splits, n_words):
     train_feats = token_pattern([tokens[r] for r in rows], n_words)
 
     def loss_fn():
-        logits = model.logits(mean_token_rows(model.words, train_feats))
-        return ad.bce_with_logits(logits, labels), {}
+        feats = mean_token_rows(model.words, train_feats)
+        return ad.bce_with_logits(feats, model.weight, labels, bias=model.bias), {}
 
     return fit(model, loss_fn, graph, splits, config)
 

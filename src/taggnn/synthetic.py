@@ -8,6 +8,7 @@ query edges, and the value of visible tags during completion.
 
 import numpy as np
 
+from .autodiff import SparsePattern
 from .data import RawDataset, SplitAssignment, mask_completion_tags
 from .graph import Vocabulary
 from .model import ModelVariant, TagGNNModel
@@ -140,7 +141,7 @@ def gradcheck_instance(dim=6, n_layers=2, seed=7):
 
     3 queries, 4 items, 5 tags; item 3 is fully isolated so the check also
     exercises the pass-through path and the dual loss on an unpropagated
-    item.  Returns (graph, model, train item indices, label matrix).
+    item.  Returns (graph, model, train item indices, label pattern).
     """
     items = [("i0", "alpha beta"), ("i1", "beta gamma"), ("i2", "delta"), ("i3", "epsilon zeta")]
     queries = [("q0", "alpha"), ("q1", "gamma delta"), ("q2", "beta")]
@@ -157,5 +158,6 @@ def gradcheck_instance(dim=6, n_layers=2, seed=7):
                              rng=np.random.default_rng([seed, 0]))
     item_idx = np.arange(graph.n_items)
     labels = label_matrix(graph, item_idx)
-    labels[3, 4] = 1.0  # the isolated item still has a target tag
+    # the isolated item, the last row, still has a target tag
+    labels = SparsePattern(np.append(labels.rows, 3), np.append(labels.cols, 4), labels.shape)
     return graph, model, item_idx, labels

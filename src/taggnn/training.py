@@ -83,19 +83,20 @@ class TrainConfig:
 
 
 def link_prediction_loss(item_reps, tag_reps, labels):
-    """Mean BCE of every item-against-every-tag dot-product score."""
+    """Mean BCE of every item-against-every-tag dot-product score.
+
+    ``labels`` is the :func:`label_matrix` pattern of the positive links.
+    """
     if item_reps.shape[0] == 0:
         raise ValueError("link prediction needs at least one item")
-    logits = ad.matmul(item_reps, tag_reps, transpose_b=True)
-    return ad.bce_with_logits(logits, labels)
+    return ad.bce_with_logits(item_reps, tag_reps, labels, transpose_b=True)
 
 
 def node_classification_loss(item_reps, head_weight, head_bias, labels):
     """Mean BCE of the linear classification head over all tags."""
     if head_weight is None or head_bias is None:
         raise ValueError("node classification requires the qi head")
-    logits = ad.add(ad.matmul(item_reps, head_weight), head_bias)
-    return ad.bce_with_logits(logits, labels)
+    return ad.bce_with_logits(item_reps, head_weight, labels, bias=head_bias)
 
 
 def combined_loss(graph, model, item_indices, labels, train_mode=False, dropout_p=0.5, rng=None):
@@ -118,13 +119,17 @@ def combined_loss(graph, model, item_indices, labels, train_mode=False, dropout_
 
 
 def label_matrix(graph, item_indices):
-    """0/1 matrix of the graph's item-tag links restricted to the given items."""
-    tag_sets = graph.item_tag_sets()
-    y = np.zeros((len(item_indices), graph.n_tags))
-    for row, idx in enumerate(item_indices):
-        for t in tag_sets[idx]:
-            y[row, t] = 1.0
-    return y
+    """The graph's item-tag links of the given items, as a (items x tags) :class:`SparsePattern`.
+
+    Row ``r`` holds the tags of item ``item_indices[r]`` in ascending order;
+    it relies on the graph's ``it_item``/``it_tag`` arrays being sorted.
+    """
+    items = np.asarray(item_indices, dtype=np.int64)
+    starts = np.searchsorted(graph.it_item, items, side="left")
+    counts = np.searchsorted(graph.it_item, items, side="right") - starts
+    picks = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return ad.SparsePattern(np.repeat(np.arange(len(items)), counts), graph.it_tag[picks],
+                            (len(items), graph.n_tags))
 
 
 @dataclass
@@ -181,15 +186,19 @@ def validation_p1(model, graph, splits):
 def fit(model, loss_fn, graph, splits, config, log_stream=None):
     """Full-batch Adam on ``loss_fn()`` with early stopping on validation P@1.
 
-    ``model`` exposes ``parameters()``, ``zero_frozen_grads()`` and the
-    eval-mode ``forward(graph)`` that validation ranks with; ``loss_fn()`` returns the scalar loss Tensor and a dict of extra log
-    fields.  After every epoch :func:`validation_p1` scores the model (the
+    ``model`` exposes the ``named_parameters()`` registry,
+    ``zero_frozen_grads()`` and the eval-mode ``forward(graph)`` that
+    validation ranks with; ``loss_fn()`` returns the scalar loss Tensor and a
+    dict of extra log fields.  A non-finite loss, or a non-finite gradient
+    (named by its registry entry), raises :class:`NumericalError` before the
+    Adam step.  After every epoch :func:`validation_p1` scores the model (the
     macro mean over the full-prediction and completion subsets).  Training
     stops when that metric has not improved for ``patience`` consecutive
     epochs, and the parameters from the best epoch are restored.  Without
     validation items the loop simply runs to ``max_epochs``.
     """
-    params = model.parameters()
+    named = model.named_parameters()
+    params = [p for _, p in named]
     optimizer = Adam(params, lr=config.learning_rate)
     has_val = any(r in VAL_ROLES for r in splits.roles.values())
     best_val, best_epoch, best_state, bad_epochs = -np.inf, -1, None, 0
@@ -204,6 +213,9 @@ def fit(model, loss_fn, graph, splits, config, log_stream=None):
             raise NumericalError(f"non-finite loss at epoch {epoch}: {detail}")
         ad.backward(total)
         model.zero_frozen_grads()
+        for name, p in named:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}")
         optimizer.step()
 
         record = {"epoch": epoch, "loss": float(total.data), **parts}

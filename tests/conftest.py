@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from taggnn import data as data_mod
+from taggnn.autodiff import SparsePattern
 from taggnn.graph import Vocabulary
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -54,3 +56,9 @@ def random_tiny_graph(rng, with_queries=True):
             if rng.random() < 0.5:
                 it.append((i, t))
     return build_graph(queries, items, tags, qi, it), n_words
+
+
+def positives(y):
+    """The nonzero entries of a dense 0/1 label array as a label :class:`SparsePattern`."""
+    y = np.asarray(y)
+    return SparsePattern(*np.nonzero(y), y.shape)

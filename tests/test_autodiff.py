@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from taggnn import autodiff as ad
 from taggnn.autodiff import Adam, Tensor
+
+from conftest import positives
 
 
 def test_square_gradient():
@@ -129,34 +132,107 @@ class TestSegmentSoftmax:
         assert ad.finite_difference_check(loss_fn, [x]) < 1e-8
 
 
+def _bce(logit, label):
+    """The op on a single logit: ``a @ b`` with ``a = [[logit]]`` and ``b = [[1]]``."""
+    return ad.bce_with_logits(Tensor([[logit]]), Tensor([[1.0]]), positives([[label]]))
+
+
+def _dense_bce(a, w, bias, y):
+    """Loss and gradients of the mean BCE of ``a @ w + bias``, written out densely."""
+    x = a @ w + bias
+    loss = np.mean(np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x))))
+    g = (1.0 / (1.0 + np.exp(-x)) - y) / x.size
+    return loss, g @ w.T, a.T @ g, g.sum(axis=0)
+
+
 class TestBceWithLogits:
     def test_logit_zero(self):
-        out = ad.bce_with_logits(Tensor(np.array([0.0])), np.array([1.0]))
-        assert out.data == pytest.approx(math.log(2.0), abs=1e-12)
+        assert _bce(0.0, 1.0).data == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_logit_one_label_zero(self):
-        out = ad.bce_with_logits(Tensor(np.array([1.0])), np.array([0.0]))
-        assert out.data == pytest.approx(math.log1p(math.e), abs=1e-12)
+        assert _bce(1.0, 0.0).data == pytest.approx(math.log1p(math.e), abs=1e-12)
 
     def test_saturated(self):
-        out = ad.bce_with_logits(Tensor(np.array([50.0])), np.array([1.0]))
-        assert out.data < 1e-20
+        assert _bce(50.0, 1.0).data < 1e-20
 
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            ad.bce_with_logits(Tensor(np.array([0.0])), np.array([0.5]))
+        # a repeated positive would count twice
+        labels = ad.SparsePattern([0, 0], [1, 1], (1, 2))
+        with pytest.raises(ValueError, match="duplicate label entry"):
+            ad.bce_with_logits(Tensor(np.ones((1, 3))), Tensor(np.ones((3, 2))), labels)
+
+    def test_shape_mismatch_rejected(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="label pattern"):
+            ad.bce_with_logits(a, b, positives(np.zeros((2, 3))), transpose_b=True)
+        with pytest.raises(ValueError, match="label pattern"):
+            ad.bce_with_logits(a, b, positives(np.zeros((2, 4))))  # b is read as 4 x 3
 
     @given(st.floats(-1e4, 1e4), st.sampled_from([0.0, 1.0]))
     @settings(max_examples=100, deadline=None)
     def test_finite_on_wide_logit_range(self, logit, label):
-        out = ad.bce_with_logits(Tensor(np.array([logit])), np.array([label]))
-        assert np.isfinite(out.data)
+        assert np.isfinite(_bce(logit, label).data)
 
-    def test_gradient_matches_finite_differences(self):
+    def test_gradient_matches_finite_differences(self, monkeypatch):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        y = (rng.random((3, 4)) < 0.5).astype(float)
-        assert ad.finite_difference_check(lambda: ad.bce_with_logits(x, y), [x]) < 1e-8
+        y = positives(rng.random((5, 4)) < 0.5)
+        for block_rows, transpose_b in ((5, False), (5, True), (2, False), (2, True)):
+            monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", block_rows * 4)
+            a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+            b = Tensor(rng.normal(size=(4, 3) if transpose_b else (3, 4)), requires_grad=True)
+            bias = Tensor(rng.normal(size=4), requires_grad=True)
+
+            def loss_fn():
+                return ad.bce_with_logits(a, b, y, bias=bias, transpose_b=transpose_b)
+
+            assert ad.finite_difference_check(loss_fn, [a, b, bias]) < 1e-8
+
+    @given(st.integers(1, 13), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_formula(self, n_rows, n_cols, block_rows, d, transpose_b, seed):
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=(n_rows, d)) * 3, requires_grad=True)
+        w = rng.normal(size=(d, n_cols))
+        b = Tensor(w.T.copy() if transpose_b else w, requires_grad=True)
+        bias = Tensor(rng.normal(size=n_cols), requires_grad=True)
+        y = (rng.random((n_rows, n_cols)) < 0.3).astype(float)
+        y[0] = 0.0                 # a row with no positives
+        y[-1] = 1.0                # and one that is all positives (the same row if only one)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_BCE_BLOCK_ELEMENTS", block_rows * n_cols)
+            loss = ad.bce_with_logits(a, b, positives(y), bias=bias, transpose_b=transpose_b)
+        ad.backward(ad.mul(loss, 0.7))
+        want, da, dw, dbias = _dense_bce(a.data, w, bias.data, y)
+        assert float(loss.data) == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(a.grad, 0.7 * da, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(b.grad, 0.7 * (dw.T if transpose_b else dw),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(bias.grad, 0.7 * dbias, rtol=1e-12, atol=1e-15)
+
+    def test_constant_inputs_give_the_loss_only(self):
+        out = ad.bce_with_logits(np.zeros((2, 1)), np.ones((3, 1)), positives(np.eye(2, 3)),
+                                 transpose_b=True)
+        assert not out.requires_grad
+        assert out.data == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_peak_memory_is_blocked(self):
+        # one forward and backward at 2,000 x 4,000 logits (d = 16) must stay far
+        # below a single dense 2,000 x 4,000 float64 array (64 MB)
+        rng = np.random.default_rng(0)
+        n, n_tags, d = 2000, 4000, 16
+        a = Tensor(rng.normal(size=(n, d)) * 0.1, requires_grad=True)
+        b = Tensor(rng.normal(size=(n_tags, d)) * 0.1, requires_grad=True)
+        rows = np.repeat(np.arange(n), 3)
+        labels = ad.SparsePattern(rows, (7 * rows + np.tile([0, 1, 2], n)) % n_tags, (n, n_tags))
+        tracemalloc.start()
+        try:
+            ad.backward(ad.bce_with_logits(a, b, labels, transpose_b=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.grad.shape == (n, d) and b.grad.shape == (n_tags, d)
+        assert peak < n * n_tags * 8 / 2
 
 
 class TestAdam:

@@ -61,6 +61,9 @@ def test_early_stops_on_macro_validation_p1(toy_setup):
     result = train_baseline(graph, "item_queries", cfg, splits, len(vocab))
     assert result.best_val_p1 == max(r["val_p1"] for r in result.log)
     assert validation_p1(result.model, graph, splits)["val_p1"] == result.best_val_p1
+    model = result.model
+    assert model.named_parameters() == [("words", model.words), ("weight", model.weight),
+                                        ("bias", model.bias)]
 
 
 def test_empty_features_predict_deterministically():

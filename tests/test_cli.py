@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from taggnn.cli import cli_main
+from taggnn.model import TagGNNModel
 
 
 @pytest.fixture
@@ -157,6 +158,26 @@ def test_nonfinite_parameters_exit_two(workspace, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure" in captured.err
+
+
+def test_nonfinite_gradient_exits_two(workspace, capsys, monkeypatch):
+    tmp_path, data = workspace
+    splits = str(tmp_path / "splits.tsv")
+    cli_main(["split", "--data", data, "--counts", "8,2,2", "--seed", "11", "--out", splits])
+    frozen = TagGNNModel.zero_frozen_grads
+
+    def poisoned(model):
+        frozen(model)
+        model.layers[0].gate_bias.grad[0] = np.nan
+
+    monkeypatch.setattr(TagGNNModel, "zero_frozen_grads", poisoned)
+    capsys.readouterr()
+    assert cli_main(["train", "--config", _config(tmp_path), "--data", data,
+                     "--splits", splits, "--out", str(tmp_path / "model")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite gradient of layers.0.gate_bias at epoch 0" in captured.err
+    assert not (tmp_path / "model" / "params.bin").exists()
 
 
 def test_corrupt_model_directory_exits_one(workspace, capsys):

@@ -7,7 +7,7 @@ from taggnn.autodiff import finite_difference_check
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import combined_loss, label_matrix
 
-from conftest import random_tiny_graph
+from conftest import positives, random_tiny_graph
 
 
 def _random_instance(rng, trial):
@@ -19,11 +19,14 @@ def _random_instance(rng, trial):
                              gamma=float(rng.choice([0.0, 0.5, 1.0])),
                              rng=np.random.default_rng([trial, 5]))
     item_idx = np.arange(graph.n_items)
-    labels = label_matrix(graph, item_idx)
-    # sprinkle extra positives so items without visible tags still pull gradient
+    base = label_matrix(graph, item_idx)
+    y = np.zeros(base.shape)
+    y[base.rows, base.cols] = 1.0
+    # sprinkle extra positives so items without visible tags still pull gradient;
+    # one already linked stays a single entry
     for i in range(graph.n_items):
-        labels[i, int(rng.integers(0, graph.n_tags))] = 1.0
-    return graph, model, item_idx, labels
+        y[i, int(rng.integers(0, graph.n_tags))] = 1.0
+    return graph, model, item_idx, positives(y)
 
 
 def test_hundred_random_instances_match_finite_differences():

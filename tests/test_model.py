@@ -288,21 +288,3 @@ class TestPackEdges:
         np.testing.assert_array_equal(edges.multipliers,
                                       np.tile(standardize_edge_weights(graph.qi_weight), 2))
 
-
-class TestAttentionNormalization:
-    def test_softmax_part_sums_to_one_over_random_graphs(self):
-        rng = np.random.default_rng(12)
-        for trial in range(25):
-            graph, _ = random_tiny_graph(rng)
-            edges = pack_edges(graph, "full")
-            centers = edges.pattern.rows
-            if len(centers) == 0:
-                continue
-            layer = make_layer(3, seed=trial)
-            H = Tensor(rng.normal(size=(graph.n_nodes, 3)))
-            Wh = ad.matmul(H, layer.attn_proj)
-            raw = ad.edge_scores(Wh, layer.attn_context, edges.pattern)
-            attn = ad.segment_softmax(ad.leaky_relu(raw, 0.2), edges.pattern).data[:, 0]
-            for c in np.unique(centers):
-                assert abs(attn[centers == c].sum() - 1.0) < 1e-10
-            assert np.all(edges.multipliers > 0)

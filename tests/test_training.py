@@ -11,9 +11,11 @@ from taggnn import synthetic
 from taggnn.autodiff import Tensor
 from taggnn.graph import Vocabulary, build_graph
 from taggnn.model import ModelVariant, TagGNNModel
-from taggnn.training import (NumericalError, TrainConfig, combined_loss, label_matrix,
+from taggnn.training import (NumericalError, TrainConfig, combined_loss, fit, label_matrix,
                              link_prediction_loss, node_classification_loss, train,
                              train_model)
+
+from conftest import positives, random_tiny_graph
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -22,13 +24,13 @@ class TestLinkPredictionLoss:
     def test_zero_logits_give_log2(self):
         items = Tensor(np.zeros((3, 4)))
         tags = Tensor(np.zeros((5, 4)))
-        loss = link_prediction_loss(items, tags, np.eye(3, 5))
+        loss = link_prediction_loss(items, tags, positives(np.eye(3, 5)))
         assert loss.data == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_separated_logits_vanish(self):
         items = Tensor(np.array([[50.0], [-50.0]]))
         tags = Tensor(np.array([[1.0], [-1.0]]))
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+        labels = positives([[1.0, 0.0], [0.0, 1.0]])
         loss = link_prediction_loss(items, tags, labels)
         assert loss.data < 1e-10
 
@@ -36,20 +38,20 @@ class TestLinkPredictionLoss:
         # logits [1, -1] against labels [1, 0]: both terms are log(1 + e^-1)
         items = Tensor(np.array([[1.0]]))
         tags = Tensor(np.array([[1.0], [-1.0]]))
-        loss = link_prediction_loss(items, tags, np.array([[1.0, 0.0]]))
+        loss = link_prediction_loss(items, tags, positives([[1.0, 0.0]]))
         assert loss.data == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-12)
 
     def test_zero_items_rejected(self):
         with pytest.raises(ValueError):
             link_prediction_loss(Tensor(np.zeros((0, 3))), Tensor(np.zeros((2, 3))),
-                                 np.zeros((0, 2)))
+                                 positives(np.zeros((0, 2))))
 
 
 class TestNodeClassificationLoss:
     def test_zero_head_gives_log2(self):
         loss = node_classification_loss(Tensor(np.ones((2, 3))),
                                         Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)),
-                                        np.zeros((2, 4)))
+                                        positives(np.zeros((2, 4))))
         assert loss.data == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_evaluated_example(self):
@@ -57,7 +59,7 @@ class TestNodeClassificationLoss:
         loss = node_classification_loss(Tensor(np.zeros((1, 2))),
                                         Tensor(np.zeros((2, 2))),
                                         Tensor(np.array([0.0, 2.0])),
-                                        np.array([[1.0, 0.0]]))
+                                        positives([[1.0, 0.0]]))
         expect = (math.log(2.0) + math.log1p(math.exp(2.0))) / 2.0
         assert loss.data == pytest.approx(expect, abs=1e-12)
         assert loss.data == pytest.approx(1.410037595801459, abs=1e-10)
@@ -66,14 +68,15 @@ class TestNodeClassificationLoss:
         rng = np.random.default_rng(0)
         items = rng.normal(size=(3, 4))
         tags = rng.normal(size=(5, 4))
-        labels = (rng.random((3, 5)) < 0.4).astype(float)
+        labels = positives(rng.random((3, 5)) < 0.4)
         lp = link_prediction_loss(Tensor(items), Tensor(tags), labels)
         nc = node_classification_loss(Tensor(items), Tensor(tags.T), Tensor(np.zeros(5)), labels)
         assert lp.data == pytest.approx(nc.data, abs=1e-14)
 
     def test_missing_head_rejected(self):
         with pytest.raises(ValueError):
-            node_classification_loss(Tensor(np.ones((1, 2))), None, None, np.zeros((1, 2)))
+            node_classification_loss(Tensor(np.ones((1, 2))), None, None,
+                                     positives(np.zeros((1, 2))))
 
 
 class TestCombinedLoss:
@@ -88,7 +91,7 @@ class TestCombinedLoss:
         graph = build_graph([], [[1], [2]], [[3], [1]], [], [])
         model = TagGNNModel.init(4, 2, 3, ModelVariant(kind="it", n_layers=2), gamma=0.7,
                                  rng=np.random.default_rng(0))
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+        labels = positives(np.eye(2))
         total, l1, l2 = combined_loss(graph, model, np.arange(2), labels)
         assert l1.data.tobytes() == l2.data.tobytes()
         assert total.data == pytest.approx((1 + 0.7) * float(l1.data), rel=1e-15)
@@ -101,7 +104,7 @@ class TestCombinedLoss:
                             [(0, 0, 1.0), (0, 1, 2.0)], [])
         model = TagGNNModel.init(4, 2, 3, ModelVariant(kind="full", n_layers=2),
                                  rng=np.random.default_rng(1))
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+        labels = positives(np.eye(2))
         _, _, l2 = combined_loss(graph, model, np.arange(2), labels)
         ad.backward(l2)
         for layer in model.layers:
@@ -170,6 +173,27 @@ class TestTrainLoop:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="epoch 0"):
             train_model(model, graph, splits, cfg)
 
+    def test_nonfinite_gradient_aborts_before_the_step(self):
+        # the loss p * sum(c) is 6e8, but its gradient sum(c) overflows to inf
+        class Model:
+            p = Tensor([1e-300], requires_grad=True)
+
+            def named_parameters(self):
+                return [("p", self.p)]
+
+            def zero_frozen_grads(self):
+                pass
+
+        model = Model()
+
+        def loss_fn():
+            return ad.mul(ad.mean(ad.mul(model.p, np.full(4, 1.5e308))), 4.0), {}
+
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="gradient of p at epoch 0"):
+            fit(model, loss_fn, None, dm.SplitAssignment(roles={}), TrainConfig(max_epochs=2))
+        assert model.p.data[0] == 1e-300
+
     def test_no_training_items_rejected(self, toy_setup):
         _, splits, vocab, graph = toy_setup
         cfg = TrainConfig(dim=8, max_epochs=1)
@@ -207,4 +231,17 @@ class TestLabelMatrix:
     def test_matches_graph_edges(self):
         graph = build_graph([], [[1], [2]], [[3], [1], [2]], [], [(0, 0), (0, 2), (1, 1)])
         y = label_matrix(graph, np.array([0, 1]))
-        np.testing.assert_array_equal(y, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert y.shape == (2, 3)
+        np.testing.assert_array_equal(y.rows, [0, 0, 1])
+        np.testing.assert_array_equal(y.cols, [0, 2, 1])
+
+    def test_any_row_order_matches_item_tag_sets(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            graph, _ = random_tiny_graph(rng)
+            items = rng.integers(0, graph.n_items, size=int(rng.integers(0, 7)))
+            y = label_matrix(graph, items)
+            sets = graph.item_tag_sets()
+            assert y.shape == (len(items), graph.n_tags)
+            assert [sorted(y.cols[y.rows == r]) for r in range(len(items))] == \
+                   [sorted(sets[i]) for i in items]
