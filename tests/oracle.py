@@ -1,11 +1,19 @@
-"""A per-node reference for the TagGNN layer and initial vectors, in plain numpy.
+"""Loop-at-a-time references for the vectorized code, in plain Python and numpy.
 
-It loops over nodes and reads the graph's edge arrays directly, so it shares
-no code with the vectorized path it checks (``pack_edges`` and the sparse
-autodiff ops).  Rows are ordered queries | items | tags, as in the model.
+- The TagGNN layer and initial vectors, per node.  They read the graph's
+  edge arrays directly, so they share no code with the vectorized path they
+  check (``pack_edges`` and the sparse autodiff ops).  Rows are ordered
+  queries | items | tags, as in the model.
+- The dataset and ``splits.tsv`` readers and the graph's edge build, per line
+  and per edge.  They keep the checks and their order that fix which
+  ``file:line`` message a malformed file gets.
 """
 
+import os
+
 import numpy as np
+
+from taggnn.data import COMPLETION_ROLES, DATASET_FILES, FULL_ROLES, ROLES, DataFormatError
 
 
 def neighbours(graph, v, kind="full"):
@@ -56,3 +64,139 @@ def initial_row(graph, model, v):
         return mean
     rep = mean if variant.use_tag_names else np.zeros(model.dim)
     return rep + model.embeddings.tag_ids.data[tag] if variant.use_tag_ids else rep
+
+
+def _read_rows(path, min_cols, max_cols):
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if not min_cols <= len(cols) <= max_cols:
+                raise DataFormatError(
+                    f"{os.path.basename(path)}:{lineno}: expected "
+                    f"{min_cols}-{max_cols} tab-separated columns, got {len(cols)}")
+            rows.append((lineno, cols))
+    return rows
+
+
+def load_dataset(directory):
+    """The five dataset files as ``(items, queries, tags, qi, it)`` lists of tuples.
+
+    Raises :class:`DataFormatError` with the message ``data.load_dataset`` must give.
+    """
+    paths = {k: os.path.join(directory, v) for k, v in DATASET_FILES.items()}
+    for k, p in paths.items():
+        if not os.path.exists(p):
+            raise DataFormatError(f"missing dataset file {DATASET_FILES[k]} in {directory}")
+
+    def entity(path):
+        return [(cols[0], cols[1] if len(cols) == 2 else "") for _, cols in _read_rows(path, 1, 2)]
+
+    items = entity(paths["items"])
+    queries = entity(paths["queries"])
+    tags = entity(paths["tags"])
+    item_ids = {i for i, _ in items}
+    query_ids = {q for q, _ in queries}
+    tag_ids = {t for t, _ in tags}
+
+    qi = []
+    for lineno, cols in _read_rows(paths["qi"], 2, 3):
+        q, i = cols[0], cols[1]
+        if q not in query_ids:
+            raise DataFormatError(f"{DATASET_FILES['qi']}:{lineno}: unknown query '{q}'")
+        if i not in item_ids:
+            raise DataFormatError(f"{DATASET_FILES['qi']}:{lineno}: unknown item '{i}'")
+        if len(cols) == 3:
+            try:
+                w = float(cols[2])
+            except ValueError:
+                raise DataFormatError(
+                    f"{DATASET_FILES['qi']}:{lineno}: bad weight '{cols[2]}'") from None
+        else:
+            w = 1.0
+        if w < 0 or not np.isfinite(w):
+            raise DataFormatError(f"{DATASET_FILES['qi']}:{lineno}: weight must be finite and >= 0")
+        qi.append((q, i, w))
+
+    it = []
+    for lineno, cols in _read_rows(paths["it"], 2, 2):
+        i, t = cols
+        if i not in item_ids:
+            raise DataFormatError(f"{DATASET_FILES['it']}:{lineno}: unknown item '{i}'")
+        if t not in tag_ids:
+            raise DataFormatError(f"{DATASET_FILES['it']}:{lineno}: unknown tag '{t}'")
+        it.append((i, t))
+
+    for name, rows in (("items", items), ("queries", queries), ("tags", tags)):
+        ids = [r[0] for r in rows]
+        if len(ids) != len(set(ids)):
+            raise DataFormatError(f"duplicate ids in {name}")
+    return items, queries, tags, qi, it
+
+
+def load_splits(path, items, it):
+    """``splits.tsv`` as ``(roles, heldout, truth, known)`` dicts, over the tag
+    sets of ``items``/``it`` as :func:`load_dataset` returns them."""
+    tag_map = {i: set() for i, _ in items}
+    for i, t in it:
+        tag_map[i].add(t)
+    name = os.path.basename(path)
+    roles, heldout, truth, known = {}, {}, {}, {}
+    for lineno, cols in _read_rows(path, 2, 3):
+        item_id, role = cols[0], cols[1]
+        if item_id not in tag_map:
+            raise DataFormatError(f"{name}:{lineno}: unknown item '{item_id}'")
+        if role not in ROLES:
+            raise DataFormatError(f"{name}:{lineno}: unknown role '{role}'")
+        if item_id in roles:
+            raise DataFormatError(f"{name}:{lineno}: duplicate item '{item_id}'")
+        roles[item_id] = role
+        if role in COMPLETION_ROLES:
+            if len(cols) != 3 or not cols[2]:
+                raise DataFormatError(f"{name}:{lineno}: completion role needs held-out tags")
+            held = frozenset(cols[2].split(","))
+            if len(held) != 2:
+                raise DataFormatError(f"{name}:{lineno}: exactly two held-out tags required")
+            if not held <= tag_map[item_id]:
+                raise DataFormatError(f"{name}:{lineno}: held-out tags not linked to item")
+            heldout[item_id] = held
+            known[item_id] = frozenset(tag_map[item_id]) - held
+            truth[item_id] = held
+        elif role in FULL_ROLES:
+            truth[item_id] = frozenset(tag_map[item_id])
+    return roles, heldout, truth, known
+
+
+def build_edges(nq, ni, nt, qi_edges, it_edges):
+    """The graph's ``qi_query``/``qi_item``/``qi_weight``/``it_item``/``it_tag``, by
+    a dict merge of the edges in input order and a ``sorted`` of its keys.
+
+    Raises ``ValueError`` for the first bad edge, as ``TripartiteGraph`` must.
+    """
+    merged = {}
+    for q, i, w in qi_edges:
+        if not 0 <= q < nq:
+            raise ValueError(f"query-item edge references unknown query index {q}")
+        if not 0 <= i < ni:
+            raise ValueError(f"query-item edge references unknown item index {i}")
+        if w < 0:
+            raise ValueError(f"negative edge weight {w} on query-item edge ({q}, {i})")
+        merged[(q, i)] = merged.get((q, i), 0.0) + float(w)
+    keys = sorted(merged)
+    out = {"qi_query": np.array([k[0] for k in keys], dtype=np.int64),
+           "qi_item": np.array([k[1] for k in keys], dtype=np.int64),
+           "qi_weight": np.array([merged[k] for k in keys], dtype=np.float64)}
+    seen = set()
+    for i, t in it_edges:
+        if not 0 <= i < ni:
+            raise ValueError(f"item-tag edge references unknown item index {i}")
+        if not 0 <= t < nt:
+            raise ValueError(f"item-tag edge references unknown tag index {t}")
+        seen.add((i, t))
+    keys = sorted(seen)
+    out["it_item"] = np.array([k[0] for k in keys], dtype=np.int64)
+    out["it_tag"] = np.array([k[1] for k in keys], dtype=np.int64)
+    return out

@@ -8,6 +8,8 @@ import pytest
 from taggnn.cli import cli_main
 from taggnn.model import TagGNNModel
 
+from conftest import FIXTURES
+
 
 @pytest.fixture
 def workspace(toydata_dir, tmp_path):
@@ -189,3 +191,32 @@ def test_corrupt_model_directory_exits_one(workspace, capsys):
     capsys.readouterr()
     assert cli_main(["eval", "--model", str(model_dir), "--data", data]) == 1
     assert "missing 'dim'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def served_model(tmp_path_factory):
+    """A trained model directory for the serving commands, shared by the tests below."""
+    return _trained_model_dir(tmp_path_factory.mktemp("served"),
+                              os.path.join(FIXTURES, "toydata"))
+
+
+@pytest.mark.parametrize("command", [["eval"], ["predict", "--item-id", "i01"]],
+                         ids=["eval", "predict"])
+@pytest.mark.parametrize("bad_file, bad_line, message", [
+    ("query_item_edges.tsv", "q1\ti01\tmany", "query_item_edges.tsv:24: bad weight 'many'"),
+    ("splits.tsv", "i01\tbogus", "splits.tsv:13: unknown role 'bogus'"),
+], ids=["qi", "splits"])
+def test_bad_serving_input_exits_one_naming_the_line(workspace, served_model, capsys,
+                                                     command, bad_file, bad_line, message):
+    tmp_path, data = workspace
+    splits = tmp_path / "splits.tsv"
+    shutil.copy(served_model / "splits.tsv", splits)
+    target = splits if bad_file == "splits.tsv" else os.path.join(data, bad_file)
+    with open(target, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    capsys.readouterr()
+    assert cli_main([command[0], "--model", str(served_model), "--data", data,
+                     "--splits", str(splits), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -1,13 +1,19 @@
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taggnn import data as dm
 from taggnn.data import (DataFormatError, FilterThresholds, RawDataset, load_dataset,
                          load_splits, make_splits, mask_completion_tags,
                          preprocess_filter, save_dataset, save_splits)
 from taggnn.graph import UNK_ID, Vocabulary
+
+import oracle
 
 
 class TestLoadDataset:
@@ -68,6 +74,142 @@ class TestLoadDataset:
         self._write(tmp_path, **{"tags.tsv": "# tags\n\nt1\tgamma\n"})
         ds = load_dataset(tmp_path)
         assert ds.tags == [("t1", "gamma")]
+
+
+ITEMS, QUERIES, TAGS = ("i0", "i1", "i2", "i3"), ("q0", "q1", "q2"), ("t0", "t1", "t2", "t3")
+# mostly valid values, so that many drawn files parse and the rest fail in many ways
+GOOD_WEIGHTS = ("1", "0.5", "2.0", "0", "-0.0", "3e2", "1_0", " 2 ", "7")
+BAD_WEIGHTS = ("nan", "-1", "1e400", "x", "", "inf")
+TEXT = st.text(alphabet="ab #\x0c\u2028", max_size=4)
+NOISE = st.sampled_from(("", "# note", "#\tx\ty"))
+ONE_IN_FOUR = st.sampled_from((False, False, False, True))
+EOL = st.sampled_from(("\n", "\r\n"))
+
+
+def _ids(pool, unknown):
+    return st.sampled_from(pool * 3 + (unknown,))
+
+
+def _extras(faults):
+    """Extra lines at drawn places: comment and blank lines, then one or two of ``faults``."""
+    return (st.lists(st.tuples(st.integers(0, 12), NOISE), max_size=3),
+            st.lists(st.tuples(st.integers(0, 12), st.sampled_from(faults)),
+                     min_size=1, max_size=2))
+
+
+def _layout(draw, lines, extras, faulty=ONE_IN_FOUR):
+    """``lines`` with drawn extra lines, faults only in a ``faulty`` share of
+    files, joined by LF or CRLF, with or without a final line break."""
+    noise, faults = extras
+    for pos, line in draw(noise) + (draw(faults) if draw(faulty) else []):
+        lines.insert(min(pos, len(lines)), line)
+    eol = draw(EOL)
+    return eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
+
+
+def _file(rows, faults):
+    extras = _extras(faults)
+    return st.composite(lambda draw: _layout(draw, list(draw(rows)), extras))()
+
+
+def _entity_file(ids):
+    rows = st.lists(st.tuples(st.booleans(), TEXT), min_size=len(ids), max_size=len(ids)).map(
+        lambda drawn: [i if bare else f"{i}\t{text}" for i, (bare, text) in zip(ids, drawn)])
+    return _file(rows, (f"{ids[0]}\tagain", "a\tb\tc"))
+
+
+QI_ROW = st.builds(lambda q, i, w: f"{q}\t{i}" if w is None else f"{q}\t{i}\t{w}",
+                   _ids(QUERIES, "qx"), _ids(ITEMS, "ix"),
+                   st.one_of(st.none(), st.sampled_from(GOOD_WEIGHTS * 2 + BAD_WEIGHTS)))
+IT_ROW = st.builds(lambda i, t: f"{i}\t{t}", _ids(ITEMS, "ix"), _ids(TAGS, "tx"))
+
+# file name -> contents of a dataset directory
+DATASET_FILES = st.fixed_dictionaries({
+    "items.tsv": _entity_file(ITEMS),
+    "queries.tsv": _entity_file(QUERIES),
+    "tags.tsv": _entity_file(TAGS),
+    "query_item_edges.tsv": _file(st.lists(QI_ROW, max_size=6),
+                                  (" ", "q0", "q0\ti0\t1\t1", "qx\tix\tx", "q0\tix\t-1")),
+    "item_tag_edges.tsv": _file(st.lists(IT_ROW, max_size=10),
+                                (" ", "i0", "i0\tt0\tt1", "ix\ttx")),
+})
+SPLITS_FAULTS = (" ", "i0", "i0\ttrain\t\tx", "ix\tbogus", "i3\tbogus", "i0\ttrain",
+                 "i1\ttest_comp", "i1\tval_comp\tt0", "i1\tval_comp\tt0,t0",
+                 "i1\ttest_comp\tt0,t1,t2", "i2\ttest_comp\tt0,tx")
+SPLITS_EXTRAS = _extras(SPLITS_FAULTS)
+
+
+@st.composite
+def splits_case(draw):
+    """A valid dataset's item-tag links, and a splits.tsv over its items: each
+    item at most once, completion roles only with two linked tags held out,
+    plus faults in half of the files."""
+    it = draw(st.lists(st.tuples(st.sampled_from(ITEMS), st.sampled_from(TAGS)), max_size=12))
+    rows = []
+    for item in draw(st.permutations(ITEMS))[:draw(st.integers(0, len(ITEMS)))]:
+        linked = sorted({t for i, t in it if i == item})
+        role = draw(st.sampled_from(dm.ROLES if len(linked) >= 2 else dm.ROLES[:2]))
+        if role in dm.COMPLETION_ROLES:
+            rows.append(f"{item}\t{role}\t{','.join(draw(st.permutations(linked))[:2])}")
+        else:
+            rows.append(f"{item}\t{role}")
+    return it, _layout(draw, rows, SPLITS_EXTRAS, faulty=st.booleans())
+
+
+def _write(directory, files):
+    for name, content in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except DataFormatError as exc:
+        return f"DataFormatError: {exc}"
+
+
+class TestLoaderMatchesPerLineReference:
+    """The loaders against the per-line readers in ``oracle``: the same parsed
+    contents, or the same ``DataFormatError`` message for the first bad line."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(files=DATASET_FILES)
+    def test_load_dataset(self, files):
+        with tempfile.TemporaryDirectory() as directory:
+            _write(directory, files)
+            want = _outcome(oracle.load_dataset, directory)
+            got = _outcome(load_dataset, directory)
+        if not isinstance(got, str):
+            got = (got.items, got.queries, got.tags, got.qi, got.it)
+        assert got == want
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=splits_case())
+    def test_load_splits(self, case):
+        self._check_splits(*case)
+
+    @pytest.mark.parametrize("fault", SPLITS_FAULTS)
+    def test_load_splits_one_fault(self, fault):
+        it = [("i0", "t0"), ("i0", "t1"), ("i1", "t1"), ("i1", "t2"), ("i1", "t3"), ("i2", "t3")]
+        rows = ["i0\ttest_comp\tt1,t0", "i1\tval_full", "i2\ttrain"]
+        for at in (0, len(rows)):
+            self._check_splits(it, "\n".join(rows[:at] + [fault] + rows[at:]))
+
+    @staticmethod
+    def _check_splits(it, splits):
+        with tempfile.TemporaryDirectory() as directory:
+            _write(directory, {
+                "items.tsv": "\n".join(ITEMS), "queries.tsv": "", "tags.tsv": "\n".join(TAGS),
+                "query_item_edges.tsv": "",
+                "item_tag_edges.tsv": "".join(f"{i}\t{t}\n" for i, t in it),
+                "splits.tsv": splits})
+            path = os.path.join(directory, "splits.tsv")
+            want = _outcome(oracle.load_splits, path, [(i, "") for i in ITEMS], it)
+            got = _outcome(load_splits, path, load_dataset(directory))
+        if not isinstance(got, str):
+            got = (got.roles, got.heldout, got.truth, got.known)
+        assert got == want
 
 
 def _dataset(items, queries, tags, qi, it):

@@ -12,6 +12,7 @@ from taggnn.graph import (EmbeddingTable, NodeType, Vocabulary, build_graph, mea
                           standardize, standardize_edge_weights)
 from taggnn.model import ModelVariant, TagGNNModel, pack_edges
 
+import oracle
 from conftest import random_tiny_graph
 
 
@@ -110,6 +111,49 @@ class TestBuildGraph:
         for a, b in ((e1.pattern.rows, e2.pattern.rows), (e1.pattern.cols, e2.pattern.cols),
                      (e1.multipliers, e2.multipliers)):
             assert a.tobytes() == b.tobytes()
+
+
+# sums of these depend on the order of addition: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+WEIGHT = st.sampled_from((0.1, 0.2, 0.3, 1e16, 1.0, 0.0))
+
+
+@st.composite
+def edge_lists(draw):
+    """Node counts and edge lists with many duplicates; in one draw of three, up
+    to three edges with an index one past either end or a negative weight."""
+    nq, ni, nt = (draw(st.integers(1, 3)) for _ in range(3))
+    qi = draw(st.lists(st.tuples(st.integers(0, nq - 1), st.integers(0, ni - 1), WEIGHT),
+                       max_size=12))
+    it = draw(st.lists(st.tuples(st.integers(0, ni - 1), st.integers(0, nt - 1)), max_size=12))
+    if draw(st.sampled_from((False, False, True))):
+        bad_qi = st.sampled_from([(0, 0, -0.5), (-1, 0, 1.0), (nq - 1, ni - 1, -0.1),
+                                  (nq, 0, 1.0), (0, -1, 1.0), (0, ni, 0.1), (nq, ni, -1.0)])
+        bad_it = st.sampled_from([(-1, 0), (ni, 0), (0, -1), (0, nt), (ni, nt)])
+        for edges, bad in draw(st.lists(st.sampled_from([(qi, bad_qi), (it, bad_it)]),
+                                        min_size=1, max_size=3)):
+            edges.insert(draw(st.integers(0, len(edges))), draw(bad))
+    return nq, ni, nt, qi, it
+
+
+class TestEdgeBuildMatchesDictMerge:
+    """``build_graph``'s edge arrays against the dict merge in ``oracle``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=edge_lists())
+    def test_same_arrays_or_same_message(self, case):
+        nq, ni, nt, qi, it = case
+        nodes = ([[1]] * nq, [[1]] * ni, [[1]] * nt)
+        try:
+            want = oracle.build_edges(nq, ni, nt, qi, it)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                build_graph(*nodes, qi, it)
+            assert str(got.value) == str(exc)
+            return
+        graph = build_graph(*nodes, qi, it)
+        for name, array in want.items():
+            assert getattr(graph, name).dtype == array.dtype, name
+            assert getattr(graph, name).tobytes() == array.tobytes(), name
 
 
 class TestInitialRepresentation:
