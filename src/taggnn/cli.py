@@ -93,7 +93,7 @@ def cmd_train(args):
 def _rebuild_for_eval(model_dir, data_dir, splits_path=None):
     model, vocab, manifest = serialization.load_model(model_dir)
     dataset = data_mod.load_dataset(data_dir)
-    if [t for t, _ in dataset.tags] != manifest["tags"]:
+    if dataset.tag_ids != manifest["tags"]:
         raise DataFormatError("dataset tag list does not match the trained model")
     splits_path = splits_path or os.path.join(model_dir, "splits.tsv")
     splits = data_mod.load_splits(splits_path, dataset)
@@ -121,7 +121,7 @@ def cmd_predict(args):
         raise DataFormatError(f"unknown item id {args.item_id!r}")
     index = dataset.item_index[args.item_id]
     predictor = evaluation.Predictor(model, graph)
-    ranked = predictor.topk(index, args.k, exclude=graph.item_tag_sets()[index])
+    ranked = predictor.topk(index, args.k, exclude=graph.item_tags(index))
     for t in ranked:
         print(graph.tag_ids[t])
     return 0

@@ -9,6 +9,7 @@ are never hidden.
 
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -31,106 +32,200 @@ class DataFormatError(ValueError):
     """A dataset file failed validation; the message names file and line."""
 
 
-@dataclass
 class RawDataset:
-    """Parsed but otherwise untouched dataset contents, in file order."""
+    """Parsed but otherwise untouched dataset contents, in file order, held as columns.
 
-    items: list            # (item_id, title text)
-    queries: list          # (query_id, query text)
-    tags: list             # (tag_id, name text)
-    qi: list               # (query_id, item_id, weight)
-    it: list               # (item_id, tag_id)
+    Each node type keeps parallel id and text lists (``item_ids``/``item_texts``,
+    ``query_ids``/``query_texts``, ``tag_ids``/``tag_texts``).  Edges are int64
+    rows into those lists: ``qi_query``/``qi_item`` with float64 ``qi_weight``,
+    and ``it_item``/``it_tag``.  ``items``, ``queries``, ``tags``, ``qi`` and
+    ``it`` rebuild the rows as lists of tuples on each access.
+    """
 
-    def __post_init__(self):
-        for name, rows in (("items", self.items), ("queries", self.queries), ("tags", self.tags)):
-            ids = [r[0] for r in rows]
-            if len(ids) != len(set(ids)):
+    def __init__(self, items, queries, tags, qi, it):
+        """From lists of tuples, shaped as ``items`` ... ``it`` return them."""
+        (item_ids, item_texts), (query_ids, query_texts), (tag_ids, tag_texts) = (
+            ([r[0] for r in rows], [r[1] for r in rows]) for rows in (items, queries, tags))
+        item, query, tag = _index(item_ids), _index(query_ids), _index(tag_ids)
+        self._set(item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
+                  [query[q] for q, _, _ in qi], [item[i] for _, i, _ in qi], [w for _, _, w in qi],
+                  [item[i] for i, _ in it], [tag[t] for _, t in it])
+
+    @classmethod
+    def from_columns(cls, *columns):
+        """From the id and text lists and the edge row arrays, in :meth:`_set`'s order."""
+        dataset = cls.__new__(cls)
+        dataset._set(*columns)
+        return dataset
+
+    def _set(self, item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
+             qi_query, qi_item, qi_weight, it_item, it_tag):
+        self.item_ids, self.item_texts = item_ids, item_texts
+        self.query_ids, self.query_texts = query_ids, query_texts
+        self.tag_ids, self.tag_texts = tag_ids, tag_texts
+        self.item_index = _index(item_ids)
+        self.query_index = _index(query_ids)
+        self.tag_index = _index(tag_ids)
+        for name, ids, index in (("items", item_ids, self.item_index),
+                                 ("queries", query_ids, self.query_index),
+                                 ("tags", tag_ids, self.tag_index)):
+            if len(index) != len(ids):
                 raise DataFormatError(f"duplicate ids in {name}")
-        self.item_index = {i: n for n, (i, _) in enumerate(self.items)}
-        self.query_index = {q: n for n, (q, _) in enumerate(self.queries)}
-        self.tag_index = {t: n for n, (t, _) in enumerate(self.tags)}
+        self.qi_query = np.asarray(qi_query, dtype=np.int64)
+        self.qi_item = np.asarray(qi_item, dtype=np.int64)
+        self.qi_weight = np.asarray(qi_weight, dtype=np.float64)
+        self.it_item = np.asarray(it_item, dtype=np.int64)
+        self.it_tag = np.asarray(it_tag, dtype=np.int64)
+
+    @property
+    def items(self):
+        return list(zip(self.item_ids, self.item_texts))        # (item_id, title text)
+
+    @property
+    def queries(self):
+        return list(zip(self.query_ids, self.query_texts))      # (query_id, query text)
+
+    @property
+    def tags(self):
+        return list(zip(self.tag_ids, self.tag_texts))          # (tag_id, name text)
+
+    @property
+    def qi(self):
+        q, i = self.query_ids, self.item_ids                    # (query_id, item_id, weight)
+        return [(q[a], i[b], w) for a, b, w in
+                zip(self.qi_query.tolist(), self.qi_item.tolist(), self.qi_weight.tolist())]
+
+    @property
+    def it(self):
+        i, t = self.item_ids, self.tag_ids                      # (item_id, tag_id)
+        return [(i[a], t[b]) for a, b in zip(self.it_item.tolist(), self.it_tag.tolist())]
 
     def item_tag_map(self):
-        out = {i: set() for i, _ in self.items}
-        for i, t in self.it:
-            out[i].add(t)
-        return out
+        """Item id -> set of its linked tag ids."""
+        return {i: set(tags) for i, tags in zip(self.item_ids, self._tags_by_item())}
+
+    def _tags_by_item(self):
+        """Per item row, the list of its linked tag ids in file order."""
+        order = np.argsort(self.it_item, kind="stable")
+        bounds = np.searchsorted(self.it_item[order], np.arange(len(self.item_ids) + 1)).tolist()
+        tags = [self.tag_ids[t] for t in self.it_tag[order].tolist()]
+        return [tags[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def texts(self):
         """All node texts, in the fixed order used to build vocabularies."""
-        for _, text in self.queries:
-            yield text
-        for _, text in self.items:
-            yield text
-        for _, text in self.tags:
-            yield text
+        yield from self.query_texts
+        yield from self.item_texts
+        yield from self.tag_texts
 
 
-def _read_rows(path, min_cols, max_cols):
-    rows = []
+def _index(ids):
+    """Id -> row; a repeated id keeps its last row."""
+    return dict(zip(ids, range(len(ids))))
+
+
+def _rows(index, keys):
+    """int64 rows of ``keys`` in ``index``, -1 where a key is unknown."""
+    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+
+
+def _read_table(path, min_cols, max_cols, pad=""):
+    """A TSV file's data lines as ``max_cols`` column lists, with their line numbers.
+
+    The file is read whole and split once on tabs; blank and ``#`` lines are
+    skipped.  A line short of ``max_cols`` columns (by the one optional
+    column every table here has at most) gets ``pad`` appended first.
+    Returns the file name, the 1-based line numbers and the columns.
+    """
+    name = os.path.basename(path)
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if not min_cols <= len(cols) <= max_cols:
-                raise DataFormatError(
-                    f"{os.path.basename(path)}:{lineno}: expected "
-                    f"{min_cols}-{max_cols} tab-separated columns, got {len(cols)}")
-            rows.append((lineno, cols))
-    return rows
+        text = fh.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "" in lines or text.startswith("#") or "\n#" in text:
+        linenos = [n for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
+        lines = [lines[n - 1] for n in linenos]
+    else:
+        linenos = range(1, len(lines) + 1)
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
+    bad = (tabs < min_cols - 1) | (tabs > max_cols - 1)
+    if bad.any():
+        n = int(bad.argmax())
+        raise DataFormatError(f"{name}:{linenos[n]}: expected {min_cols}-{max_cols} "
+                              f"tab-separated columns, got {tabs[n] + 1}")
+    short = tabs < max_cols - 1
+    if short.any():
+        lines = [line + pad if s else line for line, s in zip(lines, short.tolist())]
+    fields = "\t".join(lines).split("\t") if lines else []
+    return name, linenos, [fields[c::max_cols] for c in range(max_cols)]
+
+
+def _raise_first_failure(name, linenos, checks):
+    """Raise for the first line, in file order, that fails one of ``checks``.
+
+    Each check maps a row to an error message, or to a false value when the
+    row passes; a line's checks run in the given order.  Called only once a
+    bulk check has failed, so that the message names the line a per-line
+    reader would stop at.
+    """
+    for n, lineno in enumerate(linenos):
+        for check in checks:
+            message = check(n)
+            if message:
+                raise DataFormatError(f"{name}:{lineno}: {message}")
+
+
+def _weight(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def load_dataset(directory):
-    """Read and validate the five dataset files from ``directory``."""
+    """Read and validate the five dataset files from ``directory``.
+
+    Columns are validated in bulk.  When a check fails, the error names the
+    first failing line and the first of its checks that fails, in the order
+    listed here per file: column count, then for query-item edges unknown
+    query, unknown item, unparsable weight, negative or non-finite weight,
+    and for item-tag edges unknown item, unknown tag.  Duplicate node ids are
+    reported last.
+    """
     paths = {k: os.path.join(directory, v) for k, v in DATASET_FILES.items()}
     for k, p in paths.items():
         if not os.path.exists(p):
             raise DataFormatError(f"missing dataset file {DATASET_FILES[k]} in {directory}")
 
-    def entity(path):
-        out = []
-        for _, cols in _read_rows(path, 1, 2):
-            out.append((cols[0], cols[1] if len(cols) == 2 else ""))
-        return out
+    # an entity line without its text column gets an empty text
+    (item_ids, item_texts), (query_ids, query_texts), (tag_ids, tag_texts) = (
+        _read_table(paths[k], 1, 2, pad="\t")[2] for k in ("items", "queries", "tags"))
+    item_index, query_index, tag_index = _index(item_ids), _index(query_ids), _index(tag_ids)
 
-    items = entity(paths["items"])
-    queries = entity(paths["queries"])
-    tags = entity(paths["tags"])
-    item_ids = {i for i, _ in items}
-    query_ids = {q for q, _ in queries}
-    tag_ids = {t for t, _ in tags}
+    # a missing weight column defaults to 1
+    name, linenos, (q, i, w) = _read_table(paths["qi"], 2, 3, pad="\t1.0")
+    qi_query, qi_item = _rows(query_index, q), _rows(item_index, i)
+    try:
+        qi_weight = np.fromiter(map(float, w), dtype=np.float64, count=len(w))
+        bad_weights = not ((0 <= qi_weight) & (qi_weight < np.inf)).all()
+    except ValueError:
+        bad_weights = True
+    if bad_weights or (qi_query < 0).any() or (qi_item < 0).any():
+        _raise_first_failure(name, linenos, (
+            lambda n: q[n] not in query_index and f"unknown query '{q[n]}'",
+            lambda n: i[n] not in item_index and f"unknown item '{i[n]}'",
+            lambda n: _weight(w[n]) is None and f"bad weight '{w[n]}'",
+            lambda n: not 0 <= float(w[n]) < np.inf and "weight must be finite and >= 0"))
 
-    qi = []
-    for lineno, cols in _read_rows(paths["qi"], 2, 3):
-        q, i = cols[0], cols[1]
-        if q not in query_ids:
-            raise DataFormatError(f"{DATASET_FILES['qi']}:{lineno}: unknown query '{q}'")
-        if i not in item_ids:
-            raise DataFormatError(f"{DATASET_FILES['qi']}:{lineno}: unknown item '{i}'")
-        if len(cols) == 3:
-            try:
-                w = float(cols[2])
-            except ValueError:
-                raise DataFormatError(
-                    f"{DATASET_FILES['qi']}:{lineno}: bad weight '{cols[2]}'") from None
-        else:
-            w = 1.0  # missing weight column defaults to 1
-        if w < 0 or not np.isfinite(w):
-            raise DataFormatError(f"{DATASET_FILES['qi']}:{lineno}: weight must be finite and >= 0")
-        qi.append((q, i, w))
+    name, linenos, (i, t) = _read_table(paths["it"], 2, 2)
+    it_item, it_tag = _rows(item_index, i), _rows(tag_index, t)
+    if (it_item < 0).any() or (it_tag < 0).any():
+        _raise_first_failure(name, linenos, (
+            lambda n: i[n] not in item_index and f"unknown item '{i[n]}'",
+            lambda n: t[n] not in tag_index and f"unknown tag '{t[n]}'"))
 
-    it = []
-    for lineno, cols in _read_rows(paths["it"], 2, 2):
-        i, t = cols
-        if i not in item_ids:
-            raise DataFormatError(f"{DATASET_FILES['it']}:{lineno}: unknown item '{i}'")
-        if t not in tag_ids:
-            raise DataFormatError(f"{DATASET_FILES['it']}:{lineno}: unknown tag '{t}'")
-        it.append((i, t))
-
-    return RawDataset(items=items, queries=queries, tags=tags, qi=qi, it=it)
+    return RawDataset.from_columns(item_ids, item_texts, query_ids, query_texts, tag_ids,
+                                   tag_texts, qi_query, qi_item, qi_weight, it_item, it_tag)
 
 
 def save_dataset(dataset, directory):
@@ -278,7 +373,7 @@ def make_splits(dataset, counts, seed):
     at least three tags (so the two held-out tags leave one known).
     """
     n_train, n_val, n_test = counts
-    item_ids = [i for i, _ in dataset.items]
+    item_ids = dataset.item_ids
     if n_train + n_val + n_test > len(item_ids):
         raise ValueError(f"split counts {counts} exceed {len(item_ids)} items")
     tag_map = dataset.item_tag_map()
@@ -329,35 +424,60 @@ def save_splits(splits, path):
 
 
 def load_splits(path, dataset):
-    """Rebuild a SplitAssignment from splits.tsv plus the dataset's tag sets."""
-    tag_map = dataset.item_tag_map()
-    roles, heldout, truth, known = {}, {}, {}, {}
-    for lineno, cols in _read_rows(path, 2, 3):
-        item_id, role = cols[0], cols[1]
-        if item_id not in tag_map:
-            raise DataFormatError(f"{os.path.basename(path)}:{lineno}: unknown item '{item_id}'")
-        if role not in ROLES:
-            raise DataFormatError(f"{os.path.basename(path)}:{lineno}: unknown role '{role}'")
-        if item_id in roles:
-            raise DataFormatError(f"{os.path.basename(path)}:{lineno}: duplicate item '{item_id}'")
-        roles[item_id] = role
-        if role in COMPLETION_ROLES:
-            if len(cols) != 3 or not cols[2]:
-                raise DataFormatError(
-                    f"{os.path.basename(path)}:{lineno}: completion role needs held-out tags")
-            held = frozenset(cols[2].split(","))
-            if len(held) != 2:
-                raise DataFormatError(
-                    f"{os.path.basename(path)}:{lineno}: exactly two held-out tags required")
-            if not held <= tag_map[item_id]:
-                raise DataFormatError(
-                    f"{os.path.basename(path)}:{lineno}: held-out tags not linked to item")
-            heldout[item_id] = held
-            known[item_id] = frozenset(tag_map[item_id]) - held
-            truth[item_id] = held
-        elif role in FULL_ROLES:
-            truth[item_id] = frozenset(tag_map[item_id])
-    return SplitAssignment(roles=roles, heldout=heldout, truth=truth, known=known)
+    """Rebuild a SplitAssignment from splits.tsv plus the dataset's tag sets.
+
+    Validated in bulk like :func:`load_dataset`; a failure names the first
+    failing line and the first of its checks that fails: column count,
+    unknown item, unknown role, repeated item, then for completion roles a
+    missing, not-two or not-linked held-out tag pair.
+    """
+    name, linenos, (items, roles, held) = _read_table(path, 2, 3, pad="\t")
+    index, tags_of = dataset.item_index, dataset._tags_by_item()
+    role_of = dict(zip(items, roles))
+    heldout = {items[n]: frozenset(held[n].split(","))
+               for n, role in enumerate(roles) if role in COMPLETION_ROLES}
+    valid = (len(role_of) == len(items) and role_of.keys() <= index.keys()
+             and set(roles) <= set(ROLES))
+    if valid:
+        # the linked tags of every evaluation item
+        linked = {i: frozenset(tags_of[index[i]]) for i, role in role_of.items()
+                  if role != "train"}
+        valid = all(len(h) == 2 and h <= linked[i] for i, h in heldout.items())
+    if not valid:
+        first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
+        needs_pair = [role in COMPLETION_ROLES for role in roles]
+        _raise_first_failure(name, linenos, (
+            lambda n: items[n] not in index and f"unknown item '{items[n]}'",
+            lambda n: roles[n] not in ROLES and f"unknown role '{roles[n]}'",
+            lambda n: first[items[n]] < n and f"duplicate item '{items[n]}'",
+            lambda n: needs_pair[n] and not held[n] and "completion role needs held-out tags",
+            lambda n: needs_pair[n] and len(frozenset(held[n].split(","))) != 2
+            and "exactly two held-out tags required",
+            lambda n: needs_pair[n]
+            and not frozenset(held[n].split(",")) <= frozenset(tags_of[index[items[n]]])
+            and "held-out tags not linked to item"))
+    return SplitAssignment(roles=role_of, heldout=heldout,
+                           truth={i: heldout.get(i, tags) for i, tags in linked.items()},
+                           known={i: linked[i] - h for i, h in heldout.items()})
+
+
+def _hidden_tag_edges(dataset, splits, include_known_tags):
+    """Mask over the dataset's item-tag edges of those the split roles hide."""
+    role = np.zeros(len(dataset.item_ids), dtype=np.int8)   # 0 visible, 1 full, 2 completion
+    rows = _rows(dataset.item_index, list(splits.roles))
+    codes = np.fromiter((1 if r in FULL_ROLES else 2 if r in COMPLETION_ROLES else 0
+                         for r in splits.roles.values()), dtype=np.int8, count=len(rows))
+    role[rows[rows >= 0]] = codes[rows >= 0]
+    edge_role = role[dataset.it_item]
+    if not include_known_tags:
+        return edge_role > 0
+    held_item = _rows(dataset.item_index, [i for i, tags in splits.heldout.items() for _ in tags])
+    held_tag = _rows(dataset.tag_index, [t for tags in splits.heldout.values() for t in tags])
+    linked = (held_item >= 0) & (held_tag >= 0)
+    n_tags = len(dataset.tag_ids)
+    held = np.isin(dataset.it_item * n_tags + dataset.it_tag,
+                   held_item[linked] * n_tags + held_tag[linked])
+    return (edge_role == 1) | ((edge_role == 2) & held)
 
 
 def dataset_to_graph(dataset, vocab, splits=None, include_known_tags=True):
@@ -368,26 +488,14 @@ def dataset_to_graph(dataset, vocab, splits=None, include_known_tags=True):
     which is the degraded condition for measuring how much visible tags help).
     Query edges always stay.
     """
-    queries = [vocab.encode(text) for _, text in dataset.queries]
-    items = [vocab.encode(text) for _, text in dataset.items]
-    tags = [vocab.encode(text) for _, text in dataset.tags]
-
-    qi_edges = [(dataset.query_index[q], dataset.item_index[i], w) for q, i, w in dataset.qi]
-
-    it_edges = []
-    for i, t in dataset.it:
-        if splits is not None:
-            role = splits.roles.get(i)
-            if role in FULL_ROLES:
-                continue
-            if role in COMPLETION_ROLES:
-                if t in splits.heldout.get(i, ()):
-                    continue
-                if not include_known_tags:
-                    continue
-        it_edges.append((dataset.item_index[i], dataset.tag_index[t]))
-
-    return build_graph(queries, items, tags, qi_edges, it_edges,
-                       query_ids=[q for q, _ in dataset.queries],
-                       item_ids=[i for i, _ in dataset.items],
-                       tag_ids=[t for t, _ in dataset.tags])
+    it_item, it_tag = dataset.it_item, dataset.it_tag
+    if splits is not None:
+        visible = ~_hidden_tag_edges(dataset, splits, include_known_tags)
+        it_item, it_tag = it_item[visible], it_tag[visible]
+    return build_graph([vocab.encode(text) for text in dataset.query_texts],
+                       [vocab.encode(text) for text in dataset.item_texts],
+                       [vocab.encode(text) for text in dataset.tag_texts],
+                       np.column_stack((dataset.qi_query, dataset.qi_item, dataset.qi_weight)),
+                       np.column_stack((it_item, it_tag)),
+                       query_ids=dataset.query_ids, item_ids=dataset.item_ids,
+                       tag_ids=dataset.tag_ids)

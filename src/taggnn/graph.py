@@ -120,30 +120,33 @@ class TripartiteGraph:
         self.tag_ids = list(tag_ids) if tag_ids is not None else [str(i) for i in range(len(tag_tokens))]
 
         nq, ni, nt = len(self.query_tokens), len(self.item_tokens), len(self.tag_tokens)
-        merged = {}
-        for q, i, w in qi_edges:
+        qi = np.asarray(qi_edges, dtype=np.float64).reshape(-1, 3)
+        q, i, w = qi[:, 0], qi[:, 1], qi[:, 2]
+        bad = (q < 0) | (q >= nq) | (i < 0) | (i >= ni) | (w < 0)
+        if bad.any():
+            n = int(bad.argmax())
+            q, i, w = int(q[n]), int(i[n]), float(w[n])
             if not 0 <= q < nq:
                 raise ValueError(f"query-item edge references unknown query index {q}")
             if not 0 <= i < ni:
                 raise ValueError(f"query-item edge references unknown item index {i}")
-            if w < 0:
-                raise ValueError(f"negative edge weight {w} on query-item edge ({q}, {i})")
-            merged[(q, i)] = merged.get((q, i), 0.0) + float(w)
-        keys = sorted(merged)
-        self.qi_query = np.array([k[0] for k in keys], dtype=np.int64)
-        self.qi_item = np.array([k[1] for k in keys], dtype=np.int64)
-        self.qi_weight = np.array([merged[k] for k in keys], dtype=np.float64)
+            raise ValueError(f"negative edge weight {w} on query-item edge ({q}, {i})")
+        keys, inverse = np.unique(q.astype(np.int64) * ni + i.astype(np.int64),
+                                  return_inverse=True)
+        self.qi_query, self.qi_item = np.divmod(keys, max(ni, 1))
+        # np.bincount adds each key's weights in input order, starting from 0.0;
+        # with no edges it returns int64
+        self.qi_weight = np.bincount(inverse, weights=w, minlength=len(keys)).astype(np.float64)
 
-        seen = set()
-        for i, t in it_edges:
+        it = np.asarray(it_edges, dtype=np.int64).reshape(-1, 2)
+        i, t = it[:, 0], it[:, 1]
+        bad = (i < 0) | (i >= ni) | (t < 0) | (t >= nt)
+        if bad.any():
+            i, t = (int(x) for x in it[bad.argmax()])
             if not 0 <= i < ni:
                 raise ValueError(f"item-tag edge references unknown item index {i}")
-            if not 0 <= t < nt:
-                raise ValueError(f"item-tag edge references unknown tag index {t}")
-            seen.add((i, t))
-        keys = sorted(seen)
-        self.it_item = np.array([k[0] for k in keys], dtype=np.int64)
-        self.it_tag = np.array([k[1] for k in keys], dtype=np.int64)
+            raise ValueError(f"item-tag edge references unknown tag index {t}")
+        self.it_item, self.it_tag = np.divmod(np.unique(i * nt + t), max(nt, 1))
 
         self._pack_cache = {}
         self._pooling_cache = {}
@@ -187,19 +190,26 @@ class TripartiteGraph:
 
     def item_tag_sets(self):
         """Per-item set of linked tag indices (the label structure)."""
-        sets = [set() for _ in range(self.n_items)]
-        for i, t in zip(self.it_item, self.it_tag):
-            sets[i].add(int(t))
-        return sets
+        bounds = np.searchsorted(self.it_item, np.arange(self.n_items + 1)).tolist()
+        tags = self.it_tag.tolist()
+        return [set(tags[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def item_tags(self, index):
+        """Ascending tag indices linked to item ``index``, as one slice of ``it_tag``."""
+        lo, hi = np.searchsorted(self.it_item, [index, index + 1])
+        return self.it_tag[lo:hi]
 
 
 def build_graph(queries, items, tags, qi_edges, it_edges,
                 query_ids=None, item_ids=None, tag_ids=None):
     """Assemble a deduplicated undirected tripartite graph.
 
-    ``queries``/``items``/``tags`` are token-id lists per node.  Duplicate
-    query-item edges are merged with their weights summed; duplicate item-tag
-    edges collapse to one.  Dangling indices raise with the offending edge.
+    ``queries``/``items``/``tags`` are token-id lists per node.  ``qi_edges``
+    is an (E, 3) array-like of (query, item, weight) rows and ``it_edges`` an
+    (E, 2) one of (item, tag) rows; lists of tuples work.  Duplicate
+    query-item edges are merged with their weights summed in input order;
+    duplicate item-tag edges collapse to one.  Dangling indices and negative
+    weights raise, naming the first offending edge.
     """
     return TripartiteGraph(queries, items, tags, qi_edges, it_edges,
                            query_ids=query_ids, item_ids=item_ids, tag_ids=tag_ids)
