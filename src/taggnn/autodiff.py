@@ -7,10 +7,14 @@ Tensors are dense; sparse ops (:func:`spmm`, :func:`segment_softmax`,
 :func:`edge_scores`) take a :class:`SparsePattern`, the fixed CSR layout of
 a graph's adjacency or token lists, and run through scipy's CSR kernels.
 :func:`bce_with_logits` takes its positive labels as one.
-Everything is float64 and single-threaded, so a fixed seed reproduces a
-training run bit for bit.
+Everything is float64.  Only :func:`bce_with_logits` uses threads: it computes
+two row blocks at once and folds them in block order, so a fixed seed
+reproduces a training run bit for bit on any core count.
 """
 
+import collections
+import concurrent.futures
+import functools
 import itertools
 
 import numpy as np
@@ -252,7 +256,48 @@ def segment_softmax(scores, pattern):
     return _from_op(data, "segment_softmax", (scores,), back)
 
 
-_BCE_BLOCK_ELEMENTS = 2**20   # logits per row block of bce_with_logits
+_BCE_BLOCK_ELEMENTS = 2**19   # logits per row block of bce_with_logits
+_BCE_WORKERS = 2              # row blocks of bce_with_logits in flight at once
+
+
+@functools.cache
+def _bce_pool():
+    """The worker threads of :func:`bce_with_logits`, started on its first call."""
+    return concurrent.futures.ThreadPoolExecutor(_BCE_WORKERS, thread_name_prefix="taggnn-bce")
+
+
+def _bce_block(a_rows, w, bias, r, c, scale, wants, transpose_b):
+    """One row block of :func:`bce_with_logits`: the logits ``a_rows @ w (+ bias)``
+    with positives at ``(r, c)``.
+
+    Returns the block's two partial loss sums and, for each input whose flag
+    in ``wants`` is set, its gradient part at scale ``scale``: the block's
+    rows of ``da``, its ``db`` term and its ``dbias`` term (``None`` otherwise).
+    The work is numpy and BLAS calls that mostly release the GIL, so two
+    blocks run on two cores.
+    """
+    x = a_rows @ w
+    if bias is not None:
+        x += bias
+    loss = np.maximum(x, 0.0)
+    loss[r, c] -= x[r, c]
+    hinge = loss.sum()
+    np.abs(x, out=loss)                 # then log1p(exp(-|x|)), in place
+    np.negative(loss, out=loss)
+    np.exp(loss, out=loss)
+    np.log1p(loss, out=loss)
+    soft = loss.sum()
+    del loss                            # freed before the gradient products
+    if not any(wants):
+        return hinge, soft, None, None, None
+    want_a, want_b, want_bias = wants
+    expit(x, out=x)                     # x becomes the gradient (sigmoid(x) - y) * scale
+    x[r, c] -= 1.0
+    x *= scale
+    return (hinge, soft,
+            x @ w.T if want_a else None,
+            (x.T @ a_rows if transpose_b else a_rows.T @ x) if want_b else None,
+            x.sum(axis=0) if want_bias else None)
 
 
 def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
@@ -262,10 +307,13 @@ def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
     ``labels`` is a :class:`SparsePattern` shaped like the logits whose
     entries are the positives; every other logit is a negative.  Each
     entry's loss is ``max(x,0) - x*y + log1p(exp(-|x|))``, finite for any
-    logit.  The forward pass walks row blocks of about ``2**20`` logits,
-    sums the block's losses and, when an input needs a gradient, forms
-    ``(sigmoid(x) - y) / N`` and folds it into the input gradients, so no
-    whole logit matrix is ever held.  The backward pass only scales them.
+    logit.  The forward pass cuts the logits into row blocks of about
+    ``2**19`` logits.  Two worker threads compute two blocks at a time: each
+    sums its losses and, when an input needs a gradient, forms
+    ``(sigmoid(x) - y) / N`` and multiplies it out into its gradient parts.
+    The calling thread folds the blocks strictly in block order, so no whole
+    logit matrix is ever held and the result does not depend on scheduling
+    or core count.  The backward pass only scales the folded gradients.
     """
     a, b = _wrap(a), _wrap(b)
     bias = None if bias is None else _wrap(bias)
@@ -280,38 +328,43 @@ def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
         raise ValueError("duplicate label entry")
     da, db, dbias = (np.zeros_like(t.data) if t is not None and t.requires_grad else None
                      for t in (a, b, bias))
-    needs_grad = any(t.requires_grad for t in inputs)
+    wants = (da is not None, db is not None, dbias is not None)
     scale = 1.0 / (n_rows * n_cols)
-    total = 0.0
     step = max(1, _BCE_BLOCK_ELEMENTS // n_cols)
-    for lo in range(0, n_rows, step):
-        rows = slice(lo, min(lo + step, n_rows))
-        span = slice(labels.indptr[rows.start], labels.indptr[rows.stop])
-        r, c = labels.rows[span] - lo, labels.cols[span]
-        a_rows = a.data[rows]
-        x = a_rows @ w
-        if bias is not None:
-            x += bias.data
-        loss = np.maximum(x, 0.0)
-        loss[r, c] -= x[r, c]
-        total += loss.sum()
-        np.abs(x, out=loss)                 # then log1p(exp(-|x|)), in place
-        np.negative(loss, out=loss)
-        np.exp(loss, out=loss)
-        np.log1p(loss, out=loss)
-        total += loss.sum()
-        del loss                            # at most two blocks are alive at once
-        if not needs_grad:
-            continue
-        expit(x, out=x)                     # x becomes the gradient (sigmoid(x) - y) / N
-        x[r, c] -= 1.0
-        x *= scale
-        if da is not None:
-            da[rows] += x @ (b.data if transpose_b else b.data.T)
-        if db is not None:
-            db += x.T @ a_rows if transpose_b else a_rows.T @ x
-        if dbias is not None:
-            dbias += x.sum(axis=0)
+    starts = iter(range(0, n_rows, step))
+
+    def submit(lo):
+        hi = min(lo + step, n_rows)
+        span = slice(labels.indptr[lo], labels.indptr[hi])
+        future = _bce_pool().submit(
+            _bce_block, a.data[lo:hi], w, None if bias is None else bias.data,
+            labels.rows[span] - lo, labels.cols[span], scale, wants, transpose_b)
+        return slice(lo, hi), future
+
+    total = 0.0
+    pending = collections.deque()       # (rows, future) of the blocks in flight, in block order
+    try:
+        for lo in itertools.islice(starts, _BCE_WORKERS):
+            pending.append(submit(lo))
+        while pending:
+            rows, future = pending.popleft()
+            hinge, soft, da_rows, db_part, dbias_part = future.result()
+            lo = next(starts, None)
+            if lo is not None:
+                pending.append(submit(lo))
+            total += hinge
+            total += soft
+            if da is not None:
+                da[rows] += da_rows
+            if db is not None:
+                db += db_part
+            if dbias is not None:
+                dbias += dbias_part
+    finally:
+        # on an error, let no block outlive the call
+        for _, future in pending:
+            future.cancel()
+        concurrent.futures.wait([future for _, future in pending])
     data = np.asarray(total / (n_rows * n_cols))
 
     def back(g):

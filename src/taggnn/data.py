@@ -492,9 +492,9 @@ def dataset_to_graph(dataset, vocab, splits=None, include_known_tags=True):
     if splits is not None:
         visible = ~_hidden_tag_edges(dataset, splits, include_known_tags)
         it_item, it_tag = it_item[visible], it_tag[visible]
-    return build_graph([vocab.encode(text) for text in dataset.query_texts],
-                       [vocab.encode(text) for text in dataset.item_texts],
-                       [vocab.encode(text) for text in dataset.tag_texts],
+    return build_graph(vocab.encode_texts(dataset.query_texts),
+                       vocab.encode_texts(dataset.item_texts),
+                       vocab.encode_texts(dataset.tag_texts),
                        np.column_stack((dataset.qi_query, dataset.qi_item, dataset.qi_weight)),
                        np.column_stack((it_item, it_tag)),
                        query_ids=dataset.query_ids, item_ids=dataset.item_ids,

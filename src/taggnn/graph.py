@@ -63,6 +63,11 @@ class Vocabulary:
     def encode(self, text):
         return [self.token_to_id.get(tok, UNK_ID) for tok in text.split()]
 
+    def encode_texts(self, texts):
+        """:meth:`encode` of every text in ``texts``, in one pass: a list of id lists."""
+        get = self.token_to_id.get
+        return [[get(tok, UNK_ID) for tok in text.split()] for text in texts]
+
     def __len__(self):
         return len(self.id_to_token)
 
@@ -112,9 +117,9 @@ class TripartiteGraph:
 
     def __init__(self, query_tokens, item_tokens, tag_tokens, qi_edges, it_edges,
                  query_ids=None, item_ids=None, tag_ids=None):
-        self.query_tokens = [list(t) for t in query_tokens]
-        self.item_tokens = [list(t) for t in item_tokens]
-        self.tag_tokens = [list(t) for t in tag_tokens]
+        self.query_tokens = list(query_tokens)
+        self.item_tokens = list(item_tokens)
+        self.tag_tokens = list(tag_tokens)
         self.query_ids = list(query_ids) if query_ids is not None else [str(i) for i in range(len(query_tokens))]
         self.item_ids = list(item_ids) if item_ids is not None else [str(i) for i in range(len(item_tokens))]
         self.tag_ids = list(tag_ids) if tag_ids is not None else [str(i) for i in range(len(tag_tokens))]
@@ -204,7 +209,8 @@ def build_graph(queries, items, tags, qi_edges, it_edges,
                 query_ids=None, item_ids=None, tag_ids=None):
     """Assemble a deduplicated undirected tripartite graph.
 
-    ``queries``/``items``/``tags`` are token-id lists per node.  ``qi_edges``
+    ``queries``/``items``/``tags`` are token-id lists per node, kept as given
+    (not copied), so they must not change afterwards.  ``qi_edges``
     is an (E, 3) array-like of (query, item, weight) rows and ``it_edges`` an
     (E, 2) one of (item, tag) rows; lists of tuples work.  Duplicate
     query-item edges are merged with their weights summed in input order;

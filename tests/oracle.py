@@ -7,11 +7,13 @@
 - The dataset and ``splits.tsv`` readers and the graph's edge build, per line
   and per edge.  They keep the checks and their order that fix which
   ``file:line`` message a malformed file gets.
+- The fused BCE op as one sequential loop over its row blocks.
 """
 
 import os
 
 import numpy as np
+from scipy.special import expit
 
 from taggnn.data import COMPLETION_ROLES, DATASET_FILES, FULL_ROLES, ROLES, DataFormatError
 
@@ -200,3 +202,35 @@ def build_edges(nq, ni, nt, qi_edges, it_edges):
     out["it_item"] = np.array([k[0] for k in keys], dtype=np.int64)
     out["it_tag"] = np.array([k[1] for k in keys], dtype=np.int64)
     return out
+
+
+def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
+    """``bce_with_logits``'s loss and its ``a``/``b``/``bias`` gradients (``None`` without
+    a bias), one row block of ``block_elements // n_cols`` rows after the other on
+    the calling thread, each block folded in as soon as it is done."""
+    w = b.T if transpose_b else b
+    n_rows, n_cols = a.shape[0], w.shape[1]
+    da, db = np.zeros_like(a), np.zeros_like(b)
+    dbias = None if bias is None else np.zeros_like(bias)
+    scale = 1.0 / (n_rows * n_cols)
+    total = 0.0
+    step = max(1, block_elements // n_cols)
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, min(lo + step, n_rows))
+        span = slice(labels.indptr[rows.start], labels.indptr[rows.stop])
+        r, c = labels.rows[span] - lo, labels.cols[span]
+        x = a[rows] @ w
+        if bias is not None:
+            x += bias
+        loss = np.maximum(x, 0.0)
+        loss[r, c] -= x[r, c]
+        total += loss.sum()
+        total += np.log1p(np.exp(-np.abs(x))).sum()
+        g = expit(x)
+        g[r, c] -= 1.0
+        g *= scale
+        da[rows] += g @ w.T
+        db += g.T @ a[rows] if transpose_b else a[rows].T @ g
+        if dbias is not None:
+            dbias += g.sum(axis=0)
+    return total / (n_rows * n_cols), da, db, dbias

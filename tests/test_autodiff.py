@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from taggnn import autodiff as ad
 from taggnn.autodiff import Adam, Tensor
 
+import oracle
 from conftest import positives
 
 
@@ -233,6 +236,97 @@ class TestBceWithLogits:
             tracemalloc.stop()
         assert a.grad.shape == (n, d) and b.grad.shape == (n_tags, d)
         assert peak < n * n_tags * 8 / 2
+
+
+def _bce_case(seed, with_bias=True, transpose_b=False, n_rows=9, n_cols=7, d=3):
+    """Op inputs with every gradient wanted, as tensors and as the raw arrays."""
+    rng = np.random.default_rng(seed)
+    arrays = (rng.normal(size=(n_rows, d)) * 3,
+              rng.normal(size=(n_cols, d) if transpose_b else (d, n_cols)),
+              rng.normal(size=n_cols) if with_bias else None)
+    labels = positives(rng.random((n_rows, n_cols)) < 0.3)
+    tensors = [None if x is None else Tensor(x, requires_grad=True) for x in arrays]
+    return tensors, arrays, labels
+
+
+def _block_start(a, a_rows):
+    """The first row of ``a`` that the block view ``a_rows`` covers."""
+    return (a_rows.ctypes.data - a.ctypes.data) // a.strides[0]
+
+
+class TestBceBlocksInFlight:
+    @pytest.mark.parametrize("block_rows", [9, 5, 4, 2])   # 1, 2, 3 and 5 blocks of 9 rows
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    def test_bit_identical_to_sequential_blocks(self, monkeypatch, block_rows, with_bias,
+                                                transpose_b):
+        monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", block_rows * 7)
+        (a, b, bias), arrays, labels = _bce_case(block_rows, with_bias, transpose_b)
+        loss = ad.bce_with_logits(a, b, labels, bias=bias, transpose_b=transpose_b)
+        ad.backward(loss)
+        want, da, db, dbias = oracle.bce_blocks(*arrays[:2], labels, block_rows * 7,
+                                                bias=arrays[2], transpose_b=transpose_b)
+        assert float(loss.data) == want
+        assert np.array_equal(a.grad, da) and np.array_equal(b.grad, db)
+        assert bias is None or np.array_equal(bias.grad, dbias)
+
+    def test_at_most_two_blocks_run_and_each_waits_for_the_fold_two_back(self, monkeypatch):
+        monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", 2 * 7)     # 5 blocks of 9 rows
+        (a, b, bias), _, labels = _bce_case(0)
+        block, lock, events, running, most = ad._bce_block, threading.Lock(), [], [0], [0]
+
+        def watched(a_rows, *args):
+            start = _block_start(a.data, a_rows)
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+                events.append(("start", start))
+            time.sleep(0.1 if start == 0 else 0.01)
+            try:
+                return block(a_rows, *args)
+            finally:
+                with lock:
+                    running[0] -= 1
+                    events.append(("end", start))
+
+        monkeypatch.setattr(ad, "_bce_block", watched)
+        ad.bce_with_logits(a, b, labels, bias=bias)
+        assert most[0] == 2 and running[0] == 0
+        assert sorted(s for kind, s in events if kind == "start") == [0, 2, 4, 6, 8]
+        for lo in (4, 6, 8):   # a block starts only after the block two before it was folded
+            assert events.index(("end", lo - 4)) < events.index(("start", lo))
+
+    def test_a_failing_block_raises_and_the_next_call_is_unharmed(self, monkeypatch):
+        monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", 2 * 7)
+        (a, b, bias), arrays, labels = _bce_case(1)
+        block, lock, running, error = ad._bce_block, threading.Lock(), [0], MemoryError("block")
+
+        def failing(a_rows, *args):
+            start = _block_start(a.data, a_rows)
+            with lock:
+                running[0] += 1
+            try:
+                # the block after the failing one is already running when it fails
+                time.sleep({2: 0.02, 4: 0.1}.get(start, 0.0))
+                if start == 2:
+                    raise error
+                return block(a_rows, *args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(ad, "_bce_block", failing)
+        with pytest.raises(MemoryError) as raised:
+            ad.bce_with_logits(a, b, labels, bias=bias)
+        assert raised.value is error
+        assert running[0] == 0          # the block in flight beside it was drained
+        monkeypatch.setattr(ad, "_bce_block", block)
+        loss = ad.bce_with_logits(a, b, labels, bias=bias)
+        ad.backward(loss)
+        want, da, db, dbias = oracle.bce_blocks(*arrays[:2], labels, 2 * 7, bias=arrays[2])
+        assert float(loss.data) == want
+        assert np.array_equal(a.grad, da) and np.array_equal(b.grad, db)
+        assert np.array_equal(bias.grad, dbias)
 
 
 class TestAdam:

@@ -41,6 +41,15 @@ class TestVocabulary:
         vocab = Vocabulary.from_texts(["x y z"], min_count=1)
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
 
+    @given(st.lists(st.text(st.sampled_from("ab c\u00a0\u3000"), max_size=12), max_size=8),
+           st.lists(st.text(st.sampled_from("abc "), max_size=12), max_size=4),
+           st.integers(1, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_encode_texts_matches_encode_per_text(self, texts, corpus, min_count):
+        # unknown tokens, empty and whitespace-only texts, non-ASCII whitespace
+        vocab = Vocabulary.from_texts(corpus, min_count=min_count)
+        assert vocab.encode_texts(texts) == [vocab.encode(text) for text in texts]
+
 
 class TestEdgeWeightStandardization:
     def test_z_scores(self):
