@@ -2,18 +2,22 @@
 
 A small tape-based engine: every operation produces a new :class:`Tensor`
 that remembers its inputs and a closure computing the local backward step.
+Inside :func:`no_grad` no tape is recorded: op outputs are constants, so
+inference holds only the arrays it still names.
 The op set is deliberately tiny -- just what the tagging models need.
 Tensors are dense; sparse ops (:func:`spmm`, :func:`segment_softmax`,
 :func:`edge_scores`) take a :class:`SparsePattern`, the fixed CSR layout of
 a graph's adjacency or token lists, and run through scipy's CSR kernels.
-:func:`bce_with_logits` takes its positive labels as one.
-Everything is float64.  Only :func:`bce_with_logits` uses threads: it computes
-two row blocks at once and folds them in block order, so a fixed seed
-reproduces a training run bit for bit on any core count.
+The ``spmm`` backward forms its per-entry gradient over cache-sized entry
+blocks (:func:`_sddmm`).  :func:`bce_with_logits` takes its positive labels
+as a pattern too.  Everything is float64.  Only :func:`bce_with_logits` uses
+threads: it computes two row blocks at once and folds them in block order,
+so a fixed seed reproduces a training run bit for bit on any core count.
 """
 
 import collections
 import concurrent.futures
+import contextlib
 import functools
 import itertools
 
@@ -22,6 +26,7 @@ import scipy.sparse
 from scipy.special import expit
 
 _ids = itertools.count()
+_grad_enabled = True          # cleared inside no_grad()
 
 
 class NumericalError(RuntimeError):
@@ -98,7 +103,27 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op output is a constant.
+
+    Each op still computes its output, but keeps neither its inputs nor its
+    backward closure, so an intermediate is freed as soon as its last name
+    goes away.  On exit, also after an exception, the previous state comes
+    back, so blocks nest.  The flag is module-level, not per thread: the only
+    other threads are the BCE workers, and they create no tensors.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _from_op(data, op, inputs, backward_fn):
+    if not _grad_enabled:
+        return Tensor(data, op=op)
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs), op=op, inputs=inputs)
     if out.requires_grad:
         out._backward = backward_fn
@@ -476,11 +501,35 @@ class SparsePattern:
                                        shape=self.shape[::-1])
 
 
+_SDDMM_BLOCK_ELEMENTS = 2**15  # gathered floats per operand in one entry block of the spmm backward
+_EINSUM_BUFFER = 8192          # einsum sums a longer row in pieces when it is alone in a call
+
+
+def _sddmm(g, x, rows, cols):
+    """The row dots ``g[r] . x[c]`` for every entry ``(r, c)``, in entry order.
+
+    Entries are taken in consecutive blocks of ``2**15 // d`` entries, so
+    each block's two gathered row sets (256 KB each) stay in cache and reuse
+    freed memory instead of faulting in two whole E x d gathers.  Every entry
+    is the same ``einsum`` row dot, so the result does not depend on the
+    block size.  Rows longer than einsum's buffer would round differently in
+    a one-entry block, so at such widths all entries form one block.
+    """
+    out = np.empty(len(rows))
+    d = max(1, g.shape[1])
+    step = max(1, _SDDMM_BLOCK_ELEMENTS // d if d <= _EINSUM_BUFFER else len(rows))
+    for lo in range(0, len(rows), step):
+        block = slice(lo, lo + step)
+        np.einsum("ij,ij->i", g[rows[block]], x[cols[block]], out=out[block])
+    return out
+
+
 def spmm(values, pattern, x):
     """Sparse-dense product ``A @ x``, where ``A`` holds ``values`` at ``pattern``'s entries.
 
     Rows of ``A`` without entries give zero rows.  The backward pass is
-    ``dx = A.T @ g`` and, per entry ``(r, c)``, ``dvalue = g[r] . x[c]``.
+    ``dx = A.T @ g`` and, per entry ``(r, c)``, ``dvalue = g[r] . x[c]``
+    (a sampled dense-dense product, computed by :func:`_sddmm`).
     """
     values, x = _wrap(values), _wrap(x)
     v = values.data.reshape(-1)
@@ -494,7 +543,7 @@ def spmm(values, pattern, x):
         if x.requires_grad:
             x.accumulate_grad(pattern.transpose(v) @ g)
         if values.requires_grad:
-            gv = np.einsum("ij,ij->i", g[pattern.rows], x.data[pattern.cols])
+            gv = _sddmm(g, x.data, pattern.rows, pattern.cols)
             values.accumulate_grad(gv.reshape(values.data.shape))
 
     return _from_op(data, "spmm", (values, x), back)

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .autodiff import NumericalError
+from .autodiff import NumericalError, no_grad
 
 
 def precision_at_k(predicted, truth, k):
@@ -48,10 +48,15 @@ def rank_topk(scores, k, exclude=()):
 
 
 class Predictor:
-    """Frozen model + graph: caches one eval-mode forward for repeated ranking."""
+    """Frozen model + graph: caches one eval-mode forward for repeated ranking.
+
+    The forward records no tape (:func:`autodiff.no_grad`), so no intermediate
+    outlives its use.
+    """
 
     def __init__(self, model, graph):
-        out = model.forward(graph, train_mode=False)
+        with no_grad():
+            out = model.forward(graph, train_mode=False)
         self._item_reps = out.item_reps.data
         self._tag_reps = out.tag_reps.data if out.tag_reps is not None else None
         self._head_logits = out.head_logits.data if out.head_logits is not None else None

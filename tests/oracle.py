@@ -8,6 +8,8 @@
   and per edge.  They keep the checks and their order that fix which
   ``file:line`` message a malformed file gets.
 - The fused BCE op as one sequential loop over its row blocks.
+- The ``spmm`` values gradient (a sampled dense-dense product) as one
+  unblocked row dot over whole E x d gathers.
 """
 
 import os
@@ -234,3 +236,8 @@ def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
         if dbias is not None:
             dbias += g.sum(axis=0)
     return total / (n_rows * n_cols), da, db, dbias
+
+
+def sddmm(g, x, rows, cols):
+    """Per entry ``(r, c)`` the row dot ``g[r] . x[c]``, from two whole E x d gathers."""
+    return np.einsum("ij,ij->i", g[rows], x[cols])

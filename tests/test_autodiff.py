@@ -491,3 +491,105 @@ class TestOpGradients:
         assert np.all(kept == 2.0)
         ad.backward(ad.mean(out))
         assert set(np.unique(x.grad)) <= {0.0, 2.0 / x.size}
+
+
+def _spmm_case(n_rows, n_cols, rows, cols, d, seed):
+    """An ``spmm`` whose inputs both want gradients, and a loss whose gradient
+    into the product is ``G`` (``mean(A @ x * w)`` gives ``G = w / size``)."""
+    rng = np.random.default_rng(seed)
+    pattern = ad.SparsePattern(rows, cols, (n_rows, n_cols))
+    v = Tensor(rng.normal(size=len(rows)), requires_grad=True)
+    x = Tensor(rng.normal(size=(n_cols, d)), requires_grad=True)
+    w = rng.normal(size=(n_rows, d))
+    loss = ad.mean(ad.mul(ad.spmm(v, pattern, x), w))
+    return v, x, loss, np.full(w.shape, 1.0 / w.size) * w
+
+
+class TestSddmm:
+    # rows 1 and 4 are empty; columns repeat and are unsorted within a row
+    ROWS = np.array([0, 0, 0, 2, 2, 2, 2, 3, 5, 5, 5])
+    COLS = np.array([4, 1, 4, 0, 3, 3, 2, 1, 4, 0, 4])
+
+    # entries per block: more than the 11 entries, exactly 11, 5 + 5 + 1, 4 + 4 + 3, 1 each
+    @pytest.mark.parametrize("block_entries", [20, 11, 5, 4, 1])
+    @pytest.mark.parametrize("d", [3, 64, 8193])   # 8193: wider than einsum's buffer
+    def test_values_gradient_bit_identical_to_unblocked(self, monkeypatch, block_entries, d):
+        monkeypatch.setattr(ad, "_SDDMM_BLOCK_ELEMENTS", block_entries * d)
+        v, x, loss, G = _spmm_case(6, 5, self.ROWS, self.COLS, d, seed=block_entries)
+        ad.backward(loss)
+        assert np.array_equal(v.grad, oracle.sddmm(G, x.data, self.ROWS, self.COLS))
+
+    def test_peak_memory_is_blocked(self):
+        # one backward at 140,800 entries x d64 over 4,300 nodes, in 275 default
+        # blocks of 512 entries; the two whole E x d gathers take 144 MB
+        rng = np.random.default_rng(0)
+        n, n_entries, d = 4300, 140_800, 64
+        rows = np.sort(rng.integers(0, n, n_entries))
+        cols = rng.integers(0, n, n_entries)
+        v, x, loss, G = _spmm_case(n, n, rows, cols, d, seed=1)
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.array_equal(v.grad, oracle.sddmm(G, x.data, rows, cols))
+
+
+def _taped():
+    """Whether an op called now records its backward step."""
+    return ad.mul(Tensor(1.0, requires_grad=True), 2.0)._backward is not None
+
+
+class TestNoGrad:
+    def _ops(self, rng):
+        """One output of every op the models compose, from inputs that want gradients."""
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        context = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
+        pattern = ad.SparsePattern([0, 0, 1, 3], [1, 2, 0, 2], (4, 4))
+        h = ad.matmul(x, w)
+        alpha = ad.segment_softmax(ad.leaky_relu(ad.edge_scores(h, context, pattern)), pattern)
+        m = ad.relu(ad.spmm(alpha, pattern, h))
+        z = ad.sigmoid(ad.add(ad.mul(m, 0.5), 1.0) - x)
+        y = ad.where_rows(np.array([True, False, True, True]), z, x)
+        y = ad.concat([ad.gather_rows(y, [3, 1]), ad.gather_rows(y, slice(0, 2))])
+        loss = ad.bce_with_logits(y, w, positives(np.eye(4, 3)), transpose_b=True)
+        return [h, alpha, m, z, y, loss, ad.mean(ad.dropout(y, 0.5, np.random.default_rng(0)))]
+
+    def test_every_tensor_made_inside_is_a_constant_with_the_taped_value(self, monkeypatch):
+        taped = self._ops(np.random.default_rng(1))
+        made, init = [], Tensor.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        with ad.no_grad():
+            free = self._ops(np.random.default_rng(1))
+        assert made
+        for t in made:
+            assert t.inputs == () and t._backward is None
+        for a, b in zip(taped, free):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert not b.requires_grad
+
+    def test_backward_from_a_constant_loss_is_a_no_op(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        with ad.no_grad():
+            loss = ad.mean(ad.mul(p, p))
+        ad.backward(loss)
+        assert p.grad is None
+
+    def test_state_is_restored_after_an_exception_also_when_nested(self):
+        assert _taped()
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                with pytest.raises(ValueError):
+                    with ad.no_grad():
+                        raise ValueError("inner")
+                assert not _taped()     # the inner exit restored the outer block's state
+                raise KeyError("outer")
+        assert _taped()

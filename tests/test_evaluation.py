@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taggnn.autodiff import NumericalError
+from taggnn import autodiff as ad
+from taggnn.autodiff import NumericalError, Tensor
+from taggnn.baseline import BaselineModel
 from taggnn.evaluation import (Predictor, evaluate, precision_at_k, rank_topk, report_to_json,
                                subset_precision)
+from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import TrainConfig, train
 
 
@@ -106,6 +109,37 @@ class TestTopK:
         pred._tag_reps = pred._tag_reps * 7.5
         after = [pred.topk(i, graph.n_tags) for i in range(graph.n_items)]
         assert before == after
+
+
+def _baseline(graph, n_words, dim=8, seed=4):
+    rng = np.random.default_rng(seed)
+    return BaselineModel(words=Tensor(rng.normal(size=(n_words, dim)), requires_grad=True),
+                         weight=Tensor(rng.normal(size=(dim, graph.n_tags)), requires_grad=True),
+                         bias=Tensor(rng.normal(size=graph.n_tags), requires_grad=True),
+                         mode="item_queries")
+
+
+class TestTapeFreeForward:
+    @pytest.mark.parametrize("kind", ["it", "qi", "full", "baseline"])
+    def test_outputs_byte_equal_to_the_taped_forward(self, toy_setup, kind):
+        _, _, vocab, graph = toy_setup
+        if kind == "baseline":
+            model = _baseline(graph, len(vocab))
+        else:
+            model = TagGNNModel.init(len(vocab), graph.n_tags, 8, ModelVariant(kind=kind),
+                                     rng=np.random.default_rng([3, 0]))
+        taped = model.forward(graph, train_mode=False)
+        assert taped.item_reps._backward is not None
+        with ad.no_grad():
+            free = model.forward(graph, train_mode=False)
+        predictor = Predictor(model, graph)
+        cached = (predictor._item_reps, predictor._tag_reps, predictor._head_logits)
+        for name, kept in zip(("item_reps", "tag_reps", "head_logits"), cached):
+            want, got = getattr(taped, name), getattr(free, name)
+            assert (want is None) == (got is None) == (kept is None)
+            if want is not None:
+                assert got.inputs == () and got._backward is None
+                assert got.data.tobytes() == want.data.tobytes() == kept.tobytes()
 
 
 class TestEvaluate:

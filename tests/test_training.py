@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import pytest
 
 from taggnn import autodiff as ad
 from taggnn import data as dm
+from taggnn import evaluation
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
 from taggnn.graph import Vocabulary, build_graph
@@ -193,6 +195,21 @@ class TestTrainLoop:
                 pytest.raises(NumericalError, match="gradient of p at epoch 0"):
             fit(model, loss_fn, None, dm.SplitAssignment(roles={}), TrainConfig(max_epochs=2))
         assert model.p.data[0] == 1e-300
+
+    def test_tape_free_validation_changes_no_gradient_or_log(self, toy_setup, monkeypatch):
+        _, splits, vocab, graph = toy_setup
+        cfg = TrainConfig(dim=12, n_layers=2, max_epochs=6, seed=5)
+
+        def run():
+            result = train(graph, splits, cfg, n_words=len(vocab))
+            # the gradients left are the last epoch's; the data are the best epoch's
+            state = [(p.data.tobytes(), p.grad.tobytes()) for p in result.model.parameters()]
+            return [{k: v for k, v in r.items() if k != "seconds"} for r in result.log], state
+
+        free = run()
+        monkeypatch.setattr(evaluation, "no_grad", contextlib.nullcontext)
+        taped = run()
+        assert free == taped
 
     def test_no_training_items_rejected(self, toy_setup):
         _, splits, vocab, graph = toy_setup
