@@ -1,7 +1,10 @@
 """Reverse-mode automatic differentiation over float64 arrays.
 
 A small tape-based engine: every operation produces a new :class:`Tensor`
-that remembers its inputs and a closure computing the local backward step.
+that remembers its inputs and, for each input, a function mapping the
+output's gradient to that input's gradient.  :func:`_from_op` alone decides
+which inputs get one (those with ``requires_grad``) and adds it into their
+``.grad`` in input order.
 Inside :func:`no_grad` no tape is recorded: op outputs are constants, so
 inference holds only the arrays it still names.
 The op set is deliberately tiny -- just what the tagging models need.
@@ -121,12 +124,27 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _from_op(data, op, inputs, backward_fn):
+def _gets_grad(t):
+    """Whether an op's backward step gives input ``t`` (``None`` for an absent one) a gradient."""
+    return t is not None and t.requires_grad
+
+
+def _from_op(data, op, inputs, grads):
+    """The output tensor of an op; ``grads[k]`` maps its gradient to ``inputs[k]``'s.
+
+    The backward step runs ``grads[k]`` only for the inputs that get a
+    gradient (:func:`_gets_grad`) and accumulates the results in input order,
+    so an input used twice gets both parts, the first one first.
+    """
     if not _grad_enabled:
         return Tensor(data, op=op)
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs), op=op, inputs=inputs)
+    out = Tensor(data, requires_grad=any(map(_gets_grad, inputs)), op=op, inputs=inputs)
     if out.requires_grad:
-        out._backward = backward_fn
+        def back(g):
+            for t, grad in zip(inputs, grads):
+                if _gets_grad(t):
+                    t.accumulate_grad(grad(g))
+        out._backward = back
     return out
 
 
@@ -143,109 +161,55 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
-
-    return _from_op(data, "add", (a, b), back)
+    return _from_op(a.data + b.data, "add", (a, b),
+                    (lambda g: _unbroadcast(g, a.data.shape),
+                     lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
-    data = a.data * b.data
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-
-    return _from_op(data, "mul", (a, b), back)
+    return _from_op(a.data * b.data, "mul", (a, b),
+                    (lambda g: _unbroadcast(g * b.data, a.data.shape),
+                     lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
-def matmul(a, b, transpose_b=False):
+def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
-    data = a.data @ (b.data.T if transpose_b else b.data)
-
-    def back(g):
-        if transpose_b:
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data)
-            if b.requires_grad:
-                b.accumulate_grad(g.T @ a.data)
-        else:
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
-
-    return _from_op(data, "matmul", (a, b), back)
+    return _from_op(a.data @ b.data, "matmul", (a, b),
+                    (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
-def concat(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
+def concat(tensors):
+    """Stack tensors along their first axis."""
+    tensors = tuple(_wrap(t) for t in tensors)
     if not tensors:
         raise ValueError("concat of zero tensors")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
-
-    return _from_op(data, "concat", tuple(tensors), back)
+    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+    return _from_op(np.concatenate([t.data for t in tensors]), "concat", tensors,
+                    [lambda g, lo=lo, hi=hi: g[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def relu(x):
     x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (x.data > 0))
-
-    return _from_op(data, "relu", (x,), back)
+    return _from_op(np.maximum(x.data, 0.0), "relu", (x,), (lambda g: g * (x.data > 0),))
 
 
 def leaky_relu(x, negative_slope=0.2):
     x = _wrap(x)
-    data = np.where(x.data > 0, x.data, negative_slope * x.data)
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * np.where(x.data > 0, 1.0, negative_slope))
-
-    return _from_op(data, "leaky_relu", (x,), back)
+    return _from_op(np.where(x.data > 0, x.data, negative_slope * x.data), "leaky_relu", (x,),
+                    (lambda g: g * np.where(x.data > 0, 1.0, negative_slope),))
 
 
 def sigmoid(x):
     x = _wrap(x)
     data = expit(x.data)
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * data * (1.0 - data))
-
-    return _from_op(data, "sigmoid", (x,), back)
+    return _from_op(data, "sigmoid", (x,), (lambda g: g * data * (1.0 - data),))
 
 
 def mean(x):
     x = _wrap(x)
-    data = np.mean(x.data)
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, g / x.data.size))
-
-    return _from_op(data, "mean", (x,), back)
+    return _from_op(np.mean(x.data), "mean", (x,),
+                    (lambda g: np.full_like(x.data, g / x.data.size),))
 
 
 def segment_softmax(scores, pattern):
@@ -260,9 +224,6 @@ def segment_softmax(scores, pattern):
     flat = scores.data.reshape(-1)
     if flat.shape[0] != pattern.nnz:
         raise ValueError(f"{flat.shape[0]} scores for a pattern of {pattern.nnz} entries")
-    if flat.size == 0:
-        return _from_op(np.empty_like(scores.data), "segment_softmax", (scores,), lambda g: None)
-
     rows, n_rows = pattern.rows, pattern.shape[0]
     starts = pattern.indptr[:-1]
     nonempty = starts < pattern.indptr[1:]
@@ -270,15 +231,13 @@ def segment_softmax(scores, pattern):
     row_max[nonempty] = np.maximum.reduceat(flat, starts[nonempty])
     e = np.exp(flat - row_max[rows])
     y = e / np.bincount(rows, weights=e, minlength=n_rows)[rows]
-    data = y.reshape(scores.data.shape)
 
-    def back(g):
-        if scores.requires_grad:
-            gf = g.reshape(-1)
-            gx = y * (gf - np.bincount(rows, weights=gf * y, minlength=n_rows)[rows])
-            scores.accumulate_grad(gx.reshape(scores.data.shape))
+    def grad(g):
+        gf = g.reshape(-1)
+        return (y * (gf - np.bincount(rows, weights=gf * y, minlength=n_rows)[rows])
+                ).reshape(scores.data.shape)
 
-    return _from_op(data, "segment_softmax", (scores,), back)
+    return _from_op(y.reshape(scores.data.shape), "segment_softmax", (scores,), (grad,))
 
 
 _BCE_BLOCK_ELEMENTS = 2**19   # logits per row block of bce_with_logits
@@ -328,7 +287,7 @@ def _bce_block(a_rows, w, bias, r, c, scale, wants, transpose_b):
 def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
     """Mean binary cross-entropy of the logits ``a @ b (+ bias)`` against sparse 0/1 labels.
 
-    With ``transpose_b``, as in :func:`matmul`, the logits are ``a @ b.T``.
+    With ``transpose_b`` the logits are ``a @ b.T``.
     ``labels`` is a :class:`SparsePattern` shaped like the logits whose
     entries are the positives; every other logit is a negative.  Each
     entry's loss is ``max(x,0) - x*y + log1p(exp(-|x|))``, finite for any
@@ -351,8 +310,7 @@ def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
         raise ValueError("no logits to score")
     if np.unique(labels.rows * n_cols + labels.cols).size != labels.nnz:
         raise ValueError("duplicate label entry")
-    da, db, dbias = (np.zeros_like(t.data) if t is not None and t.requires_grad else None
-                     for t in (a, b, bias))
+    da, db, dbias = (np.zeros_like(t.data) if _gets_grad(t) else None for t in (a, b, bias))
     wants = (da is not None, db is not None, dbias is not None)
     scale = 1.0 / (n_rows * n_cols)
     step = max(1, _BCE_BLOCK_ELEMENTS // n_cols)
@@ -390,14 +348,8 @@ def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
         for _, future in pending:
             future.cancel()
         concurrent.futures.wait([future for _, future in pending])
-    data = np.asarray(total / (n_rows * n_cols))
-
-    def back(g):
-        for t, grad in ((a, da), (b, db), (bias, dbias)):
-            if grad is not None:
-                t.accumulate_grad(grad * g)
-
-    return _from_op(data, "bce_with_logits", inputs, back)
+    return _from_op(np.asarray(total / (n_rows * n_cols)), "bce_with_logits", inputs,
+                    [lambda g, part=part: part * g for part in (da, db, dbias)])
 
 
 def dropout(x, p, rng):
@@ -408,13 +360,7 @@ def dropout(x, p, rng):
     if p == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    data = x.data * keep
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * keep)
-
-    return _from_op(data, "dropout", (x,), back)
+    return _from_op(x.data * keep, "dropout", (x,), (lambda g: g * keep,))
 
 
 def gather_rows(x, index):
@@ -431,16 +377,15 @@ def gather_rows(x, index):
         index = np.asarray(index, dtype=np.int64)
         data = x.data[index]
 
-    def back(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            if block:
-                gx[index] = g
-            else:
-                np.add.at(gx, index, g)
-            x.accumulate_grad(gx)
+    def grad(g):
+        gx = np.zeros_like(x.data)
+        if block:
+            gx[index] = g
+        else:
+            np.add.at(gx, index, g)
+        return gx
 
-    return _from_op(data, "gather_rows", (x,), back)
+    return _from_op(data, "gather_rows", (x,), (grad,))
 
 
 def scatter_add_rows(values, index, num_rows):
@@ -451,12 +396,7 @@ def scatter_add_rows(values, index, num_rows):
         raise ValueError("one index per value row required")
     data = np.zeros((num_rows,) + values.data.shape[1:])
     np.add.at(data, index, values.data)
-
-    def back(g):
-        if values.requires_grad:
-            values.accumulate_grad(g[index])
-
-    return _from_op(data, "scatter_add_rows", (values,), back)
+    return _from_op(data, "scatter_add_rows", (values,), (lambda g: g[index],))
 
 
 class SparsePattern:
@@ -537,16 +477,9 @@ def spmm(values, pattern, x):
         raise ValueError(f"{v.shape[0]} values for a pattern of {pattern.nnz} entries")
     if x.data.ndim != 2 or x.data.shape[0] != pattern.shape[1]:
         raise ValueError(f"cannot multiply a {pattern.shape} pattern by shape {x.data.shape}")
-    data = pattern.matrix(v) @ x.data
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(pattern.transpose(v) @ g)
-        if values.requires_grad:
-            gv = _sddmm(g, x.data, pattern.rows, pattern.cols)
-            values.accumulate_grad(gv.reshape(values.data.shape))
-
-    return _from_op(data, "spmm", (values, x), back)
+    return _from_op(pattern.matrix(v) @ x.data, "spmm", (values, x),
+                    (lambda g: _sddmm(g, x.data, pattern.rows, pattern.cols).reshape(values.shape),
+                     lambda g: pattern.transpose(v) @ g))
 
 
 def edge_scores(x, context, pattern):
@@ -568,16 +501,15 @@ def edge_scores(x, context, pattern):
     node_scores = x.data @ halves
     data = (node_scores[rows, 0] + node_scores[cols, 1])[:, None]
 
-    def back(g):
+    def per_node(g):
+        """Each node's summed entry gradients as a row (center) and as a column (neighbor)."""
         gf = g.reshape(-1)
-        per_node = np.stack([np.bincount(rows, weights=gf, minlength=n),
-                             np.bincount(cols, weights=gf, minlength=n)], axis=1)
-        if x.requires_grad:
-            x.accumulate_grad(per_node @ halves.T)
-        if context.requires_grad:
-            context.accumulate_grad((x.data.T @ per_node).T.reshape(2 * d, 1))
+        return np.stack([np.bincount(rows, weights=gf, minlength=n),
+                         np.bincount(cols, weights=gf, minlength=n)], axis=1)
 
-    return _from_op(data, "edge_scores", (x, context), back)
+    return _from_op(data, "edge_scores", (x, context),
+                    (lambda g: per_node(g) @ halves.T,
+                     lambda g: (x.data.T @ per_node(g)).T.reshape(2 * d, 1)))
 
 
 def where_rows(mask, a, b):
@@ -593,15 +525,8 @@ def where_rows(mask, a, b):
     if mask.shape != (a.data.shape[0],):
         raise ValueError("mask must have one entry per row")
     col = mask[:, None] if a.data.ndim > 1 else mask
-    data = np.where(col, a.data, b.data)
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.where(col, g, 0.0))
-        if b.requires_grad:
-            b.accumulate_grad(np.where(col, 0.0, g))
-
-    return _from_op(data, "where_rows", (a, b), back)
+    return _from_op(np.where(col, a.data, b.data), "where_rows", (a, b),
+                    (lambda g: np.where(col, g, 0.0), lambda g: np.where(col, 0.0, g)))
 
 
 def backward(loss):

@@ -373,6 +373,9 @@ def make_splits(dataset, counts, seed):
     at least three tags (so the two held-out tags leave one known).
     """
     n_train, n_val, n_test = counts
+    for name, n in zip(("train", "val", "test"), counts):
+        if n < 0:
+            raise ValueError(f"split count {name}={n} is negative")
     item_ids = dataset.item_ids
     if n_train + n_val + n_test > len(item_ids):
         raise ValueError(f"split counts {counts} exceed {len(item_ids)} items")

@@ -177,7 +177,7 @@ def propagate_layer(graph, H, params, kind="full"):
                            (nq + ni, graph.n_nodes, params.update_tag)):
         if hi > lo:
             blocks.append(ad.matmul(ad.gather_rows(fused, slice(lo, hi)), W_type))
-    hat = ad.relu(ad.concat(blocks, axis=0) if len(blocks) > 1 else blocks[0])
+    hat = ad.relu(ad.concat(blocks) if len(blocks) > 1 else blocks[0])
 
     z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, params.gate_new),
                                  ad.matmul(H, params.gate_old)),
@@ -269,7 +269,7 @@ class TagGNNModel:
             if tag_block is None:
                 tag_block = Tensor(np.zeros((graph.n_tags, self.dim)))
             blocks.append(tag_block)
-        return ad.concat(blocks, axis=0) if len(blocks) > 1 else blocks[0]
+        return ad.concat(blocks) if len(blocks) > 1 else blocks[0]
 
     def forward(self, graph, train_mode=False, dropout_p=0.5, rng=None):
         """Initial representations, optional feature dropout, then the layer stack."""

@@ -93,17 +93,26 @@ def load_model(directory):
     """Rebuild (model, vocab, manifest) from a model directory.
 
     The model is initialised from the manifest's dimensions and every
-    registry tensor is copied in by name.  A missing file or key, a tensor
-    table that does not match the registry, or a ``params.bin`` of the wrong
-    length raises ``ValueError``.
+    registry tensor is copied in by name.  A missing file or key, a value of
+    the wrong JSON type, a tensor table that does not match the registry, or
+    a ``params.bin`` of the wrong length raises ``ValueError``.
     """
     manifest = _read(directory, "manifest.json")
     _require(manifest, MANIFEST_KEYS, "manifest.json")
     if manifest["format"] != FORMAT:
         raise ValueError(f"unsupported model format {manifest['format']!r}")
+    for key, kind, what in (("gamma", (int, float), "a number"), ("meta", dict, "an object"),
+                            ("tensors", list, "a list")):
+        if not isinstance(manifest[key], kind):
+            raise ValueError(f"manifest.json {key} must be {what}, got {manifest[key]!r}")
     vdata = _read(directory, "vocab.json")
     _require(vdata, ("tokens", "min_count"), "vocab.json")
-    vocab = Vocabulary(vdata["tokens"], min_count=vdata["min_count"])
+    tokens, min_count = vdata["tokens"], vdata["min_count"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("vocab.json tokens must be a list of strings")
+    if not isinstance(min_count, int):
+        raise ValueError(f"vocab.json min_count must be an integer, got {min_count!r}")
+    vocab = Vocabulary(tokens, min_count=min_count)
     if vocab.sha256() != manifest["vocab_sha256"]:
         raise ValueError("vocabulary hash mismatch; model directory is inconsistent")
     blob = _read(directory, "params.bin", binary=True)

@@ -112,6 +112,17 @@ def test_bad_data_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["split", "train"])
+def test_negative_split_count_exits_one(workspace, capsys, command):
+    tmp_path, data = workspace
+    out = str(tmp_path / ("splits.tsv" if command == "split" else "model"))
+    extra = ["--config", _config(tmp_path)] if command == "train" else []
+    assert cli_main([command, *extra, "--data", data, "--counts=10,-4,2", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: split count val=-4 is negative\n"
+    assert not os.path.exists(out)
+
+
 def test_preprocess_writes_filtered_dataset(workspace, capsys):
     tmp_path, data = workspace
     out = str(tmp_path / "filtered")

@@ -310,6 +310,13 @@ class TestMakeSplits:
         with pytest.raises(ValueError, match="exceed"):
             make_splits(toy_dataset, (10, 5, 5), seed=0)
 
+    @pytest.mark.parametrize("counts, name", [((10, -4, 2), "val=-4"), ((-1, 2, 2), "train=-1"),
+                                              ((4, 2, -2), "test=-2")])
+    def test_negative_count_rejected(self, toy_dataset, counts, name):
+        # (10, -4, 2) sums to 8 of 12 items, but would overlap the test and train slices
+        with pytest.raises(ValueError, match=f"split count {name} is negative"):
+            make_splits(toy_dataset, counts, seed=0)
+
 
 class TestMaskCompletionTags:
     def test_three_tags(self):

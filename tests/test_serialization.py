@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from taggnn.cli import cli_main
+from taggnn.data import save_splits
 from taggnn.evaluation import Predictor
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.serialization import load_model, save_model
@@ -159,3 +161,32 @@ def test_corrupt_model_directory_rejected(toy_setup, tmp_path, name):
     corrupt(tmp_path)
     with pytest.raises(ValueError, match=message):
         load_model(tmp_path)
+
+
+# values of the wrong JSON type: (file, edit of its JSON, the key the message names)
+WRONG_TYPES = {
+    "token_not_a_string": ("vocab.json", lambda v: v["tokens"].append(7), "tokens"),
+    "tokens_null": ("vocab.json", lambda v: v.update(tokens=None), "tokens"),
+    "min_count_null": ("vocab.json", lambda v: v.update(min_count=None), "min_count"),
+    "meta_not_an_object": ("manifest.json", lambda m: m.update(meta=["seed"]), "meta"),
+    "tensors_not_a_list": ("manifest.json", lambda m: m.update(tensors={}), "tensors"),
+    "gamma_null": ("manifest.json", lambda m: m.update(gamma=None), "gamma"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_json_type_exits_one_naming_the_file(toy_setup, toydata_dir, tmp_path, capsys,
+                                                   case):
+    _, splits, vocab, graph = toy_setup
+    model = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=1))
+    save_model(model, vocab, tmp_path, graph.tag_ids)
+    save_splits(splits, tmp_path / "splits.tsv")
+    name, edit, key = WRONG_TYPES[case]
+    content = json.loads((tmp_path / name).read_text())
+    edit(content)
+    (tmp_path / name).write_text(json.dumps(content))
+    assert cli_main(["eval", "--model", str(tmp_path), "--data", toydata_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} {key} must be ")
+    assert "Traceback" not in captured.err
