@@ -5,6 +5,9 @@ that remembers its inputs and, for each input, a function mapping the
 output's gradient to that input's gradient.  :func:`_from_op` alone decides
 which inputs get one (those with ``requires_grad``) and adds it into their
 ``.grad`` in input order.
+:func:`backward` releases each op output's part of the tape as soon as it
+has used it, so a training step's peak is about one tape, and a released
+tape raises ``RuntimeError`` if a later backward reaches it.
 Inside :func:`no_grad` no tape is recorded: op outputs are constants, so
 inference holds only the arrays it still names.
 The op set is deliberately tiny -- just what the tagging models need.
@@ -30,6 +33,7 @@ from scipy.special import expit
 
 _ids = itertools.count()
 _grad_enabled = True          # cleared inside no_grad()
+_RELEASED = object()          # the _backward of an op output that backward has released
 
 
 class NumericalError(RuntimeError):
@@ -41,7 +45,8 @@ class Tensor:
 
     Leaf tensors created with ``requires_grad=True`` are trainable
     parameters; everything else is either a constant or an op output.
-    ``grad`` is allocated lazily during :func:`backward`.
+    ``grad`` is allocated lazily during :func:`backward`, which releases an
+    op output once it has used it: ``_backward`` then holds the release marker.
     """
 
     __slots__ = ("data", "grad", "op", "inputs", "requires_grad", "_backward", "_id")
@@ -530,12 +535,19 @@ def where_rows(mask, a, b):
 
 
 def backward(loss):
-    """Run reverse-mode accumulation from a scalar loss node.
+    """Run reverse-mode accumulation from a scalar loss node, releasing the tape as it goes.
 
     Every parameter reachable from ``loss`` receives its exact gradient in
     ``.grad``; unreachable parameters are simply left untouched (treated as
     zero).  Accumulation order is fixed by tensor creation order, so repeated
-    runs are bit-identical.
+    runs are bit-identical.  Right after an op output's backward step its
+    ``grad``, its inputs and its backward closure (with the forward arrays
+    that closure kept) are dropped, and so is the output itself unless the
+    caller still names it.  The tape shrinks while backward runs and is gone
+    when it returns; leaves keep their ``.grad``.  So a graph runs backward
+    once: a second ``backward`` on the same loss, or on a loss that shares
+    any op output with one already run, raises ``RuntimeError`` before any
+    ``.grad`` is touched.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -547,6 +559,9 @@ def backward(loss):
     stack = [loss]
     while stack:
         node = stack.pop()
+        if node._backward is _RELEASED:
+            raise RuntimeError(f"backward reached a released tape (a {node.op!r} output that an "
+                               "earlier backward already used); build the loss again")
         for parent in node.inputs:
             if parent.requires_grad and parent._id not in seen:
                 seen.add(parent._id)
@@ -554,9 +569,12 @@ def backward(loss):
                 stack.append(parent)
 
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in sorted(nodes, key=lambda t: t._id, reverse=True):
+    nodes.sort(key=lambda t: t._id)
+    while nodes:                # popped, so each output's data goes once its consumers have run
+        node = nodes.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward, node.inputs, node.grad = _RELEASED, (), None
 
 
 def zero_grads(params):

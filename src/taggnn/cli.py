@@ -25,6 +25,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _counts(text):
+    """The ``--counts`` value of ``split`` and ``train``: three integers ``train,val,test``."""
+    try:
+        counts = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        counts = ()
+    if len(counts) != 3:
+        raise argparse.ArgumentTypeError(f"must be train,val,test (three integers), got {text!r}")
+    return counts
+
+
 def _load_config(path):
     if path is None:
         return TrainConfig()
@@ -46,10 +57,7 @@ def cmd_preprocess(args):
 
 def cmd_split(args):
     dataset = data_mod.load_dataset(args.data)
-    counts = tuple(int(c) for c in args.counts.split(","))
-    if len(counts) != 3:
-        raise DataFormatError("--counts must be train,val,test")
-    splits = data_mod.make_splits(dataset, counts, args.seed)
+    splits = data_mod.make_splits(dataset, args.counts, args.seed)
     data_mod.save_splits(splits, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -62,8 +70,7 @@ def _training_inputs(args):
     if args.splits:
         splits = data_mod.load_splits(args.splits, dataset)
     elif args.counts:
-        counts = tuple(int(c) for c in args.counts.split(","))
-        splits = data_mod.make_splits(dataset, counts, config.seed)
+        splits = data_mod.make_splits(dataset, args.counts, config.seed)
     else:
         raise DataFormatError("provide --splits or --counts to derive a split")
     vocab = data_mod.build_vocabulary(dataset, min_count=args.min_count)
@@ -187,7 +194,7 @@ def build_parser():
 
     p = sub.add_parser("split", help="write a random train/val/test split")
     p.add_argument("--data", required=True)
-    p.add_argument("--counts", required=True, help="train,val,test")
+    p.add_argument("--counts", required=True, type=_counts, help="train,val,test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
@@ -197,7 +204,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--splits", help="existing splits.tsv (else derived from --counts)")
-    p.add_argument("--counts", help="train,val,test if no --splits given")
+    p.add_argument("--counts", type=_counts, help="train,val,test if no --splits given")
     p.add_argument("--min-count", type=int, default=1, dest="min_count")
     p.set_defaults(func=cmd_train)
 

@@ -119,6 +119,9 @@ def load_model(directory):
 
     v = manifest["variant"]
     _require(v, VARIANT_KEYS, "manifest.json variant")
+    for key in ("heterogeneous", "use_tag_names", "use_tag_ids"):
+        if not isinstance(v[key], bool):
+            raise ValueError(f"manifest.json variant.{key} must be true or false, got {v[key]!r}")
     counts = (manifest["dim"], manifest["n_words"], manifest["n_tags"], v["n_layers"])
     if not all(isinstance(c, int) for c in counts) or min(counts[:3]) <= 0:
         raise ValueError(f"manifest.json dim, n_words, n_tags and n_layers must be integers "

@@ -53,6 +53,43 @@ def test_unreachable_parameter_keeps_zero_grad():
     assert other.grad is None  # treated as zero by the optimizer
 
 
+class TestReleasedTape:
+    @staticmethod
+    def _layer():
+        x = Tensor(np.arange(6.0).reshape(3, 2) - 2.0, requires_grad=True)
+        w = Tensor([[1.0, -0.5], [0.25, 2.0]], requires_grad=True)
+        return x, w, ad.relu(ad.matmul(x, w))
+
+    def test_backward_releases_every_op_output_and_leaves_keep_their_grads(self):
+        x, w, h = self._layer()
+        loss = ad.mean(ad.mul(h, h))
+        ad.backward(loss)
+        for t in (h, loss):
+            assert t.inputs == () and t.grad is None
+        np.testing.assert_allclose(w.grad, x.data.T @ (2 * h.data / h.size))
+        assert x.grad is not None
+
+    def test_a_second_backward_on_the_same_loss_raises(self):
+        x, w, h = self._layer()
+        loss = ad.mean(ad.mul(h, h))
+        ad.backward(loss)
+        before = [x.grad.tobytes(), w.grad.tobytes()]
+        with pytest.raises(RuntimeError, match="released tape"):
+            ad.backward(loss)
+        assert [x.grad.tobytes(), w.grad.tobytes()] == before
+
+    def test_a_loss_sharing_a_released_op_output_raises_before_touching_a_grad(self):
+        x, w, h = self._layer()
+        ad.backward(ad.mean(h))
+        before = [x.grad.tobytes(), w.grad.tobytes()]
+        b = Tensor(np.ones((3, 2)), requires_grad=True)     # reached only by the second loss
+        second = ad.mean(ad.add(ad.mul(h, h), b))
+        with pytest.raises(RuntimeError, match="released tape"):
+            ad.backward(second)
+        assert [x.grad.tobytes(), w.grad.tobytes()] == before
+        assert b.grad is None and second.grad is None
+
+
 def _segments(ids):
     """A pattern whose rows are the given sorted segment ids, one entry per id."""
     ids = np.asarray(ids, dtype=np.int64)

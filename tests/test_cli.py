@@ -149,6 +149,19 @@ def test_ablate_report_shape(workspace, capsys):
            ["layers_1", "layers_2", "layers_3", "layers_4"]
 
 
+@pytest.mark.parametrize("counts", ["8,2", "8,2,x"])
+@pytest.mark.parametrize("command", ["split", "train"])
+def test_malformed_split_counts_exit_one_naming_the_flag(workspace, capsys, command, counts):
+    tmp_path, data = workspace
+    out = str(tmp_path / ("splits.tsv" if command == "split" else "model"))
+    assert cli_main([command, "--data", data, f"--counts={counts}", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --counts: must be train,val,test "
+                                 f"(three integers), got '{counts}'\n")
+    assert not os.path.exists(out)
+
+
 def _trained_model_dir(tmp_path, data):
     splits = str(tmp_path / "splits.tsv")
     model_dir = tmp_path / "model"

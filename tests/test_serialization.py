@@ -171,6 +171,12 @@ WRONG_TYPES = {
     "meta_not_an_object": ("manifest.json", lambda m: m.update(meta=["seed"]), "meta"),
     "tensors_not_a_list": ("manifest.json", lambda m: m.update(tensors={}), "tensors"),
     "gamma_null": ("manifest.json", lambda m: m.update(gamma=None), "gamma"),
+    "use_tag_names_null": ("manifest.json", lambda m: m["variant"].update(use_tag_names=None),
+                           "variant.use_tag_names"),
+    "use_tag_ids_zero": ("manifest.json", lambda m: m["variant"].update(use_tag_ids=0),
+                         "variant.use_tag_ids"),
+    "heterogeneous_no": ("manifest.json", lambda m: m["variant"].update(heterogeneous="no"),
+                         "variant.heterogeneous"),
 }
 
 
