@@ -313,7 +313,9 @@ def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
         raise ValueError(f"a {labels.shape} label pattern for {n_rows} x {n_cols} logits")
     if n_rows * n_cols == 0:
         raise ValueError("no logits to score")
-    if np.unique(labels.rows * n_cols + labels.cols).size != labels.nnz:
+    keys = labels.rows * n_cols + labels.cols
+    # strictly increasing keys (the usual sorted labels) cannot repeat; else count the distinct
+    if not (keys[1:] > keys[:-1]).all() and np.unique(keys).size != labels.nnz:
         raise ValueError("duplicate label entry")
     da, db, dbias = (np.zeros_like(t.data) if _gets_grad(t) else None for t in (a, b, bias))
     wants = (da is not None, db is not None, dbias is not None)
@@ -435,6 +437,28 @@ class SparsePattern:
     @property
     def nnz(self):
         return len(self.rows)
+
+    def select(self, keep):
+        """The pattern of the entries where the boolean ``keep`` holds, in entry order.
+
+        Its transpose filters this pattern's column order rather than sorting
+        again, so every row and every column of the result adds up its kept
+        entries in the same order as this pattern does.
+        """
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != self.rows.shape:
+            raise ValueError(f"a mask of {keep.shape} for a pattern of {self.nnz} entries")
+        sub = object.__new__(SparsePattern)
+        sub.shape = self.shape
+        sub.rows, sub.cols = self.rows[keep], self.cols[keep]
+        sub.indptr = np.concatenate(([0], np.cumsum(np.bincount(sub.rows,
+                                                                minlength=self.shape[0]))))
+        kept = keep[self._t_order]
+        sub._t_order = (np.cumsum(keep) - 1)[self._t_order[kept]]
+        sub._t_indices = self._t_indices[kept]
+        sub._t_indptr = np.concatenate(([0], np.cumsum(np.bincount(sub.cols,
+                                                                   minlength=self.shape[1]))))
+        return sub
 
     def matrix(self, values):
         """The CSR matrix holding ``values`` (one per entry, in entry order)."""

@@ -69,10 +69,13 @@ class BaselineModel:
             self._features = (graph, tokens, token_pattern(tokens, self.words.shape[0]))
         return self._features[1:]
 
-    def forward(self, graph, train_mode=False):
-        """Head logits for every graph item, shaped for :class:`evaluation.Predictor`."""
+    def forward(self, graph, train_mode=False, items=None):
+        """Head logits for the graph item rows ``items`` (``None``: every item), in order,
+        shaped for :class:`evaluation.Predictor`."""
         feats = mean_token_rows(self.words, self.features(graph)[1])
         head_logits = ad.add(ad.matmul(feats, self.weight), self.bias)
+        if items is not None:
+            feats, head_logits = (ad.gather_rows(t, items) for t in (feats, head_logits))
         return ForwardResult(reps=feats, initial=feats, item_reps=feats, tag_reps=None,
                              initial_item_reps=feats, head_logits=head_logits)
 

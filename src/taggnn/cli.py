@@ -69,6 +69,8 @@ def _training_inputs(args):
     dataset = data_mod.load_dataset(args.data)
     if args.splits:
         splits = data_mod.load_splits(args.splits, dataset)
+    elif "counts" not in args:              # ablate takes no --counts
+        raise DataFormatError("--splits must name a splits file")
     elif args.counts:
         splits = data_mod.make_splits(dataset, args.counts, config.seed)
     else:
@@ -127,7 +129,7 @@ def cmd_predict(args):
     if args.item_id not in dataset.item_index:
         raise DataFormatError(f"unknown item id {args.item_id!r}")
     index = dataset.item_index[args.item_id]
-    predictor = evaluation.Predictor(model, graph)
+    predictor = evaluation.Predictor(model, graph, items=[index])
     ranked = predictor.topk(index, args.k, exclude=graph.item_tags(index))
     for t in ranked:
         print(graph.tag_ids[t])

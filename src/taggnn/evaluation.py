@@ -4,7 +4,8 @@ A trained model is frozen into a :class:`Predictor` (one dropout-free
 forward pass); ranking is by dot-product similarity against every tag, or by
 head logits for the query-item variant and the baseline.  Every ranking goes
 through :func:`rank_topk`.  Completion items never see their known tags among
-the candidates.
+the candidates.  A predictor is built for the items it will score (``items``),
+so its forward computes final vectors for those items only.
 """
 
 import json
@@ -51,18 +52,25 @@ class Predictor:
     """Frozen model + graph: caches one eval-mode forward for repeated ranking.
 
     The forward records no tape (:func:`autodiff.no_grad`), so no intermediate
-    outlives its use.
+    outlives its use.  ``items`` (graph item rows, ``None`` for all) are the
+    only items it can score; the forward computes final vectors for just
+    those, and their scores are bit-identical to an all-items predictor's.
     """
 
-    def __init__(self, model, graph):
+    def __init__(self, model, graph, items=None):
         with no_grad():
-            out = model.forward(graph, train_mode=False)
+            out = model.forward(graph, train_mode=False, items=items)
         self._item_reps = out.item_reps.data
         self._tag_reps = out.tag_reps.data if out.tag_reps is not None else None
         self._head_logits = out.head_logits.data if out.head_logits is not None else None
+        self._position = None if items is None else {int(r): n for n, r in enumerate(items)}
 
     def scores(self, item_index):
-        """Similarity of one item against every tag."""
+        """Similarity of one item (a graph item row) against every tag."""
+        if self._position is not None:
+            if item_index not in self._position:
+                raise ValueError(f"item row {item_index} is not among this predictor's items")
+            item_index = self._position[item_index]
         if self._head_logits is not None:
             return self._head_logits[item_index].copy()
         return self._tag_reps @ self._item_reps[item_index]
@@ -105,9 +113,10 @@ def subset_precision(model, graph, splits, roles, ks=(1, 3, 5)):
     """P@K per role over the given split roles (shared forward pass).
 
     ``model`` may be anything with a Predictor-style ``topk``; a model (graph
-    or baseline) is frozen into a :class:`Predictor` here.
+    or baseline) is frozen into a :class:`Predictor` of those roles' items here.
     """
-    predictor = model if hasattr(model, "topk") else Predictor(model, graph)
+    predictor = model if hasattr(model, "topk") else Predictor(
+        model, graph, items=item_rows(graph, splits, roles))
     return {role: _subset_scores(predictor, graph, splits, role, ks) for role in roles}
 
 

@@ -3,9 +3,12 @@
 One layer = neighbor attention, weighted aggregation, and a gated
 per-node-type update.  Layers run synchronously: every node's new
 representation is computed from the previous layer's matrix, and nodes
-without edges pass through bit for bit.
+without edges pass through bit for bit.  A forward told which items the
+caller reads (``items``) runs its last layer's attention and aggregation only
+at those items' rows and the tag rows, with the same results there.
 """
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +18,7 @@ from .autodiff import Tensor
 from .graph import NodeType, EmbeddingTable, mean_token_rows
 
 LEAKY_SLOPE = 0.2
+CENTER_CACHE_SIZE = 4   # row-restricted patterns kept per graph and variant (training reads two)
 
 VARIANT_KINDS = ("it", "qi", "full")
 
@@ -148,15 +152,46 @@ def pack_edges(graph, kind):
     return packed
 
 
-def propagate_layer(graph, H, params, kind="full"):
+def center_edges(graph, kind, centers):
+    """The rows ``centers`` (sorted node rows) of :func:`pack_edges`, cached per graph.
+
+    Every other row is left without entries.  The kept rows hold the same
+    entries in the same order with the same multipliers, sliced and never
+    standardized again, so attention and aggregation at those rows are
+    bit-identical to the full adjacency's.  At most ``CENTER_CACHE_SIZE``
+    row sets are kept per graph and variant, the least recently used going first.
+    """
+    full = pack_edges(graph, kind)
+    cache = graph._pack_cache.setdefault((kind, "centers"), collections.OrderedDict())
+    key = np.asarray(centers, dtype=np.int64).tobytes()
+    packed = cache.get(key)
+    if packed is not None:
+        cache.move_to_end(key)
+        return packed
+    is_center = np.zeros(graph.n_nodes, dtype=bool)
+    is_center[centers] = True
+    keep = is_center[full.pattern.rows]
+    packed = cache[key] = PackedEdges(pattern=full.pattern.select(keep),
+                                      multipliers=full.multipliers[keep])
+    if len(cache) > CENTER_CACHE_SIZE:
+        cache.popitem(last=False)
+    return packed
+
+
+def propagate_layer(graph, H, params, kind="full", edges=None):
     """One synchronous propagation layer over the whole node matrix.
 
     ``H`` is the (n_nodes, d) representation Tensor from the previous layer;
     isolated nodes under this variant's edge set are copied through exactly.
+    ``edges`` replaces ``pack_edges(graph, kind)``: given some rows of it
+    (:func:`center_edges`), the layer attends and aggregates only there, and
+    every other row passes through like an isolated node.  The dense per-row
+    work stays full-size, so the weight gradients sum over the same rows.
     """
     if not isinstance(H, Tensor):
         H = Tensor(H)
-    edges = pack_edges(graph, kind)
+    if edges is None:
+        edges = pack_edges(graph, kind)
     pattern = edges.pattern
     if pattern.nnz == 0:
         return H
@@ -190,12 +225,12 @@ def propagate_layer(graph, H, params, kind="full"):
 class ForwardResult:
     """Everything downstream losses and inference need from one forward pass."""
 
-    reps: Tensor            # (n_nodes, d) after all layers
+    reps: Tensor            # (n_nodes, d) after all layers; None when only some items are read
     initial: Tensor         # (n_nodes, d) entering the first layer (post-dropout)
-    item_reps: Tensor       # final item block
+    item_reps: Tensor       # final rows of the items read (every item by default), in order
     tag_reps: Tensor        # final tag block
-    initial_item_reps: Tensor
-    head_logits: Tensor = None  # (n_items, n_tags), qi variant in eval mode only
+    initial_item_reps: Tensor   # initial rows of the same items
+    head_logits: Tensor = None  # (items, n_tags), qi variant in eval mode only
 
 
 class TagGNNModel:
@@ -271,26 +306,57 @@ class TagGNNModel:
             blocks.append(tag_block)
         return ad.concat(blocks) if len(blocks) > 1 else blocks[0]
 
-    def forward(self, graph, train_mode=False, dropout_p=0.5, rng=None):
-        """Initial representations, optional feature dropout, then the layer stack."""
+    def forward(self, graph, train_mode=False, dropout_p=0.5, rng=None, items=None):
+        """Initial representations, optional feature dropout, then the layer stack.
+
+        ``items`` are the graph item rows whose final vectors the caller
+        reads (``None``: every item).  Each final vector depends on every
+        tag's, so only the last layer narrows: it attends and aggregates at
+        those items' rows and, for link prediction, at every tag row, and all
+        other rows pass it through.  Those rows are not final values, so then
+        ``reps`` is None and ``item_reps`` (and ``head_logits``) hold exactly
+        ``items``, in the given order, bit-identical to the full forward's rows.
+        """
+        nq, ni = graph.n_queries, graph.n_items
+        kind = self.variant.kind
+        tag_rows = slice(nq + ni, graph.n_nodes)
+        if items is None:
+            item_rows = slice(nq, nq + ni)
+            last_edges = None
+        else:
+            items = np.asarray(items, dtype=np.int64)
+            if len(items) and (items.min() < 0 or items.max() >= ni):
+                raise ValueError(f"item rows must lie in [0, {ni})")
+            item_rows = nq + items
+            centers = np.unique(item_rows)
+            if kind != "qi":
+                centers = np.concatenate((centers, np.arange(nq + ni, graph.n_nodes)))
+            # built before the tape: a cached array allocated amid the tape stops glibc from
+            # handing the freed tape back, which raised the wide workload's peak RSS
+            last_edges = center_edges(graph, kind, centers)
+
         H0 = self.initial_representations(graph)
         if train_mode and dropout_p > 0.0:
             if rng is None:
                 raise ValueError("train-mode forward needs an rng for dropout")
             H0 = ad.dropout(H0, dropout_p, rng)
         H = H0
-        for layer in self.layers:
-            H = propagate_layer(graph, H, layer, kind=self.variant.kind)
+        for n, layer in enumerate(self.layers, 1):
+            H = propagate_layer(graph, H, layer, kind=kind,
+                                edges=last_edges if n == len(self.layers) else None)
 
-        nq, ni = graph.n_queries, graph.n_items
-        item_rows = slice(nq, nq + ni)
-        tag_rows = slice(nq + ni, graph.n_nodes)
         item_reps = ad.gather_rows(H, item_rows)
         tag_reps = ad.gather_rows(H, tag_rows) if graph.n_tags else None
         initial_items = ad.gather_rows(H0, item_rows)
         head_logits = None
         if self.variant.needs_head and not train_mode:
-            # only Predictor ranks by these; the losses apply the head to their own rows
-            head_logits = ad.add(ad.matmul(item_reps, self.head_weight), self.head_bias)
-        return ForwardResult(reps=H, initial=H0, item_reps=item_reps, tag_reps=tag_reps,
+            # only Predictor ranks by these; the losses apply the head to their own rows.
+            # The product always spans the whole item block, so the rows read are
+            # bit-identical to the full forward's (numpy multiplies one row another way).
+            block = item_reps if items is None else ad.gather_rows(H, slice(nq, nq + ni))
+            head_logits = ad.add(ad.matmul(block, self.head_weight), self.head_bias)
+            if items is not None:
+                head_logits = ad.gather_rows(head_logits, items)
+        return ForwardResult(reps=H if items is None else None, initial=H0,
+                             item_reps=item_reps, tag_reps=tag_reps,
                              initial_item_reps=initial_items, head_logits=head_logits)

@@ -3,8 +3,9 @@
 The objective pairs a primary loss on propagated item representations with a
 gamma-weighted dual loss that scores the *unpropagated* item vectors against
 the same propagated tag side, so the trained model keeps working for items
-with no edges at all.  :func:`fit` is the one training loop; the graph models
-and the baseline each hand it a loss closure.
+with no edges at all.  The loss reads only the training items' final rows, so
+its forward passes them as ``items``.  :func:`fit` is the one training loop;
+the graph models and the baseline each hand it a loss closure.
 """
 
 import hashlib
@@ -104,10 +105,12 @@ def combined_loss(graph, model, item_indices, labels, train_mode=False, dropout_
 
     Returns ``(total, l1, l2)``.  With ``gamma == 0`` the total *is* the
     primary loss tensor, untouched, so the two are equal to the last bit.
+    The forward reads only ``item_indices`` (its ``items``), so the last layer
+    runs only at those items' rows and the tag rows.
     """
-    out = model.forward(graph, train_mode=train_mode, dropout_p=dropout_p, rng=rng)
-    final_items = ad.gather_rows(out.item_reps, item_indices)
-    initial_items = ad.gather_rows(out.initial_item_reps, item_indices)
+    out = model.forward(graph, train_mode=train_mode, dropout_p=dropout_p, rng=rng,
+                        items=item_indices)
+    final_items, initial_items = out.item_reps, out.initial_item_reps
     if model.variant.kind == "qi":
         l1 = node_classification_loss(final_items, model.head_weight, model.head_bias, labels)
         l2 = node_classification_loss(initial_items, model.head_weight, model.head_bias, labels)

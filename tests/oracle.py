@@ -241,3 +241,21 @@ def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
 def sddmm(g, x, rows, cols):
     """Per entry ``(r, c)`` the row dot ``g[r] . x[c]``, from two whole E x d gathers."""
     return np.einsum("ij,ij->i", g[rows], x[cols])
+
+
+def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
+    """``training.combined_loss`` on the forward over every item, the rows then gathered:
+    what the item-restricted forward must reproduce bit for bit."""
+    from taggnn import autodiff as ad
+    from taggnn.training import link_prediction_loss, node_classification_loss
+
+    out = model.forward(graph, **forward_kw)
+    final_items = ad.gather_rows(out.item_reps, item_indices)
+    initial_items = ad.gather_rows(out.initial_item_reps, item_indices)
+    if model.variant.kind == "qi":
+        l1 = node_classification_loss(final_items, model.head_weight, model.head_bias, labels)
+        l2 = node_classification_loss(initial_items, model.head_weight, model.head_bias, labels)
+    else:
+        l1 = link_prediction_loss(final_items, out.tag_reps, labels)
+        l2 = link_prediction_loss(initial_items, out.tag_reps, labels)
+    return l1 if model.gamma == 0.0 else l1 + model.gamma * l2

@@ -211,6 +211,14 @@ class TestBceWithLogits:
         with pytest.raises(ValueError, match="duplicate label entry"):
             ad.bce_with_logits(Tensor(np.ones((1, 3))), Tensor(np.ones((3, 2))), labels)
 
+    def test_unsorted_labels_checked_for_duplicates(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        with pytest.raises(ValueError, match="duplicate label entry"):
+            ad.bce_with_logits(a, b, ad.SparsePattern([0, 0, 0, 1], [3, 1, 3, 0], (2, 4)))
+        unsorted = ad.bce_with_logits(a, b, ad.SparsePattern([0, 0, 1], [3, 1, 0], (2, 4)))
+        in_order = ad.bce_with_logits(a, b, ad.SparsePattern([0, 0, 1], [1, 3, 0], (2, 4)))
+        assert unsorted.data == in_order.data
+
     def test_shape_mismatch_rejected(self):
         a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
         with pytest.raises(ValueError, match="label pattern"):
@@ -585,6 +593,30 @@ class TestFromOp:
         ad.backward(ad.mean(ad.mul(x, x)))
         part = np.full(x.shape, 1.0 / x.size) * x.data
         assert x.grad.tobytes() == (part + part).tobytes()
+
+
+class TestSelectEntries:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_pattern_built_from_the_kept_entries(self, data):
+        n_rows = data.draw(st.integers(1, 6))
+        n_cols = data.draw(st.integers(1, 6))
+        rows = sorted(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=25)))
+        cols = data.draw(st.lists(st.integers(0, n_cols - 1), min_size=len(rows),
+                                  max_size=len(rows)))
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                           max_size=len(rows))), dtype=bool)
+        pattern = ad.SparsePattern(rows, cols, (n_rows, n_cols))
+        got = pattern.select(keep)
+        want = ad.SparsePattern(np.array(rows, dtype=np.int64)[keep],
+                                np.array(cols, dtype=np.int64)[keep], (n_rows, n_cols))
+        assert got.shape == want.shape
+        for name in ("rows", "cols", "indptr", "_t_order", "_t_indices", "_t_indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_mask_must_cover_every_entry(self):
+        with pytest.raises(ValueError, match="mask"):
+            ad.SparsePattern([0, 1], [1, 0], (2, 2)).select([True])
 
 
 def _spmm_case(n_rows, n_cols, rows, cols, d, seed):

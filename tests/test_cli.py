@@ -133,6 +133,13 @@ def test_preprocess_writes_filtered_dataset(workspace, capsys):
     capsys.readouterr()
 
 
+def test_ablate_without_a_splits_file_exits_one(workspace, capsys):
+    _, data = workspace
+    assert cli_main(["ablate", "--data", data, "--splits", ""]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --splits must name a splits file\n"
+
+
 def test_ablate_report_shape(workspace, capsys):
     tmp_path, data = workspace
     splits = str(tmp_path / "splits.tsv")

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from taggnn import autodiff as ad
 from taggnn.autodiff import NumericalError, Tensor
 from taggnn.baseline import BaselineModel
-from taggnn.evaluation import (Predictor, evaluate, precision_at_k, rank_topk, report_to_json,
-                               subset_precision)
+from taggnn.evaluation import (Predictor, evaluate, item_rows, precision_at_k, rank_topk,
+                               report_to_json, subset_precision)
+from taggnn.graph import build_graph
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import TrainConfig, train
+
+from conftest import random_tiny_graph
 
 
 class TestPrecisionAtK:
@@ -140,6 +143,90 @@ class TestTapeFreeForward:
             if want is not None:
                 assert got.inputs == () and got._backward is None
                 assert got.data.tobytes() == want.data.tobytes() == kept.tobytes()
+
+
+class TestItemRestrictedPredictor:
+    """A predictor built for some items scores them exactly as the all-items one does."""
+
+    @staticmethod
+    def _item_sets(graph, splits):
+        roles = [("train",), ("val_full", "val_comp"), ("test_full", "test_comp"),
+                 ("test_comp",)]
+        sets = [item_rows(graph, splits, r) for r in roles]
+        return sets + [[i] for i in range(graph.n_items)] + [list(range(graph.n_items))[::-1]]
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("heterogeneous", [True, False])
+    @pytest.mark.parametrize("kind", ["it", "qi", "full"])
+    def test_scores_byte_equal_to_the_all_items_forward(self, toy_setup, kind, heterogeneous,
+                                                        n_layers):
+        _, splits, vocab, graph = toy_setup
+        variant = ModelVariant(kind=kind, heterogeneous=heterogeneous, n_layers=n_layers)
+        model = TagGNNModel.init(len(vocab), graph.n_tags, 8, variant,
+                                 rng=np.random.default_rng([n_layers, 5]))
+        reference = Predictor(model, graph)
+        for items in self._item_sets(graph, splits):
+            predictor = Predictor(model, graph, items=items)
+            for i in items:
+                assert predictor.scores(i).tobytes() == reference.scores(i).tobytes()
+
+    def test_the_fixture_covers_isolated_and_completion_items(self, toy_setup):
+        _, splits, _, graph = toy_setup
+        comp = item_rows(graph, splits, ("test_comp", "val_comp"))
+        assert len(comp) and all(len(graph.item_tags(i)) for i in comp)
+        # full-prediction items lost every tag edge: isolated under the "it" variant
+        full = item_rows(graph, splits, ("test_full", "val_full"))
+        assert len(full) and not any(len(graph.item_tags(i)) for i in full)
+
+    @pytest.mark.parametrize("kind", ["it", "qi", "full"])
+    def test_items_without_any_edge(self, kind):
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            graph, n_words = random_tiny_graph(rng)
+            isolated = int(rng.integers(graph.n_items))
+            keep = graph.qi_item != isolated
+            graph = build_graph(graph.query_tokens, graph.item_tokens, graph.tag_tokens,
+                                np.stack([graph.qi_query[keep], graph.qi_item[keep],
+                                          graph.qi_weight[keep]], axis=1),
+                                [(i, t) for i, t in zip(graph.it_item, graph.it_tag)
+                                 if i != isolated])
+            model = TagGNNModel.init(n_words, graph.n_tags, 4, ModelVariant(kind=kind),
+                                     rng=np.random.default_rng([trial, 0]))
+            reference = Predictor(model, graph)
+            for items in ([isolated], list(range(graph.n_items))):
+                predictor = Predictor(model, graph, items=items)
+                for i in items:
+                    assert predictor.scores(i).tobytes() == reference.scores(i).tobytes()
+
+    def test_baseline_scores_byte_equal(self, toy_setup):
+        _, splits, vocab, graph = toy_setup
+        model = _baseline(graph, len(vocab))
+        reference = Predictor(model, graph)
+        for items in self._item_sets(graph, splits):
+            predictor = Predictor(model, graph, items=items)
+            for i in items:
+                assert predictor.scores(i).tobytes() == reference.scores(i).tobytes()
+
+    def test_an_item_it_was_not_built_for_raises(self, toy_setup):
+        _, _, vocab, graph = toy_setup
+        model = TagGNNModel.init(len(vocab), graph.n_tags, 8, ModelVariant(),
+                                 rng=np.random.default_rng(0))
+        predictor = Predictor(model, graph, items=[1, 4])
+        predictor.topk(4, 2)
+        with pytest.raises(ValueError, match="not among"):
+            predictor.topk(2, 2)
+
+    def test_forward_exposes_only_final_rows(self, toy_setup):
+        _, _, vocab, graph = toy_setup
+        model = TagGNNModel.init(len(vocab), graph.n_tags, 8, ModelVariant(kind="qi"),
+                                 rng=np.random.default_rng(0))
+        full = model.forward(graph)
+        out = model.forward(graph, items=[5, 2])
+        assert out.reps is None
+        assert out.item_reps.data.tobytes() == full.item_reps.data[[5, 2]].tobytes()
+        assert out.head_logits.data.tobytes() == full.head_logits.data[[5, 2]].tobytes()
+        with pytest.raises(ValueError, match="item rows"):
+            model.forward(graph, items=[graph.n_items])
 
 
 class TestEvaluate:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from taggnn import autodiff as ad
 from taggnn.autodiff import Tensor
 from taggnn.graph import build_graph, standardize_edge_weights
-from taggnn.model import (LEAKY_SLOPE, LayerParams, ModelVariant, TagGNNModel, pack_edges,
-                          propagate_layer)
+from taggnn.model import (CENTER_CACHE_SIZE, LEAKY_SLOPE, LayerParams, ModelVariant,
+                          TagGNNModel, center_edges, pack_edges, propagate_layer)
 
 import oracle
 from conftest import random_tiny_graph
@@ -272,6 +272,37 @@ class TestForward:
         with pytest.raises(ValueError):
             TagGNNModel(full.embeddings, full.layers, ModelVariant(kind="full"),
                         head_weight=qi.head_weight, head_bias=qi.head_bias)
+
+
+class TestCenterEdges:
+    def test_keeps_the_rows_entries_order_and_multipliers(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            graph, _ = random_tiny_graph(rng)
+            centers = np.flatnonzero(rng.random(graph.n_nodes) < 0.5)
+            for kind in ("it", "qi", "full"):
+                full, sub = pack_edges(graph, kind), center_edges(graph, kind, centers)
+                keep = np.isin(full.pattern.rows, centers)
+                np.testing.assert_array_equal(sub.pattern.rows, full.pattern.rows[keep])
+                np.testing.assert_array_equal(sub.pattern.cols, full.pattern.cols[keep])
+                assert sub.multipliers.tobytes() == full.multipliers[keep].tobytes()
+                assert center_edges(graph, kind, centers) is sub
+
+    def test_cache_stays_within_its_bound(self, toy_setup):
+        _, _, vocab, graph = toy_setup
+        model = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(),
+                                 rng=np.random.default_rng(0))
+        reference = model.forward(graph).item_reps.data
+        rng = np.random.default_rng(22)
+        seen = set()
+        while len(seen) < 100:
+            items = np.flatnonzero(rng.random(graph.n_items) < 0.5)
+            if tuple(items) in seen:
+                continue
+            seen.add(tuple(items))
+            out = model.forward(graph, items=items)
+            assert out.item_reps.data.tobytes() == reference[items].tobytes()
+            assert len(graph._pack_cache["full", "centers"]) <= CENTER_CACHE_SIZE
 
 
 class TestPackEdges:

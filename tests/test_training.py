@@ -18,6 +18,7 @@ from taggnn.training import (NumericalError, TrainConfig, combined_loss, fit, la
                              link_prediction_loss, node_classification_loss, train,
                              train_model, train_rows)
 
+import oracle
 from conftest import positives, random_tiny_graph
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -179,6 +180,30 @@ def _toy_training_setup(seed=0, n_items=20):
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("kind,heterogeneous", [("it", True), ("qi", True), ("full", True),
+                                                    ("full", False)])
+    def test_item_restricted_forward_trains_bit_identically(self, kind, heterogeneous):
+        _, splits, vocab, graph = _toy_training_setup(seed=5, n_items=60)
+        cfg = TrainConfig(dim=12, n_layers=2, max_epochs=4, patience=4, seed=1, variant=kind,
+                          heterogeneous=heterogeneous)
+        rows = train_rows(graph, splits)
+        labels = label_matrix(graph, rows)
+
+        def trained(loss):
+            model = TagGNNModel.init(len(vocab), graph.n_tags, cfg.dim, cfg.model_variant(),
+                                     rng=np.random.default_rng([cfg.seed, 0]))
+            rng = np.random.default_rng([cfg.seed, 1])
+
+            def loss_fn():
+                return loss(graph, model, rows, labels, train_mode=True,
+                            dropout_p=cfg.dropout, rng=rng), {}
+
+            assert fit(model, loss_fn, graph, splits, cfg).epochs_trained == 4
+            return [p.data.tobytes() for p in model.parameters()]
+
+        restricted = trained(lambda *args, **kw: combined_loss(*args, **kw)[0])
+        assert restricted == trained(oracle.combined_loss_all_items)
+
     def test_same_seed_reproduces_losses_exactly(self):
         _, splits, vocab, graph = _toy_training_setup()
         cfg = TrainConfig(dim=16, n_layers=1, max_epochs=5, seed=3)
