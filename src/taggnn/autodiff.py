@@ -438,28 +438,6 @@ class SparsePattern:
     def nnz(self):
         return len(self.rows)
 
-    def select(self, keep):
-        """The pattern of the entries where the boolean ``keep`` holds, in entry order.
-
-        Its transpose filters this pattern's column order rather than sorting
-        again, so every row and every column of the result adds up its kept
-        entries in the same order as this pattern does.
-        """
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != self.rows.shape:
-            raise ValueError(f"a mask of {keep.shape} for a pattern of {self.nnz} entries")
-        sub = object.__new__(SparsePattern)
-        sub.shape = self.shape
-        sub.rows, sub.cols = self.rows[keep], self.cols[keep]
-        sub.indptr = np.concatenate(([0], np.cumsum(np.bincount(sub.rows,
-                                                                minlength=self.shape[0]))))
-        kept = keep[self._t_order]
-        sub._t_order = (np.cumsum(keep) - 1)[self._t_order[kept]]
-        sub._t_indices = self._t_indices[kept]
-        sub._t_indptr = np.concatenate(([0], np.cumsum(np.bincount(sub.cols,
-                                                                   minlength=self.shape[1]))))
-        return sub
-
     def matrix(self, values):
         """The CSR matrix holding ``values`` (one per entry, in entry order)."""
         return scipy.sparse.csr_matrix((values, self.cols, self.indptr), shape=self.shape)

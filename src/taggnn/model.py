@@ -171,8 +171,9 @@ def center_edges(graph, kind, centers):
     is_center = np.zeros(graph.n_nodes, dtype=bool)
     is_center[centers] = True
     keep = is_center[full.pattern.rows]
-    packed = cache[key] = PackedEdges(pattern=full.pattern.select(keep),
-                                      multipliers=full.multipliers[keep])
+    pattern = ad.SparsePattern(full.pattern.rows[keep], full.pattern.cols[keep],
+                               full.pattern.shape)
+    packed = cache[key] = PackedEdges(pattern=pattern, multipliers=full.multipliers[keep])
     if len(cache) > CENTER_CACHE_SIZE:
         cache.popitem(last=False)
     return packed
@@ -333,7 +334,7 @@ class TagGNNModel:
                 centers = np.concatenate((centers, np.arange(nq + ni, graph.n_nodes)))
             # built before the tape: a cached array allocated amid the tape stops glibc from
             # handing the freed tape back, which raised the wide workload's peak RSS
-            last_edges = center_edges(graph, kind, centers)
+            last_edges = center_edges(graph, kind, centers) if self.layers else None
 
         H0 = self.initial_representations(graph)
         if train_mode and dropout_p > 0.0:

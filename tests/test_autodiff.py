@@ -595,30 +595,6 @@ class TestFromOp:
         assert x.grad.tobytes() == (part + part).tobytes()
 
 
-class TestSelectEntries:
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_equals_the_pattern_built_from_the_kept_entries(self, data):
-        n_rows = data.draw(st.integers(1, 6))
-        n_cols = data.draw(st.integers(1, 6))
-        rows = sorted(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=25)))
-        cols = data.draw(st.lists(st.integers(0, n_cols - 1), min_size=len(rows),
-                                  max_size=len(rows)))
-        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
-                                           max_size=len(rows))), dtype=bool)
-        pattern = ad.SparsePattern(rows, cols, (n_rows, n_cols))
-        got = pattern.select(keep)
-        want = ad.SparsePattern(np.array(rows, dtype=np.int64)[keep],
-                                np.array(cols, dtype=np.int64)[keep], (n_rows, n_cols))
-        assert got.shape == want.shape
-        for name in ("rows", "cols", "indptr", "_t_order", "_t_indices", "_t_indptr"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-
-    def test_mask_must_cover_every_entry(self):
-        with pytest.raises(ValueError, match="mask"):
-            ad.SparsePattern([0, 1], [1, 0], (2, 2)).select([True])
-
-
 def _spmm_case(n_rows, n_cols, rows, cols, d, seed):
     """An ``spmm`` whose inputs both want gradients, and a loss whose gradient
     into the product is ``G`` (``mean(A @ x * w)`` gives ``G = w / size``)."""

@@ -304,6 +304,14 @@ class TestCenterEdges:
             assert out.item_reps.data.tobytes() == reference[items].tobytes()
             assert len(graph._pack_cache["full", "centers"]) <= CENTER_CACHE_SIZE
 
+    def test_no_layers_builds_no_restricted_pattern(self, toy_setup):
+        _, _, vocab, graph = toy_setup
+        model = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=0),
+                                 rng=np.random.default_rng(0))
+        out = model.forward(graph, items=[2, 0])
+        assert out.item_reps.data.tobytes() == model.forward(graph).item_reps.data[[2, 0]].tobytes()
+        assert ("full", "centers") not in graph._pack_cache
+
 
 class TestPackEdges:
     def test_bare_graph_packs_softplus_multipliers(self):
