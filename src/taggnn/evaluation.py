@@ -3,9 +3,11 @@
 A trained model is frozen into a :class:`Predictor` (one dropout-free
 forward pass); ranking is by dot-product similarity against every tag, or by
 head logits for the query-item variant and the baseline.  Every ranking goes
-through :func:`rank_topk`.  Completion items never see their known tags among
-the candidates.  A predictor is built for the items it will score (``items``),
-so its forward computes final vectors for those items only.
+through :func:`rank_topk`, which ranks one score vector or a block of score
+rows; Precision@K scores and ranks ``SCORE_CHUNK`` items at a time, so no
+score matrix over every item is held.  Completion items never see their known
+tags among the candidates.  A predictor is built for the items it will score
+(``items``), so its forward computes final vectors for those items only.
 """
 
 import json
@@ -13,6 +15,9 @@ import json
 import numpy as np
 
 from .autodiff import NumericalError, no_grad
+
+RANK_GROUP = 64     # score columns per group whose minimum bounds rank_topk's candidates
+SCORE_CHUNK = 256   # items scored and ranked together by _subset_scores
 
 
 def precision_at_k(predicted, truth, k):
@@ -29,23 +34,39 @@ def precision_at_k(predicted, truth, k):
 def rank_topk(scores, k, exclude=()):
     """Indices of the ``k`` highest scores, best first; ties go to the lower index.
 
-    Excluded indices never appear, so fewer than ``k`` come back when fewer
-    candidates remain.  A non-finite score raises :class:`NumericalError`.
+    ``scores`` is one score vector, with ``exclude`` the indices to leave
+    out, or a block of score rows, with ``exclude`` one such collection per
+    row (or none at all); a block gives one list per row.  Excluded indices
+    never appear, so fewer than ``k`` come back when fewer candidates remain.
+    A non-finite score raises :class:`NumericalError`.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim == 1:
+        return rank_topk(scores[None], k, [exclude])[0]
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite tag scores; the model parameters are corrupt")
-    keep = np.ones(len(scores), dtype=bool)
-    keep[list(exclude)] = False
-    candidates = np.flatnonzero(keep)
-    neg = -scores[candidates]
-    if k < len(candidates):
-        # only candidates at or above the k-th best score can make the list
-        top = neg <= np.partition(neg, k - 1)[k - 1]
-        candidates, neg = candidates[top], neg[top]
-    return candidates[np.lexsort((candidates, neg))[:k]].tolist()
+    m, n = scores.shape
+    groups = -(-n // RANK_GROUP)
+    # negated scores, excluded entries and the padding to whole groups at +inf
+    neg = np.full((m, groups * RANK_GROUP), np.inf)
+    np.negative(scores, out=neg[:, :n])
+    excluded = [np.asarray(list(e), dtype=np.int64) for e in exclude]
+    if excluded:
+        lengths = [len(e) for e in excluded]
+        neg[:, :n][np.repeat(np.arange(m), lengths), np.concatenate(excluded)] = np.inf
+    # the k-th smallest group minimum bounds each row's k-th best candidate from above,
+    # so only the entries at or below it can make the list
+    bound = np.full(m, np.finfo(np.float64).max)
+    if k < groups:
+        group_min = neg.reshape(m, groups, RANK_GROUP).min(axis=2)
+        np.minimum(bound, np.partition(group_min, k - 1, axis=1)[:, k - 1], out=bound)
+    rows, cols = np.nonzero(neg[:, :n] <= bound[:, None])
+    order = np.lexsort((cols, neg[rows, cols], rows))
+    cols = cols[order].tolist()
+    starts = np.searchsorted(rows[order], np.arange(m + 1)).tolist()
+    return [cols[lo:min(hi, lo + k)] for lo, hi in zip(starts[:-1], starts[1:])]
 
 
 class Predictor:
@@ -65,19 +86,34 @@ class Predictor:
         self._head_logits = out.head_logits.data if out.head_logits is not None else None
         self._position = None if items is None else {int(r): n for n, r in enumerate(items)}
 
+    def score_rows(self, item_indices):
+        """Scores of several items (graph item rows) against every tag, one row each.
+
+        Each row is one matrix-vector product written into the block, as
+        :meth:`scores` gives it for one item.
+        """
+        positions = [self._row(int(i)) for i in item_indices]
+        if self._head_logits is not None:
+            return self._head_logits[positions]
+        out = np.empty((len(positions), len(self._tag_reps)))
+        for j, p in enumerate(positions):
+            np.matmul(self._tag_reps, self._item_reps[p], out=out[j])
+        return out
+
     def scores(self, item_index):
         """Similarity of one item (a graph item row) against every tag."""
-        if self._position is not None:
-            if item_index not in self._position:
-                raise ValueError(f"item row {item_index} is not among this predictor's items")
-            item_index = self._position[item_index]
-        if self._head_logits is not None:
-            return self._head_logits[item_index].copy()
-        return self._tag_reps @ self._item_reps[item_index]
+        return self.score_rows([item_index])[0]
 
     def topk(self, item_index, k, exclude=()):
         """Indices of the best-scoring tags, by :func:`rank_topk`."""
         return rank_topk(self.scores(item_index), k, exclude)
+
+    def _row(self, item_index):
+        if self._position is None:
+            return item_index
+        if item_index not in self._position:
+            raise ValueError(f"item row {item_index} is not among this predictor's items")
+        return self._position[item_index]
 
 
 def item_rows(graph, splits, roles):
@@ -89,21 +125,29 @@ def item_rows(graph, splits, roles):
 
 
 def _subset_scores(predictor, graph, splits, role, ks):
-    """Macro-averaged P@K for one role; completion items exclude known tags."""
+    """Macro-averaged P@K for one role; completion items exclude known tags.
+
+    Items are scored and ranked ``SCORE_CHUNK`` at a time, so no score matrix
+    over every item is ever held.
+    """
     tag_pos = {tag_id: t for t, tag_id in enumerate(graph.tag_ids)}
     completion = role.endswith("_comp")
-    per_k = {k: [] for k in ks}
     rows = item_rows(graph, splits, (role,))
+    truths, excludes = [], []
     for index in rows:
         item_id = graph.item_ids[index]
         truth_ids = splits.truth.get(item_id)
         if not truth_ids:
             raise ValueError(f"no ground-truth tags recorded for item {item_id!r}")
-        truth = {tag_pos[t] for t in truth_ids}
-        exclude = {tag_pos[t] for t in splits.known.get(item_id, ())} if completion else set()
-        ranked = predictor.topk(index, max(ks), exclude=exclude)
-        for k in ks:
-            per_k[k].append(precision_at_k(ranked, truth, k))
+        truths.append({tag_pos[t] for t in truth_ids})
+        excludes.append([tag_pos[t] for t in splits.known.get(item_id, ())] if completion else [])
+    per_k = {k: [] for k in ks}
+    for lo in range(0, len(rows), SCORE_CHUNK):
+        chunk = slice(lo, lo + SCORE_CHUNK)
+        scores = predictor.score_rows(rows[chunk])
+        for ranked, truth in zip(rank_topk(scores, max(ks), excludes[chunk]), truths[chunk]):
+            for k in ks:
+                per_k[k].append(precision_at_k(ranked, truth, k))
     out = {f"p@{k}": (float(np.mean(per_k[k])) if len(rows) else None) for k in ks}
     out["items"] = len(rows)
     return out
@@ -112,10 +156,10 @@ def _subset_scores(predictor, graph, splits, role, ks):
 def subset_precision(model, graph, splits, roles, ks=(1, 3, 5)):
     """P@K per role over the given split roles (shared forward pass).
 
-    ``model`` may be anything with a Predictor-style ``topk``; a model (graph
-    or baseline) is frozen into a :class:`Predictor` of those roles' items here.
+    ``model`` may be anything with a Predictor-style ``score_rows``; a model
+    (graph or baseline) is frozen into a :class:`Predictor` of those roles' items here.
     """
-    predictor = model if hasattr(model, "topk") else Predictor(
+    predictor = model if hasattr(model, "score_rows") else Predictor(
         model, graph, items=item_rows(graph, splits, roles))
     return {role: _subset_scores(predictor, graph, splits, role, ks) for role in roles}
 

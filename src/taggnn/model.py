@@ -5,7 +5,9 @@ per-node-type update.  Layers run synchronously: every node's new
 representation is computed from the previous layer's matrix, and nodes
 without edges pass through bit for bit.  A forward told which items the
 caller reads (``items``) runs its last layer's attention and aggregation only
-at those items' rows and the tag rows, with the same results there.
+at those items' rows and the tag rows, with the same results there.  Without
+a tape (inference), each layer's dense half also runs only at the rows with
+edges, and the ``qi`` head only at the items read.
 """
 
 import collections
@@ -19,6 +21,7 @@ from .graph import NodeType, EmbeddingTable, mean_token_rows
 
 LEAKY_SLOPE = 0.2
 CENTER_CACHE_SIZE = 4   # row-restricted patterns kept per graph and variant (training reads two)
+DENSE_ROWS_SHARE = 0.75  # most rows a tape-free dense half is narrowed to, as a share of all
 
 VARIANT_KINDS = ("it", "qi", "full")
 
@@ -179,15 +182,48 @@ def center_edges(graph, kind, centers):
     return packed
 
 
+def _widened(rows, lo, hi):
+    """Sorted ``rows`` of ``[lo, hi)``, with a neighbouring row added when there is
+    exactly one and the range holds another.
+
+    numpy multiplies a one-row matrix by a different kernel (GEMV), which can
+    round a row differently from the same row in a product of two or more
+    rows; from two rows on, a row's product does not depend on the others.
+    """
+    if len(rows) != 1 or hi - lo < 2:
+        return rows
+    r = rows[0]
+    return np.array([r, r + 1] if r + 1 < hi else [r - 1, r], dtype=np.int64)
+
+
+def _dense_rows(active, bounds):
+    """The rows a tape-free layer's dense half runs at, or None for every row.
+
+    These are the ``active`` rows; a node type's block of exactly one row, and
+    a whole set of one row, is widened to two (:func:`_widened`), and the
+    extra row is computed but not kept.  Narrowing copies those rows of ``H``
+    and of the message, so above ``DENSE_ROWS_SHARE`` of all rows it would
+    cost more time and memory than it saves, and every row runs.
+    """
+    if active.all():
+        return None
+    rows = np.concatenate([_widened(np.flatnonzero(active[lo:hi]) + lo, lo, hi)
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+    rows = _widened(rows, 0, len(active))
+    return None if len(rows) > DENSE_ROWS_SHARE * len(active) else rows
+
+
 def propagate_layer(graph, H, params, kind="full", edges=None):
     """One synchronous propagation layer over the whole node matrix.
 
     ``H`` is the (n_nodes, d) representation Tensor from the previous layer;
-    isolated nodes under this variant's edge set are copied through exactly.
-    ``edges`` replaces ``pack_edges(graph, kind)``: given some rows of it
-    (:func:`center_edges`), the layer attends and aggregates only there, and
-    every other row passes through like an isolated node.  The dense per-row
-    work stays full-size, so the weight gradients sum over the same rows.
+    rows without edges under this variant's edge set are copied through
+    exactly.  ``edges`` replaces ``pack_edges(graph, kind)``: given some rows
+    of it (:func:`center_edges`), the layer attends and aggregates only there,
+    and every other row passes through like an isolated node.  A taped layer
+    runs its dense half (the per-type update, the gate and the blend) over
+    every row, so the weight gradients sum over the same rows; without a tape
+    it runs only at the rows with edges, and bit-identically there.
     """
     if not isinstance(H, Tensor):
         H = Tensor(H)
@@ -196,6 +232,9 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     pattern = edges.pattern
     if pattern.nnz == 0:
         return H
+    active = np.diff(pattern.indptr) > 0
+    bounds = (0, graph.n_queries, graph.n_queries + graph.n_items, graph.n_nodes)
+    rows = None if ad.grad_enabled() else _dense_rows(active, bounds)
 
     Wh = ad.matmul(H, params.attn_proj)
     raw = ad.edge_scores(Wh, params.attn_context, pattern)
@@ -203,23 +242,25 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     attn = ad.segment_softmax(scores, pattern)
     alpha = ad.mul(attn, edges.multipliers[:, None])
 
-    message = ad.relu(ad.spmm(alpha, pattern, Wh))
-    fused = ad.add(H, message)
+    message = ad.spmm(alpha, pattern, Wh)
+    H_rows = H
+    if rows is not None:
+        H_rows, message = ad.gather_rows(H, rows), ad.gather_rows(message, rows)
+        active, bounds = active[rows], np.searchsorted(rows, bounds)
+    fused = ad.add(H_rows, ad.relu(message))
 
-    nq, ni = graph.n_queries, graph.n_items
     blocks = []
-    for lo, hi, W_type in ((0, nq, params.update_query),
-                           (nq, nq + ni, params.update_item),
-                           (nq + ni, graph.n_nodes, params.update_tag)):
+    for lo, hi, W_type in zip(bounds[:-1], bounds[1:],
+                              (params.update_query, params.update_item, params.update_tag)):
         if hi > lo:
             blocks.append(ad.matmul(ad.gather_rows(fused, slice(lo, hi)), W_type))
     hat = ad.relu(ad.concat(blocks) if len(blocks) > 1 else blocks[0])
 
     z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, params.gate_new),
-                                 ad.matmul(H, params.gate_old)),
+                                 ad.matmul(H_rows, params.gate_old)),
                           params.gate_bias))
-    updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H))
-    return ad.where_rows(np.diff(pattern.indptr) > 0, updated, H)
+    updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H_rows))
+    return ad.where_rows(active, updated, H, rows=rows)
 
 
 @dataclass
@@ -352,12 +393,14 @@ class TagGNNModel:
         head_logits = None
         if self.variant.needs_head and not train_mode:
             # only Predictor ranks by these; the losses apply the head to their own rows.
-            # The product always spans the whole item block, so the rows read are
-            # bit-identical to the full forward's (numpy multiplies one row another way).
-            block = item_reps if items is None else ad.gather_rows(H, slice(nq, nq + ni))
+            # A single item is widened to two rows, so its product is the full forward's
+            block, keep = item_reps, None
+            if items is not None and len(items) == 1 and ni > 1:
+                wide = _widened(items, 0, ni)
+                block, keep = ad.gather_rows(H, nq + wide), np.searchsorted(wide, items)
             head_logits = ad.add(ad.matmul(block, self.head_weight), self.head_bias)
-            if items is not None:
-                head_logits = ad.gather_rows(head_logits, items)
+            if keep is not None:
+                head_logits = ad.gather_rows(head_logits, keep)
         return ForwardResult(reps=H if items is None else None, initial=H0,
                              item_reps=item_reps, tag_reps=tag_reps,
                              initial_item_reps=initial_items, head_logits=head_logits)

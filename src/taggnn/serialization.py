@@ -1,12 +1,14 @@
 """Model directory format: a JSON manifest plus one packed binary blob.
 
-``manifest.json`` records dimensions, the variant flags, a vocabulary hash
-and the tensor table (name, shape, byte offset); ``params.bin`` holds every
+``manifest.json`` records dimensions, the variant flags, a vocabulary hash,
+the tensor table (name, shape, byte offset) and ``params_sha256``, the
+sha256 of ``params.bin`` and the variant flags; ``params.bin`` holds every
 tensor as row-major little-endian float64 in manifest order.  ``vocab.json``
 carries the token list so a saved model can be applied to freshly loaded
 data.
 """
 
+import hashlib
 import json
 import os
 
@@ -17,7 +19,7 @@ from .model import ModelVariant, TagGNNModel
 
 FORMAT = "taggnn-model-v1"
 MANIFEST_KEYS = ("format", "dim", "gamma", "variant", "n_words", "n_tags", "tags",
-                 "vocab_sha256", "meta", "tensors")
+                 "vocab_sha256", "params_sha256", "meta", "tensors")
 VARIANT_KEYS = ("kind", "heterogeneous", "use_tag_names", "use_tag_ids", "n_layers")
 
 
@@ -30,30 +32,61 @@ def _tensor_table(model):
     return table, offset
 
 
+def _params_sha256(blob, variant):
+    """sha256 of ``params.bin``'s bytes followed by the canonical JSON of the variant flags."""
+    digest = hashlib.sha256(blob)
+    digest.update(json.dumps({k: variant[k] for k in VARIANT_KEYS}, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def save_model(model, vocab, directory, tag_ids, meta=None):
+    """Write the model directory; a previous save there stays whole until this one is.
+
+    Every file is first written under a temporary name in the directory, and
+    only when all are written is each renamed into place, ``manifest.json``
+    last.  A write that fails removes the temporary files and leaves the
+    directory as it was.
+    """
     os.makedirs(directory, exist_ok=True)
     tensors, _ = _tensor_table(model)
+    variant = {k: getattr(model.variant, k) for k in VARIANT_KEYS}
+    blob = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                    for t in model.parameters())
     manifest = {
         "format": FORMAT,
         "dim": model.dim,
         "gamma": model.gamma,
-        "variant": {k: getattr(model.variant, k) for k in VARIANT_KEYS},
+        "variant": variant,
         "n_words": model.embeddings.words.data.shape[0],
         "n_tags": model.embeddings.tag_ids.data.shape[0],
         "tags": list(tag_ids),
         "vocab_sha256": vocab.sha256(),
+        "params_sha256": _params_sha256(blob, variant),
         "meta": dict(meta or {}),
         "tensors": tensors,
     }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(directory, "params.bin"), "wb") as fh:
-        for tensor in model.parameters():
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-    with open(os.path.join(directory, "vocab.json"), "w", encoding="utf-8") as fh:
-        json.dump({"tokens": vocab.id_to_token[1:], "min_count": vocab.min_count}, fh)
-        fh.write("\n")
+    files = (("params.bin", blob),
+             ("vocab.json", _json_line({"tokens": vocab.id_to_token[1:],
+                                        "min_count": vocab.min_count})),
+             ("manifest.json", _json_line(manifest, indent=2, sort_keys=True)))
+    temps = []
+    try:
+        for name, content in files:
+            temps.append(os.path.join(directory, f".{name}.tmp"))
+            with open(temps[-1], "wb") as fh:
+                fh.write(content)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    for temp, (name, _) in zip(temps, files):
+        os.replace(temp, os.path.join(directory, name))
+
+
+def _json_line(value, **kwargs):
+    return (json.dumps(value, **kwargs) + "\n").encode("utf-8")
 
 
 def _read(directory, name, binary=False):
@@ -94,15 +127,16 @@ def load_model(directory):
 
     The model is initialised from the manifest's dimensions and every
     registry tensor is copied in by name.  A missing file or key, a value of
-    the wrong JSON type, a tensor table that does not match the registry, or
-    a ``params.bin`` of the wrong length raises ``ValueError``.
+    the wrong JSON type, a tensor table that does not match the registry, a
+    ``params.bin`` of the wrong length, or a ``params.bin`` or variant that
+    does not match ``params_sha256`` raises ``ValueError``.
     """
     manifest = _read(directory, "manifest.json")
     _require(manifest, MANIFEST_KEYS, "manifest.json")
     if manifest["format"] != FORMAT:
         raise ValueError(f"unsupported model format {manifest['format']!r}")
     for key, kind, what in (("gamma", (int, float), "a number"), ("meta", dict, "an object"),
-                            ("tensors", list, "a list")):
+                            ("tensors", list, "a list"), ("params_sha256", str, "a string")):
         if not isinstance(manifest[key], kind):
             raise ValueError(f"manifest.json {key} must be {what}, got {manifest[key]!r}")
     vdata = _read(directory, "vocab.json")
@@ -139,6 +173,9 @@ def load_model(directory):
                          f"imply: {_table_diff(manifest['tensors'], table)}")
     if len(blob) != size:
         raise ValueError(f"params.bin holds {len(blob)} bytes, the tensor table needs {size}")
+    if _params_sha256(blob, v) != manifest["params_sha256"]:
+        raise ValueError("params.bin and the variant flags do not match manifest.json "
+                         "params_sha256; the model directory is corrupt or was edited")
     for tensor, entry in zip(model.parameters(), table):
         tensor.data[...] = np.frombuffer(blob, dtype="<f8", count=tensor.data.size,
                                          offset=entry["offset"]).reshape(tensor.shape)

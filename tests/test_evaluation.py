@@ -1,9 +1,13 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taggnn import autodiff as ad
+from taggnn import evaluation
 from taggnn.autodiff import NumericalError, Tensor
 from taggnn.baseline import BaselineModel
 from taggnn.evaluation import (Predictor, evaluate, item_rows, precision_at_k, rank_topk,
@@ -51,6 +55,9 @@ class _StubPredictor:
     def __init__(self, scores):
         self.scores_matrix = np.asarray(scores, dtype=float)
 
+    def score_rows(self, item_indices):
+        return self.scores_matrix[item_indices]
+
     def topk(self, item_index, k, exclude=()):
         return rank_topk(self.scores_matrix[item_index], k, exclude)
 
@@ -77,6 +84,29 @@ class TestRankTopK:
         exclude = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
         k = data.draw(st.integers(1, n + 3))
         assert rank_topk(scores, k, exclude) == _lexsort_oracle(scores, k, exclude)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_match_lexsort_oracle(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+        values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+        rows = st.lists(values | st.floats(-5, 5), min_size=n, max_size=n)
+        scores = np.array(data.draw(st.lists(rows, min_size=m, max_size=m)))
+        excludes = data.draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n),
+                                      min_size=m, max_size=m))
+        k = data.draw(st.integers(1, n + 3))
+        # small groups, so the group-minimum bound prunes candidates, ties across groups too
+        group = data.draw(st.integers(1, 8))
+        with mock.patch.object(evaluation, "RANK_GROUP", group):
+            got = rank_topk(scores, k, excludes)
+            assert rank_topk(scores, k) == [_lexsort_oracle(row, k, ()) for row in scores]
+        assert got == [_lexsort_oracle(row, k, e) for row, e in zip(scores, excludes)]
+
+    def test_nonfinite_score_in_a_block_raises(self):
+        scores = np.zeros((3, 4))
+        scores[2, 1] = np.nan
+        with pytest.raises(NumericalError):
+            rank_topk(scores, 2, [(), (), (1,)])
 
 
 class TestTopK:
@@ -155,14 +185,15 @@ class TestItemRestrictedPredictor:
         sets = [item_rows(graph, splits, r) for r in roles]
         return sets + [[i] for i in range(graph.n_items)] + [list(range(graph.n_items))[::-1]]
 
+    @pytest.mark.parametrize("dim", [8, 64])
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("heterogeneous", [True, False])
     @pytest.mark.parametrize("kind", ["it", "qi", "full"])
     def test_scores_byte_equal_to_the_all_items_forward(self, toy_setup, kind, heterogeneous,
-                                                        n_layers):
+                                                        n_layers, dim):
         _, splits, vocab, graph = toy_setup
         variant = ModelVariant(kind=kind, heterogeneous=heterogeneous, n_layers=n_layers)
-        model = TagGNNModel.init(len(vocab), graph.n_tags, 8, variant,
+        model = TagGNNModel.init(len(vocab), graph.n_tags, dim, variant,
                                  rng=np.random.default_rng([n_layers, 5]))
         reference = Predictor(model, graph)
         for items in self._item_sets(graph, splits):
@@ -273,6 +304,37 @@ class TestEvaluate:
                                                  exclude={tag_pos[t] for t in splits.known[item_id]})
             assert not {graph.tag_ids[t] for t in ranked} & splits.known[item_id]
         assert out["test_comp"]["p@1"] is not None
+
+    def test_chunked_ranking_matches_one_item_at_a_time(self, toy_setup):
+        _, splits, vocab, graph = toy_setup
+        model = TagGNNModel.init(len(vocab), graph.n_tags, 8, ModelVariant(),
+                                 rng=np.random.default_rng(6))
+        roles = ("test_full", "test_comp", "val_full", "val_comp")
+        predictor = Predictor(model, graph, items=item_rows(graph, splits, roles))
+        tag_pos = {t: n for n, t in enumerate(graph.tag_ids)}
+        want = {}
+        for role in roles:
+            rows = item_rows(graph, splits, (role,))
+            ranked = [predictor.topk(i, 5, exclude={tag_pos[t] for t in splits.known.get(
+                graph.item_ids[i], ())} if role.endswith("_comp") else set()) for i in rows]
+            truths = [{tag_pos[t] for t in splits.truth[graph.item_ids[i]]} for i in rows]
+            want[role] = {f"p@{k}": float(np.mean([precision_at_k(r, t, k) for r, t
+                                                    in zip(ranked, truths)])) for k in (1, 3, 5)}
+            want[role]["items"] = len(rows)
+        sizes = []
+        score_rows = predictor.score_rows
+
+        def recording(item_indices):
+            sizes.append(len(item_indices))
+            return score_rows(item_indices)
+
+        predictor.score_rows = recording
+        for chunk in (1, 3, 1000):
+            sizes.clear()
+            with mock.patch.object(evaluation, "SCORE_CHUNK", chunk):
+                got = subset_precision(predictor, graph, splits, roles, ks=(1, 3, 5))
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+            assert sizes and max(sizes) <= chunk
 
     def test_report_shape_and_determinism(self, toy_setup):
         _, splits, vocab, graph = toy_setup

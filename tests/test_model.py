@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taggnn import autodiff as ad
+from taggnn import model as model_mod
 from taggnn.autodiff import Tensor
+from taggnn.evaluation import item_rows
 from taggnn.graph import build_graph, standardize_edge_weights
 from taggnn.model import (CENTER_CACHE_SIZE, LEAKY_SLOPE, LayerParams, ModelVariant,
                           TagGNNModel, center_edges, pack_edges, propagate_layer)
@@ -272,6 +274,79 @@ class TestForward:
         with pytest.raises(ValueError):
             TagGNNModel(full.embeddings, full.layers, ModelVariant(kind="full"),
                         head_weight=qi.head_weight, head_bias=qi.head_bias)
+
+
+class TestTapeFreeRows:
+    """A forward without a tape runs the dense half only at the rows with edges."""
+
+    @staticmethod
+    def _item_sets(graph, splits):
+        roles = [("train",), ("val_full", "val_comp"), ("test_full", "test_comp"),
+                 ("test_comp",)]
+        singles = [[i] for i in range(graph.n_items)]
+        pairs = [[i, j] for i in range(graph.n_items) for j in range(i + 1, graph.n_items)]
+        return [None] + [item_rows(graph, splits, r) for r in roles] + singles + pairs
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("heterogeneous", [True, False])
+    @pytest.mark.parametrize("kind", ["it", "qi", "full"])
+    def test_outputs_byte_equal_to_the_taped_full_row_forward(self, toy_setup, monkeypatch, kind,
+                                                              heterogeneous, n_layers, dim):
+        monkeypatch.setattr(model_mod, "DENSE_ROWS_SHARE", 1.0)   # narrow whenever a row is idle
+        _, splits, vocab, graph = toy_setup
+        variant = ModelVariant(kind=kind, heterogeneous=heterogeneous, n_layers=n_layers)
+        model = TagGNNModel.init(len(vocab), graph.n_tags, dim, variant,
+                                 rng=np.random.default_rng([n_layers, dim]))
+        taped = model.forward(graph)
+        assert taped.item_reps._backward is not None
+        for items in self._item_sets(graph, splits):
+            with ad.no_grad():
+                free = model.forward(graph, items=items)
+            read = slice(None) if items is None else items
+            assert free.item_reps.data.tobytes() == taped.item_reps.data[read].tobytes()
+            assert free.tag_reps.data.tobytes() == taped.tag_reps.data.tobytes()
+            if kind == "qi":
+                assert free.head_logits.data.tobytes() == \
+                    taped.head_logits.data[read].tobytes()
+
+    def test_a_lone_row_is_widened_past_its_type(self, monkeypatch):
+        # a qi forward for the only item narrows its last layer to that one row: its
+        # block cannot widen, so the set takes a row of another type (a one-row gate
+        # product rounds differently here)
+        monkeypatch.setattr(model_mod, "DENSE_ROWS_SHARE", 1.0)
+        graph = build_graph([[1], [2]], [[2]], [[1], [3]], [(0, 0, 2.0)], [(0, 1)])
+        model = TagGNNModel.init(4, graph.n_tags, 64, ModelVariant(kind="qi", n_layers=1),
+                                 rng=np.random.default_rng(1))
+        taped = model.forward(graph)
+        with ad.no_grad():
+            free = model.forward(graph, items=[0])
+        for name in ("item_reps", "tag_reps", "head_logits"):
+            assert getattr(free, name).data.tobytes() == getattr(taped, name).data.tobytes()
+
+    def test_only_rows_with_edges_reach_the_dense_half(self, monkeypatch):
+        # only query 0, item 0 and the tag have edges; the one-row query and item
+        # blocks are widened to two rows, and query 2 and item 2 stay out
+        graph = build_graph([[1], [2], [3]], [[2], [3], [1]], [[1]], [(0, 0, 2.0)], [(0, 0)])
+        layer = make_layer(4, seed=3)
+        H = np.random.default_rng(3).normal(size=(graph.n_nodes, 4))
+        row_counts = []
+        matmul = ad.matmul
+
+        def recording(a, b):
+            if b is layer.update_item or b is layer.gate_new:
+                row_counts.append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", recording)
+        taped = propagate_layer(graph, H, layer).data
+        assert row_counts == [graph.n_items, graph.n_nodes]
+        row_counts.clear()
+        with ad.no_grad():
+            free = propagate_layer(graph, H, layer).data
+        assert row_counts == [2, 5]
+        assert free.tobytes() == taped.tobytes()
+        assert free[[1, 2, 4, 5]].tobytes() == H[[1, 2, 4, 5]].tobytes()
 
 
 class TestCenterEdges:

@@ -149,6 +149,13 @@ CORRUPTIONS = {
     "missing_variant_key": (_edit_manifest(lambda m: m["variant"].pop("n_layers")),
                             "missing 'n_layers'"),
     "not_json": (lambda path: (path / "manifest.json").write_text("{"), "manifest.json"),
+    # a byte of the right length flipped, or a valid but edited flag, fails params_sha256
+    "flipped_param_byte": (_edit_blob(lambda b: b[:100] + bytes([b[100] ^ 1]) + b[101:]),
+                           "params.bin and the variant flags do not match"),
+    "edited_variant_flag": (_edit_manifest(lambda m: m["variant"].update(use_tag_names=False)),
+                            "params.bin and the variant flags do not match"),
+    "missing_params_hash": (_edit_manifest(lambda m: m.pop("params_sha256")),
+                            "missing 'params_sha256'"),
 }
 
 
@@ -161,6 +168,60 @@ def test_corrupt_model_directory_rejected(toy_setup, tmp_path, name):
     corrupt(tmp_path)
     with pytest.raises(ValueError, match=message):
         load_model(tmp_path)
+
+
+def test_hash_mismatch_exits_one_naming_params_bin(toy_setup, toydata_dir, tmp_path, capsys):
+    _, splits, vocab, graph = toy_setup
+    model = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=1))
+    save_model(model, vocab, tmp_path, graph.tag_ids)
+    save_splits(splits, tmp_path / "splits.tsv")
+    CORRUPTIONS["flipped_param_byte"][0](tmp_path)
+    assert cli_main(["eval", "--model", str(tmp_path), "--data", toydata_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: params.bin ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failed_save_leaves_the_previous_one_whole(toy_setup, tmp_path, monkeypatch, failing):
+    _, _, vocab, graph = toy_setup
+    old = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=1),
+                           rng=np.random.default_rng(1))
+    save_model(old, vocab, tmp_path, graph.tag_ids)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    opened = []
+
+    class FailingFile:
+        """Writes half of what it is given, then runs out of space."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, content):
+            self.fh.write(content[:len(content) // 2])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        opened.append(path)
+        return FailingFile(fh) if len(opened) == failing + 1 else fh
+
+    monkeypatch.setattr("taggnn.serialization.open", failing_open, raising=False)
+    new = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=1),
+                           rng=np.random.default_rng(2))
+    with pytest.raises(OSError, match="No space"):
+        save_model(new, vocab, tmp_path, graph.tag_ids)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded, _, _ = load_model(tmp_path)
+    for a, b in zip(loaded.parameters(), old.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 # values of the wrong JSON type: (file, edit of its JSON, the key the message names)
