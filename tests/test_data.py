@@ -1,5 +1,6 @@
 import itertools
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -309,6 +310,21 @@ class TestMakeSplits:
     def test_counts_exceeding_items_rejected(self, toy_dataset):
         with pytest.raises(ValueError, match="exceed"):
             make_splits(toy_dataset, (10, 5, 5), seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_repeated_tag_line_changes_nothing(self, toydata_dir, tmp_path, seed):
+        # a tag edge written twice is one link: eligibility and the held-out
+        # draw see each item's distinct tags
+        want = make_splits(load_dataset(toydata_dir), (4, 4, 4), seed=seed)
+        with open(os.path.join(toydata_dir, "item_tag_edges.tsv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        for n, line in enumerate(lines):
+            shutil.copytree(toydata_dir, tmp_path / str(n))
+            (tmp_path / str(n) / "item_tag_edges.tsv").write_text(
+                "".join(lines[:n + 1] + [line] + lines[n + 1:]), encoding="utf-8")
+            got = make_splits(load_dataset(tmp_path / str(n)), (4, 4, 4), seed=seed)
+            assert (got.roles, got.heldout, got.truth, got.known) == \
+                   (want.roles, want.heldout, want.truth, want.known), line
 
     @pytest.mark.parametrize("counts, name", [((10, -4, 2), "val=-4"), ((-1, 2, 2), "train=-1"),
                                               ((4, 2, -2), "test=-2")])
