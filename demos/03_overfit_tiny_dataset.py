@@ -23,9 +23,8 @@ started = time.perf_counter()
 result = train(graph, splits, config, n_words=len(vocab))
 elapsed = time.perf_counter() - started
 
-tag_sets = graph.item_tag_sets()
 predictor = Predictor(result.model, graph)
-p1 = np.mean([precision_at_k(predictor.topk(i, 1), tag_sets[i], 1)
+p1 = np.mean([precision_at_k(predictor.topk(i, 1), graph.item_tags(i), 1)
               for i in range(graph.n_items)])
 
 print(f"\ntrained {result.epochs_trained} epochs in {elapsed:.1f}s")

@@ -36,6 +36,18 @@ def _counts(text):
     return counts
 
 
+def _ks(text):
+    """The ``--k`` value of ``eval`` and ``ablate``: comma-separated positive integers."""
+    try:
+        ks = tuple(int(k) for k in text.split(","))
+    except ValueError:
+        ks = ()
+    if not ks or min(ks) <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive integers, got {text!r}")
+    return ks
+
+
 def _load_config(path):
     if path is None:
         return TrainConfig()
@@ -50,8 +62,8 @@ def cmd_preprocess(args):
                           min_count=args.min_count)
     filtered = data_mod.preprocess_filter(dataset, th)
     data_mod.save_dataset(filtered, args.out)
-    print(f"kept {len(filtered.items)} items, {len(filtered.queries)} queries, "
-          f"{len(filtered.tags)} tags -> {args.out}")
+    print(f"kept {len(filtered.item_ids)} items, {len(filtered.query_ids)} queries, "
+          f"{len(filtered.tag_ids)} tags -> {args.out}")
     return 0
 
 
@@ -112,8 +124,7 @@ def _rebuild_for_eval(model_dir, data_dir, splits_path=None):
 
 def cmd_eval(args):
     model, _, manifest, _, splits, graph = _rebuild_for_eval(args.model, args.data, args.splits)
-    ks = tuple(int(k) for k in args.k.split(","))
-    report = evaluation.evaluate(model, graph, splits, ks=ks, subset=args.subset,
+    report = evaluation.evaluate(model, graph, splits, ks=args.k, subset=args.subset,
                                  meta=manifest["meta"])
     payload = evaluation.report_to_json(report)
     if args.report:
@@ -151,12 +162,11 @@ def cmd_gradcheck(args):
 
 def cmd_ablate(args):
     config, splits, vocab, graph = _training_inputs(args)
-    ks = tuple(int(k) for k in args.k.split(","))
 
     def run(name, **overrides):
         cfg = TrainConfig.from_dict({**config.to_dict(), **overrides})
         result = train(graph, splits, cfg, n_words=len(vocab))
-        report = evaluation.evaluate(result.model, graph, splits, ks=ks, subset=args.subset,
+        report = evaluation.evaluate(result.model, graph, splits, ks=args.k, subset=args.subset,
                                      meta={"config_hash": cfg.sha256(), "seed": cfg.seed,
                                            "epochs_trained": result.epochs_trained})
         print(f"{name}: without_tags p@1="
@@ -214,7 +224,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--splits")
-    p.add_argument("--k", default="1,3,5")
+    p.add_argument("--k", default="1,3,5", type=_ks)
     p.add_argument("--subset", default="test", choices=("test", "val"))
     p.add_argument("--report", help="write the JSON report here as well as stdout")
     p.set_defaults(func=cmd_eval)
@@ -235,7 +245,7 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--splits", required=True)
-    p.add_argument("--k", default="1,3,5")
+    p.add_argument("--k", default="1,3,5", type=_ks)
     p.add_argument("--subset", default="test", choices=("test", "val"))
     p.add_argument("--min-count", type=int, default=1, dest="min_count")
     p.add_argument("--out")

@@ -8,8 +8,9 @@ are never hidden.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -39,27 +40,12 @@ class RawDataset:
     ``query_ids``/``query_texts``, ``tag_ids``/``tag_texts``).  Edges are int64
     rows into those lists: ``qi_query``/``qi_item`` with float64 ``qi_weight``,
     and ``it_item``/``it_tag``.  ``items``, ``queries``, ``tags``, ``qi`` and
-    ``it`` rebuild the rows as lists of tuples on each access.
+    ``it`` are read-only views that rebuild the rows as lists of tuples on
+    each access; nothing in this package reads them.
     """
 
-    def __init__(self, items, queries, tags, qi, it):
-        """From lists of tuples, shaped as ``items`` ... ``it`` return them."""
-        (item_ids, item_texts), (query_ids, query_texts), (tag_ids, tag_texts) = (
-            ([r[0] for r in rows], [r[1] for r in rows]) for rows in (items, queries, tags))
-        item, query, tag = _index(item_ids), _index(query_ids), _index(tag_ids)
-        self._set(item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
-                  [query[q] for q, _, _ in qi], [item[i] for _, i, _ in qi], [w for _, _, w in qi],
-                  [item[i] for i, _ in it], [tag[t] for _, t in it])
-
-    @classmethod
-    def from_columns(cls, *columns):
-        """From the id and text lists and the edge row arrays, in :meth:`_set`'s order."""
-        dataset = cls.__new__(cls)
-        dataset._set(*columns)
-        return dataset
-
-    def _set(self, item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
-             qi_query, qi_item, qi_weight, it_item, it_tag):
+    def __init__(self, item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
+                 qi_query, qi_item, qi_weight, it_item, it_tag):
         self.item_ids, self.item_texts = item_ids, item_texts
         self.query_ids, self.query_texts = query_ids, query_texts
         self.tag_ids, self.tag_texts = tag_ids, tag_texts
@@ -99,10 +85,6 @@ class RawDataset:
     def it(self):
         i, t = self.item_ids, self.tag_ids                      # (item_id, tag_id)
         return [(i[a], t[b]) for a, b in zip(self.it_item.tolist(), self.it_tag.tolist())]
-
-    def item_tag_map(self):
-        """Item id -> set of its linked tag ids."""
-        return {i: set(tags) for i, tags in zip(self.item_ids, self._tags_by_item())}
 
     def _tags_by_item(self):
         """Per item row, the list of its linked tag ids in file order."""
@@ -224,27 +206,25 @@ def load_dataset(directory):
             lambda n: i[n] not in item_index and f"unknown item '{i[n]}'",
             lambda n: t[n] not in tag_index and f"unknown tag '{t[n]}'"))
 
-    return RawDataset.from_columns(item_ids, item_texts, query_ids, query_texts, tag_ids,
-                                   tag_texts, qi_query, qi_item, qi_weight, it_item, it_tag)
+    return RawDataset(item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
+                      qi_query, qi_item, qi_weight, it_item, it_tag)
 
 
 def save_dataset(dataset, directory):
+    """Write the five dataset files; weights as the ``repr`` of each float."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, DATASET_FILES["items"]), "w", encoding="utf-8") as fh:
-        for i, text in dataset.items:
-            fh.write(f"{i}\t{text}\n")
-    with open(os.path.join(directory, DATASET_FILES["queries"]), "w", encoding="utf-8") as fh:
-        for q, text in dataset.queries:
-            fh.write(f"{q}\t{text}\n")
-    with open(os.path.join(directory, DATASET_FILES["tags"]), "w", encoding="utf-8") as fh:
-        for t, text in dataset.tags:
-            fh.write(f"{t}\t{text}\n")
-    with open(os.path.join(directory, DATASET_FILES["qi"]), "w", encoding="utf-8") as fh:
-        for q, i, w in dataset.qi:
-            fh.write(f"{q}\t{i}\t{w!r}\n")
-    with open(os.path.join(directory, DATASET_FILES["it"]), "w", encoding="utf-8") as fh:
-        for i, t in dataset.it:
-            fh.write(f"{i}\t{t}\n")
+    q, i, t = dataset.query_ids, dataset.item_ids, dataset.tag_ids
+    rows = {
+        "items": zip(i, dataset.item_texts),
+        "queries": zip(q, dataset.query_texts),
+        "tags": zip(t, dataset.tag_texts),
+        "qi": ((q[a], i[b], repr(w)) for a, b, w in zip(
+            dataset.qi_query.tolist(), dataset.qi_item.tolist(), dataset.qi_weight.tolist())),
+        "it": ((i[a], t[b]) for a, b in zip(dataset.it_item.tolist(), dataset.it_tag.tolist())),
+    }
+    for key, lines in rows.items():
+        with open(os.path.join(directory, DATASET_FILES[key]), "w", encoding="utf-8") as fh:
+            fh.writelines("\t".join(row) + "\n" for row in lines)
 
 
 @dataclass
@@ -258,72 +238,58 @@ class FilterThresholds:
     min_count: int = 5     # word frequency threshold for the vocabulary
 
 
+def _distinct_pairs(a, b, n_b):
+    """The distinct ``(a, b)`` rows of two int64 row columns, as two columns."""
+    return np.divmod(np.unique(a * n_b + b), max(n_b, 1))
+
+
 def preprocess_filter(dataset, thresholds=None):
     """Drop nodes violating the degree constraints until none remain.
 
+    Degrees count distinct neighbours, so a repeated edge line counts once.
     Removing one node can push a neighbor below its own threshold, so the
-    pass iterates to a fixed point; re-running on the output is the identity.
-    Words rarer than ``min_count`` across the surviving texts are rewritten
-    to the reserved unknown token, so the emitted dataset is self-contained.
+    pass iterates per-type keep masks to a fixed point; re-running on the
+    output is the identity.  Every edge line between kept nodes is kept,
+    repeats included.  Words rarer than ``min_count`` across the surviving
+    texts are rewritten to the reserved unknown token, so the emitted dataset
+    is self-contained; every kept text is re-joined with single spaces.
     """
     th = thresholds or FilterThresholds()
-    items = {i for i, _ in dataset.items}
-    queries = {q for q, _ in dataset.queries}
-    tags = {t for t, _ in dataset.tags}
-    qi_pairs = {(q, i) for q, i, _ in dataset.qi}
-    it_pairs = set(dataset.it)
-
+    ni, nq, nt = len(dataset.item_ids), len(dataset.query_ids), len(dataset.tag_ids)
+    qi_q, qi_i = _distinct_pairs(dataset.qi_query, dataset.qi_item, ni)
+    it_i, it_t = _distinct_pairs(dataset.it_item, dataset.it_tag, nt)
+    keep_i, keep_q, keep_t = np.ones(ni, bool), np.ones(nq, bool), np.ones(nt, bool)
     while True:
-        qi_pairs = {(q, i) for q, i in qi_pairs if q in queries and i in items}
-        it_pairs = {(i, t) for i, t in it_pairs if i in items and t in tags}
-        item_q = {}
-        query_i = {}
-        item_t = {}
-        tag_i = {}
-        for q, i in qi_pairs:
-            item_q[i] = item_q.get(i, 0) + 1
-            query_i[q] = query_i.get(q, 0) + 1
-        for i, t in it_pairs:
-            item_t[i] = item_t.get(i, 0) + 1
-            tag_i[t] = tag_i.get(t, 0) + 1
-
-        bad_items = {i for i in items
-                     if item_q.get(i, 0) < th.item_query or item_t.get(i, 0) < th.item_tag}
-        bad_queries = {q for q in queries if query_i.get(q, 0) < th.query_item}
-        bad_tags = {t for t in tags if tag_i.get(t, 0) < th.tag_item}
-        if not (bad_items or bad_queries or bad_tags):
+        qi = keep_q[qi_q] & keep_i[qi_i]
+        it = keep_i[it_i] & keep_t[it_t]
+        bad_i = keep_i & ((np.bincount(qi_i[qi], minlength=ni) < th.item_query)
+                          | (np.bincount(it_i[it], minlength=ni) < th.item_tag))
+        bad_q = keep_q & (np.bincount(qi_q[qi], minlength=nq) < th.query_item)
+        bad_t = keep_t & (np.bincount(it_t[it], minlength=nt) < th.tag_item)
+        if not (bad_i.any() or bad_q.any() or bad_t.any()):
             break
-        items -= bad_items
-        queries -= bad_queries
-        tags -= bad_tags
+        keep_i &= ~bad_i
+        keep_q &= ~bad_q
+        keep_t &= ~bad_t
 
-    if not items:
+    if not keep_i.any():
         raise ValueError("preprocessing removed every item; thresholds too strict for this data")
 
-    kept_items = [r for r in dataset.items if r[0] in items]
-    kept_queries = [r for r in dataset.queries if r[0] in queries]
-    kept_tags = [r for r in dataset.tags if r[0] in tags]
+    kept = [list(compress(column, keep.tolist())) for column, keep in (
+        (dataset.item_ids, keep_i), (dataset.item_texts, keep_i),
+        (dataset.query_ids, keep_q), (dataset.query_texts, keep_q),
+        (dataset.tag_ids, keep_t), (dataset.tag_texts, keep_t))]
+    counts = Counter(tok for texts in kept[1::2] for text in texts for tok in text.split())
+    rare = {tok for tok, n in counts.items() if n < th.min_count}
+    for texts in kept[1::2]:
+        texts[:] = [" ".join([UNK_TOKEN if tok in rare else tok for tok in text.split()])
+                    for text in texts]
 
-    counts = {}
-    for _, text in kept_queries + kept_items + kept_tags:
-        for tok in text.split():
-            counts[tok] = counts.get(tok, 0) + 1
-
-    def remap(rows):
-        out = []
-        for rid, text in rows:
-            toks = [tok if counts[tok] >= th.min_count or tok == UNK_TOKEN else UNK_TOKEN
-                    for tok in text.split()]
-            out.append((rid, " ".join(toks)))
-        return out
-
-    return RawDataset(
-        items=remap(kept_items),
-        queries=remap(kept_queries),
-        tags=remap(kept_tags),
-        qi=[r for r in dataset.qi if (r[0], r[1]) in qi_pairs],
-        it=[r for r in dataset.it if (r[0], r[1]) in it_pairs],
-    )
+    row_i, row_q, row_t = (np.cumsum(keep) - 1 for keep in (keep_i, keep_q, keep_t))
+    qi = keep_q[dataset.qi_query] & keep_i[dataset.qi_item]
+    it = keep_i[dataset.it_item] & keep_t[dataset.it_tag]
+    return RawDataset(*kept, row_q[dataset.qi_query[qi]], row_i[dataset.qi_item[qi]],
+                      dataset.qi_weight[qi], row_i[dataset.it_item[it]], row_t[dataset.it_tag[it]])
 
 
 def build_vocabulary(dataset, min_count=5):
@@ -379,7 +345,7 @@ def make_splits(dataset, counts, seed):
     item_ids = dataset.item_ids
     if n_train + n_val + n_test > len(item_ids):
         raise ValueError(f"split counts {counts} exceed {len(item_ids)} items")
-    tag_map = dataset.item_tag_map()
+    tag_map = dict(zip(item_ids, map(set, dataset._tags_by_item())))   # distinct tags per item
 
     rng = np.random.default_rng(seed)
     order = [item_ids[j] for j in rng.permutation(len(item_ids))]

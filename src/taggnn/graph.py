@@ -60,11 +60,8 @@ class Vocabulary:
         kept = [tok for tok in order if counts[tok] >= min_count and tok != UNK_TOKEN]
         return cls(kept, min_count=min_count)
 
-    def encode(self, text):
-        return [self.token_to_id.get(tok, UNK_ID) for tok in text.split()]
-
     def encode_texts(self, texts):
-        """:meth:`encode` of every text in ``texts``, in one pass: a list of id lists."""
+        """Per text, its whitespace-split tokens' ids (``UNK_ID`` for unknown ones)."""
         get = self.token_to_id.get
         return [[get(tok, UNK_ID) for tok in text.split()] for text in texts]
 
@@ -192,12 +189,6 @@ class TripartiteGraph:
         self.qi_mult = standardize_edge_weights(self.qi_weight)
         self._pack_cache.clear()
         return self.qi_mult
-
-    def item_tag_sets(self):
-        """Per-item set of linked tag indices (the label structure)."""
-        bounds = np.searchsorted(self.it_item, np.arange(self.n_items + 1)).tolist()
-        tags = self.it_tag.tolist()
-        return [set(tags[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def item_tags(self, index):
         """Ascending tag indices linked to item ``index``, as one slice of ``it_tag``."""

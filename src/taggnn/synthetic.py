@@ -3,7 +3,9 @@
 Each generator returns a :class:`RawDataset` plus a ready
 :class:`SplitAssignment`, built so one specific effect is easy to measure:
 overfitting capacity, cold-start behavior of the dual loss, the value of
-query edges, and the value of visible tags during completion.
+query edges, and the value of visible tags during completion.  Node ids are
+formatted from the rows the generators loop over, so they write the dataset's
+columns directly, with edges as integer rows.
 """
 
 import numpy as np
@@ -16,23 +18,41 @@ from .training import label_matrix
 from . import data as data_mod
 
 
+def _ids(prefix, n):
+    return [f"{prefix}{k}" for k in range(n)]
+
+
+def _test_full_split(item_ids, test_rows, truth):
+    """Rows ``test_rows`` are ``test_full`` items with ``truth`` tag ids; the others train."""
+    roles = dict.fromkeys(item_ids, "train")
+    test_rows = sorted(test_rows)
+    for n in test_rows:
+        roles[item_ids[n]] = "test_full"
+    return SplitAssignment(roles=roles, truth={item_ids[n]: truth[n] for n in test_rows})
+
+
 def overfit_dataset(n_items=50, n_tags=20, n_queries=30, seed=0):
     """Small fully-connected-ish dataset a capable model should memorize."""
     rng = np.random.default_rng(seed)
-    tags = [(f"t{j}", f"tagword{j}") for j in range(n_tags)]
-    items, it = [], []
+    item_texts, it_item, it_tag = [], [], []
     for n in range(n_items):
         k = int(rng.integers(2, 5))
         mine = sorted(rng.choice(n_tags, size=k, replace=False))
-        items.append((f"i{n}", " ".join(f"tagword{j}" for j in mine)))
-        it.extend((f"i{n}", f"t{j}") for j in mine)
-    queries = [(f"q{m}", f"queryword{m % 7}") for m in range(n_queries)]
-    qi = []
+        item_texts.append(" ".join(f"tagword{j}" for j in mine))
+        it_item += [n] * k
+        it_tag += mine
+    qi_query, qi_item, qi_weight = [], [], []
     for m in range(n_queries):
         for n in sorted(rng.choice(n_items, size=4, replace=False)):
-            qi.append((f"q{m}", f"i{n}", float(rng.integers(1, 6))))
-    return (RawDataset(items, queries, tags, qi, it),
-            SplitAssignment(roles={i: "train" for i, _ in items}))
+            qi_query.append(m)
+            qi_item.append(n)
+            qi_weight.append(float(rng.integers(1, 6)))
+    item_ids = _ids("i", n_items)
+    return (RawDataset(item_ids, item_texts,
+                       _ids("q", n_queries), [f"queryword{m % 7}" for m in range(n_queries)],
+                       _ids("t", n_tags), _ids("tagword", n_tags),
+                       qi_query, qi_item, qi_weight, it_item, it_tag),
+            SplitAssignment(roles=dict.fromkeys(item_ids, "train")))
 
 
 def cold_start_dataset(n_items=150, n_tags=40, n_test=30, seed=0):
@@ -44,25 +64,18 @@ def cold_start_dataset(n_items=150, n_tags=40, n_test=30, seed=0):
     without the dual loss sits near chance on these items.
     """
     rng = np.random.default_rng(seed)
-    tags = [(f"t{j}", f"tagword{j}") for j in range(n_tags)]
-    items, it = [], []
-    truth = {}
+    item_texts, it_item, it_tag, truth = [], [], [], []
     for n in range(n_items):
         mine = sorted(rng.choice(n_tags, size=2, replace=False))
-        items.append((f"i{n}", " ".join(f"tagword{j}" for j in mine)))
-        it.extend((f"i{n}", f"t{j}") for j in mine)
-        truth[f"i{n}"] = frozenset(f"t{j}" for j in mine)
+        item_texts.append(" ".join(f"tagword{j}" for j in mine))
+        it_item += [n, n]
+        it_tag += mine
+        truth.append(frozenset(f"t{j}" for j in mine))
 
-    test_ids = {f"i{n}" for n in rng.choice(n_items, size=n_test, replace=False)}
-    roles, truth_map = {}, {}
-    for i, _ in items:
-        if i in test_ids:
-            roles[i] = "test_full"
-            truth_map[i] = truth[i]
-        else:
-            roles[i] = "train"
-    ds = RawDataset(items, [], tags, [], it)
-    return ds, SplitAssignment(roles=roles, truth=truth_map)
+    item_ids = _ids("i", n_items)
+    ds = RawDataset(item_ids, item_texts, [], [], _ids("t", n_tags), _ids("tagword", n_tags),
+                    [], [], [], it_item, it_tag)
+    return ds, _test_full_split(item_ids, rng.choice(n_items, size=n_test, replace=False), truth)
 
 
 def query_signal_dataset(n_items=100, n_tags=10, n_test=30, queries_per_tag=6,
@@ -75,32 +88,24 @@ def query_signal_dataset(n_items=100, n_tags=10, n_test=30, queries_per_tag=6,
     can recover the tag while a text-only or item-tag model cannot.
     """
     rng = np.random.default_rng(seed)
-    tags = [(f"t{j}", f"tagname{j}") for j in range(n_tags)]
-    queries = []
-    for j in range(n_tags):
-        for m in range(queries_per_tag):
-            queries.append((f"q{j}_{m}", f"queryword{j}"))
+    query_ids = [f"q{j}_{m}" for j in range(n_tags) for m in range(queries_per_tag)]
+    query_texts = [f"queryword{j}" for j in range(n_tags) for _ in range(queries_per_tag)]
 
-    items, it, qi = [], [], []
-    truth = {}
+    it_tag, qi_query, qi_item, qi_weight, truth = [], [], [], [], []
     for n in range(n_items):
         j = int(rng.integers(0, n_tags))
-        items.append((f"i{n}", ""))
-        it.append((f"i{n}", f"t{j}"))
-        truth[f"i{n}"] = frozenset({f"t{j}"})
+        it_tag.append(j)
+        truth.append(frozenset({f"t{j}"}))
         for m in sorted(rng.choice(queries_per_tag, size=links_per_item, replace=False)):
-            qi.append((f"q{j}_{m}", f"i{n}", float(rng.integers(1, 4))))
+            qi_query.append(j * queries_per_tag + m)
+            qi_item.append(n)
+            qi_weight.append(float(rng.integers(1, 4)))
 
-    test_ids = {f"i{n}" for n in rng.choice(n_items, size=n_test, replace=False)}
-    roles, truth_map = {}, {}
-    for i, _ in items:
-        if i in test_ids:
-            roles[i] = "test_full"
-            truth_map[i] = truth[i]
-        else:
-            roles[i] = "train"
-    ds = RawDataset(items, queries, tags, qi, it)
-    return ds, SplitAssignment(roles=roles, truth=truth_map)
+    item_ids = _ids("i", n_items)
+    ds = RawDataset(item_ids, [""] * n_items, query_ids, query_texts,
+                    _ids("t", n_tags), _ids("tagname", n_tags),
+                    qi_query, qi_item, qi_weight, range(n_items), it_tag)
+    return ds, _test_full_split(item_ids, rng.choice(n_items, size=n_test, replace=False), truth)
 
 
 def clustered_tags_dataset(n_items=90, n_clusters=5, cluster_size=4, n_test=30, seed=0):
@@ -112,26 +117,24 @@ def clustered_tags_dataset(n_items=90, n_clusters=5, cluster_size=4, n_test=30, 
     """
     rng = np.random.default_rng(seed)
     n_tags = n_clusters * cluster_size
-    tags = [(f"t{j}", f"tagword{j}") for j in range(n_tags)]
-    items, it = [], []
-    cluster_of = {}
+    item_texts, it_item, it_tag, tags_of = [], [], [], []
     for n in range(n_items):
         c = int(rng.integers(0, n_clusters))
         members = np.arange(c * cluster_size, (c + 1) * cluster_size)
         mine = sorted(rng.choice(members, size=3, replace=False))
-        items.append((f"i{n}", " ".join(f"noise{int(w)}" for w in rng.integers(0, 4, size=2))))
-        it.extend((f"i{n}", f"t{j}") for j in mine)
-        cluster_of[f"i{n}"] = c
+        item_texts.append(" ".join(f"noise{int(w)}" for w in rng.integers(0, 4, size=2)))
+        it_item += [n] * 3
+        it_tag += mine
+        tags_of.append([f"t{j}" for j in mine])
 
-    ds = RawDataset(items, [], tags, [], it)
-    tag_map = ds.item_tag_map()
-    test_ids = [f"i{n}" for n in sorted(rng.choice(n_items, size=n_test, replace=False))]
-    roles, heldout, truth, known = {}, {}, {}, {}
-    for i, _ in items:
-        roles[i] = "train"
-    for i in test_ids:
+    item_ids = _ids("i", n_items)
+    ds = RawDataset(item_ids, item_texts, [], [], _ids("t", n_tags), _ids("tagword", n_tags),
+                    [], [], [], it_item, it_tag)
+    roles, heldout, truth, known = dict.fromkeys(item_ids, "train"), {}, {}, {}
+    for n in sorted(rng.choice(n_items, size=n_test, replace=False)):
+        i = item_ids[n]
         roles[i] = "test_comp"
-        kn, held = mask_completion_tags(tag_map[i], rng)
+        kn, held = mask_completion_tags(tags_of[n], rng)
         heldout[i], known[i], truth[i] = held, kn, held
     return ds, SplitAssignment(roles=roles, heldout=heldout, truth=truth, known=known)
 
@@ -143,13 +146,11 @@ def gradcheck_instance(dim=6, n_layers=2, seed=7):
     exercises the pass-through path and the dual loss on an unpropagated
     item.  Returns (graph, model, train item indices, label pattern).
     """
-    items = [("i0", "alpha beta"), ("i1", "beta gamma"), ("i2", "delta"), ("i3", "epsilon zeta")]
-    queries = [("q0", "alpha"), ("q1", "gamma delta"), ("q2", "beta")]
-    tags = [("t0", "alpha"), ("t1", "beta"), ("t2", "gamma"), ("t3", "delta"), ("t4", "eta")]
-    qi = [("q0", "i0", 2.0), ("q0", "i1", 1.0), ("q1", "i1", 3.0),
-          ("q1", "i2", 1.0), ("q2", "i0", 1.0), ("q2", "i2", 2.0)]
-    it = [("i0", "t0"), ("i0", "t1"), ("i1", "t1"), ("i1", "t2"), ("i2", "t3"), ("i2", "t4")]
-    ds = RawDataset(items, queries, tags, qi, it)
+    ds = RawDataset(_ids("i", 4), ["alpha beta", "beta gamma", "delta", "epsilon zeta"],
+                    _ids("q", 3), ["alpha", "gamma delta", "beta"],
+                    _ids("t", 5), ["alpha", "beta", "gamma", "delta", "eta"],
+                    [0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 0, 2], [2.0, 1.0, 3.0, 1.0, 1.0, 2.0],
+                    [0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 3, 4])
     vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
     graph = data_mod.dataset_to_graph(ds, vocab)
 

@@ -7,6 +7,8 @@
 - The dataset and ``splits.tsv`` readers and the graph's edge build, per line
   and per edge.  They keep the checks and their order that fix which
   ``file:line`` message a malformed file gets.
+- A :class:`RawDataset` built from lists of id tuples, and the degree filter
+  run to its fixed point over Python sets of those tuples.
 - The fused BCE op as one sequential loop over its row blocks.
 - The ``spmm`` values gradient (a sampled dense-dense product) as one
   unblocked row dot over whole E x d gathers.
@@ -17,7 +19,9 @@ import os
 import numpy as np
 from scipy.special import expit
 
-from taggnn.data import COMPLETION_ROLES, DATASET_FILES, FULL_ROLES, ROLES, DataFormatError
+from taggnn.data import (COMPLETION_ROLES, DATASET_FILES, FULL_ROLES, ROLES, DataFormatError,
+                         FilterThresholds, RawDataset)
+from taggnn.graph import UNK_TOKEN
 
 
 def neighbours(graph, v, kind="full"):
@@ -172,6 +176,78 @@ def load_splits(path, items, it):
         elif role in FULL_ROLES:
             truth[item_id] = frozenset(tag_map[item_id])
     return roles, heldout, truth, known
+
+
+def dataset_from_rows(items, queries, tags, qi, it):
+    """A :class:`RawDataset` from lists of tuples, shaped as its ``items`` ... ``it`` views."""
+    (item_ids, item_texts), (query_ids, query_texts), (tag_ids, tag_texts) = (
+        ([r[0] for r in rows], [r[1] for r in rows]) for rows in (items, queries, tags))
+    item, query, tag = ({k: n for n, k in enumerate(ids)} for ids in (item_ids, query_ids, tag_ids))
+    return RawDataset(item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
+                      [query[q] for q, _, _ in qi], [item[i] for _, i, _ in qi],
+                      [w for _, _, w in qi], [item[i] for i, _ in it], [tag[t] for _, t in it])
+
+
+def preprocess_filter(dataset, thresholds=None):
+    """``data.preprocess_filter`` over sets of id tuples, one fixed-point round at a time."""
+    th = thresholds or FilterThresholds()
+    items = {i for i, _ in dataset.items}
+    queries = {q for q, _ in dataset.queries}
+    tags = {t for t, _ in dataset.tags}
+    qi_pairs = {(q, i) for q, i, _ in dataset.qi}
+    it_pairs = set(dataset.it)
+
+    while True:
+        qi_pairs = {(q, i) for q, i in qi_pairs if q in queries and i in items}
+        it_pairs = {(i, t) for i, t in it_pairs if i in items and t in tags}
+        item_q = {}
+        query_i = {}
+        item_t = {}
+        tag_i = {}
+        for q, i in qi_pairs:
+            item_q[i] = item_q.get(i, 0) + 1
+            query_i[q] = query_i.get(q, 0) + 1
+        for i, t in it_pairs:
+            item_t[i] = item_t.get(i, 0) + 1
+            tag_i[t] = tag_i.get(t, 0) + 1
+
+        bad_items = {i for i in items
+                     if item_q.get(i, 0) < th.item_query or item_t.get(i, 0) < th.item_tag}
+        bad_queries = {q for q in queries if query_i.get(q, 0) < th.query_item}
+        bad_tags = {t for t in tags if tag_i.get(t, 0) < th.tag_item}
+        if not (bad_items or bad_queries or bad_tags):
+            break
+        items -= bad_items
+        queries -= bad_queries
+        tags -= bad_tags
+
+    if not items:
+        raise ValueError("preprocessing removed every item; thresholds too strict for this data")
+
+    kept_items = [r for r in dataset.items if r[0] in items]
+    kept_queries = [r for r in dataset.queries if r[0] in queries]
+    kept_tags = [r for r in dataset.tags if r[0] in tags]
+
+    counts = {}
+    for _, text in kept_queries + kept_items + kept_tags:
+        for tok in text.split():
+            counts[tok] = counts.get(tok, 0) + 1
+
+    def remap(rows):
+        out = []
+        for rid, text in rows:
+            toks = [tok if counts[tok] >= th.min_count or tok == UNK_TOKEN else UNK_TOKEN
+                    for tok in text.split()]
+            out.append((rid, " ".join(toks)))
+        return out
+
+    return dataset_from_rows(
+        items=remap(kept_items),
+        queries=remap(kept_queries),
+        tags=remap(kept_tags),
+        qi=[r for r in dataset.qi if (r[0], r[1]) in qi_pairs],
+        it=[r for r in dataset.it if (r[0], r[1]) in it_pairs],
+    )
 
 
 def build_edges(nq, ni, nt, qi_edges, it_edges):

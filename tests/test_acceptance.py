@@ -17,6 +17,7 @@ from taggnn.graph import Vocabulary, build_graph
 from taggnn.model import LayerParams, ModelVariant, TagGNNModel, pack_edges
 from taggnn.training import TrainConfig, combined_loss, train
 
+import oracle
 from conftest import random_tiny_graph
 
 
@@ -92,8 +93,7 @@ def test_criterion_4_overfit_capacity():
     result, graph, _ = _train_synthetic(ds, splits, dim=200, n_layers=2,
                                         max_epochs=300, seed=0)
     predictor = Predictor(result.model, graph)
-    tag_sets = graph.item_tag_sets()
-    p1 = float(np.mean([precision_at_k(predictor.topk(i, 1), tag_sets[i], 1)
+    p1 = float(np.mean([precision_at_k(predictor.topk(i, 1), graph.item_tags(i), 1)
                         for i in range(graph.n_items)]))
     elapsed = time.perf_counter() - started
     _verdict(4, p1 >= 0.99 and elapsed < 60.0,
@@ -199,14 +199,14 @@ def test_criterion_10_pipeline_on_documented_format(tmp_path):
     for m in range(n_queries):
         for n in sorted(rng.choice(n_items, size=6, replace=False)):
             qi.append((f"q{m}", f"ad{n}", float(rng.integers(1, 30))))
-    dataset = dm.RawDataset(items=items, queries=queries, tags=tags, qi=qi, it=it)
+    dataset = oracle.dataset_from_rows(items=items, queries=queries, tags=tags, qi=qi, it=it)
     dm.save_dataset(dataset, tmp_path)
 
     loaded = dm.load_dataset(tmp_path)
     filtered = dm.preprocess_filter(
         loaded, dm.FilterThresholds(item_query=1, query_item=1, item_tag=2,
                                     tag_item=2, min_count=1))
-    splits = dm.make_splits(filtered, (len(filtered.items) - 20, 10, 10), seed=0)
+    splits = dm.make_splits(filtered, (len(filtered.item_ids) - 20, 10, 10), seed=0)
     vocab = dm.build_vocabulary(filtered, min_count=1)
     graph = dm.dataset_to_graph(filtered, vocab, splits=splits)
     cfg = TrainConfig(dim=16, n_layers=2, max_epochs=10, seed=0)

@@ -5,10 +5,12 @@ from taggnn import data as dm
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
 from taggnn.baseline import BaselineModel, item_feature_tokens, train_baseline
-from taggnn.data import RawDataset, SplitAssignment
+from taggnn.data import SplitAssignment
 from taggnn.evaluation import Predictor, precision_at_k, subset_precision
 from taggnn.graph import Vocabulary, build_graph
 from taggnn.training import TrainConfig, validation_p1
+
+import oracle
 
 
 def _graph(ds, splits=None):
@@ -25,7 +27,7 @@ def _separable_dataset(n_per_class=10):
             iid = f"i{j}_{n}"
             items.append((iid, f"{word} {word}"))
             it.append((iid, tag_id))
-    ds = RawDataset(items=items, queries=[], tags=tags, qi=[], it=it)
+    ds = oracle.dataset_from_rows(items=items, queries=[], tags=tags, qi=[], it=it)
     splits = SplitAssignment(roles={i: "train" for i, _ in items})
     return ds, splits
 
@@ -36,8 +38,8 @@ def test_linearly_separable_data_is_memorized():
     cfg = TrainConfig(dim=16, max_epochs=60, seed=0)
     model = train_baseline(graph, "item", cfg, splits, len(vocab)).model
     predictor = Predictor(model, graph)
-    hits = [precision_at_k(predictor.topk(n, 1), tags, 1)
-            for n, tags in enumerate(graph.item_tag_sets())]
+    hits = [precision_at_k(predictor.topk(n, 1), graph.item_tags(n), 1)
+            for n in range(graph.n_items)]
     assert np.mean(hits) == 1.0
 
 
@@ -82,8 +84,8 @@ def test_empty_features_predict_deterministically():
 def test_top_ten_queries_by_weight():
     queries = [(f"q{m}", f"qw{m}") for m in range(12)]
     qi = [(f"q{m}", "i0", float(m)) for m in range(12)]  # q11 heaviest
-    ds = RawDataset(items=[("i0", "title")], queries=queries,
-                    tags=[("t0", "x")], qi=qi, it=[("i0", "t0")])
+    ds = oracle.dataset_from_rows(items=[("i0", "title")], queries=queries,
+                                  tags=[("t0", "x")], qi=qi, it=[("i0", "t0")])
     graph, vocab = _graph(ds)
     toks = item_feature_tokens(graph, "item_queries")[0]
     assert toks[0] == vocab.token_to_id["title"]
@@ -91,8 +93,8 @@ def test_top_ten_queries_by_weight():
     assert picked == {f"qw{m}" for m in range(2, 12)}  # the ten heaviest
 
     # an item with no queries falls back to its title
-    ds2 = RawDataset(items=[("i0", "title")], queries=queries, tags=[("t0", "x")],
-                     qi=[], it=[("i0", "t0")])
+    ds2 = oracle.dataset_from_rows(items=[("i0", "title")], queries=queries, tags=[("t0", "x")],
+                                   qi=[], it=[("i0", "t0")])
     graph2, vocab2 = _graph(ds2)
     assert item_feature_tokens(graph2, "item_queries")[0] == [vocab2.token_to_id["title"]]
 

@@ -170,6 +170,18 @@ def test_malformed_split_counts_exit_one_naming_the_flag(workspace, capsys, comm
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("ks", ["1,,3", "x", "0"])
+@pytest.mark.parametrize("command", [["eval", "--model", "m"], ["ablate", "--splits", "s"]])
+def test_malformed_k_exits_one_naming_the_flag(workspace, capsys, command, ks):
+    tmp_path, data = workspace
+    assert cli_main(command + ["--data", data, f"--k={ks}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: taggnn ")
+    assert captured.err.endswith(f"error: argument --k: must be comma-separated positive "
+                                 f"integers, got '{ks}'\n")
+
+
 def _trained_model_dir(tmp_path, data):
     splits = str(tmp_path / "splits.tsv")
     model_dir = tmp_path / "model"

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taggnn import data as dm
-from taggnn.data import (DataFormatError, FilterThresholds, RawDataset, load_dataset,
+from taggnn.data import (DataFormatError, FilterThresholds, load_dataset,
                          load_splits, make_splits, mask_completion_tags,
                          preprocess_filter, save_dataset, save_splits)
-from taggnn.graph import UNK_ID, Vocabulary
+from taggnn.graph import UNK_ID, UNK_TOKEN, Vocabulary
 
 import oracle
 
@@ -213,11 +213,54 @@ class TestLoaderMatchesPerLineReference:
         assert got == want
 
 
-def _dataset(items, queries, tags, qi, it):
-    return RawDataset(items=items, queries=queries, tags=tags, qi=qi, it=it)
+@st.composite
+def filter_case(draw):
+    """A small dataset and thresholds for the degree filter: repeated edge lines,
+    isolated nodes, texts holding the unknown token or runs of spaces, and
+    thresholds low enough that some cascades take several rounds."""
+    word = st.sampled_from(("a", "b", "c", "d", "e", UNK_TOKEN))
+    text = st.builds(lambda lead, words, gap: lead + gap.join(words) + lead,
+                     st.sampled_from(("", " ")), st.lists(word, max_size=4),
+                     st.sampled_from((" ", "  ", "   ")))
+
+    def nodes(prefix):
+        return [(f"{prefix}{k}", draw(text)) for k in range(draw(st.integers(0, 6)))]
+
+    items, queries, tags = nodes("i"), nodes("q"), nodes("t")
+    qi = draw(st.lists(st.tuples(st.sampled_from([q for q, _ in queries]),
+                                 st.sampled_from([i for i, _ in items]),
+                                 st.sampled_from((0.0, 1.0, 2.5))),
+                       max_size=40)) if queries and items else []
+    it = draw(st.lists(st.tuples(st.sampled_from([i for i, _ in items]),
+                                 st.sampled_from([t for t, _ in tags])),
+                       max_size=40)) if items and tags else []
+    # repeat some lines outright, at drawn places
+    for edges in (qi, it):
+        for pos, line in draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 23)),
+                                       max_size=4)):
+            if edges:
+                edges.insert(pos, edges[line % len(edges)])
+    degree = st.sampled_from((0, 0, 0, 1, 1, 1, 2, 2, 3, 4))
+    thresholds = FilterThresholds(item_query=draw(degree), query_item=draw(degree),
+                                  item_tag=draw(degree), tag_item=draw(degree),
+                                  min_count=draw(st.integers(1, 4)))
+    return oracle.dataset_from_rows(items, queries, tags, qi, it), thresholds
+
+
+def _filtered(preprocess, dataset, thresholds):
+    try:
+        out = preprocess(dataset, thresholds)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return out.items, out.queries, out.tags, out.qi, out.it
 
 
 class TestPreprocessFilter:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=filter_case())
+    def test_matches_set_reference(self, case):
+        assert _filtered(preprocess_filter, *case) == _filtered(oracle.preprocess_filter, *case)
+
     def test_satisfying_dataset_is_fixed_point(self, toy_dataset):
         th = FilterThresholds(item_query=1, query_item=1, item_tag=1, tag_item=1,
                               min_count=1)
@@ -229,7 +272,7 @@ class TestPreprocessFilter:
     def test_cascade_removal(self):
         # the weak item falls below item_tag >= 2; its only tag then loses
         # its only item and cascades away
-        ds = _dataset(
+        ds = oracle.dataset_from_rows(
             items=[("strong", "a"), ("weak", "b")],
             queries=[("q", "c")],
             tags=[("t1", "d"), ("t2", "e"), ("lonely", "f")],
@@ -243,7 +286,7 @@ class TestPreprocessFilter:
         assert [t for t, _ in out.tags] == ["t1", "t2"]
 
     def test_rare_words_rewritten_to_unknown_token(self):
-        ds = _dataset(
+        ds = oracle.dataset_from_rows(
             items=[("i1", "common rare common"), ("i2", "common common")],
             queries=[("q", "common")],
             tags=[("t", "common")],
@@ -259,7 +302,7 @@ class TestPreprocessFilter:
     def test_rerun_is_identity(self):
         # a stable core plus a fringe that the filter strips in one pass
         core_items = [(f"c{k}", "w") for k in range(4)]
-        ds = _dataset(
+        ds = oracle.dataset_from_rows(
             items=core_items + [("w0", "w")],
             queries=[("Q1", "x"), ("Q2", "x"), ("Q3", "x")],
             tags=[("T1", "y"), ("T2", "y"), ("T3", "y"), ("T4", "y")],
@@ -279,8 +322,8 @@ class TestPreprocessFilter:
 
     def test_rare_word_maps_to_unk(self):
         vocab = Vocabulary.from_texts(["rare common common common"], min_count=3)
-        assert vocab.encode("rare") == [UNK_ID]
-        assert vocab.encode("common") != [UNK_ID]
+        rare, common = vocab.encode_texts(["rare", "common"])
+        assert rare == [UNK_ID] and common != [UNK_ID]
 
 
 class TestMakeSplits:
@@ -297,9 +340,9 @@ class TestMakeSplits:
                           "test_full": 1, "test_comp": 1}
 
     def test_completion_requires_three_tags(self):
-        ds = _dataset(items=[(f"i{k}", "w") for k in range(4)], queries=[],
-                      tags=[("t1", "x"), ("t2", "y")], qi=[],
-                      it=[(f"i{k}", t) for k in range(4) for t in ("t1", "t2")])
+        ds = oracle.dataset_from_rows(items=[(f"i{k}", "w") for k in range(4)], queries=[],
+                                      tags=[("t1", "x"), ("t2", "y")], qi=[],
+                                      it=[(f"i{k}", t) for k in range(4) for t in ("t1", "t2")])
         with pytest.raises(ValueError, match="completion-eligible"):
             make_splits(ds, (2, 2, 0), seed=0)
 
@@ -380,18 +423,18 @@ class TestSplitsRoundtrip:
 class TestGraphMasking:
     def test_eval_edges_hidden(self, toy_setup):
         dataset, splits, vocab, graph = toy_setup
-        tag_sets = graph.item_tag_sets()
         tag_pos = {t: n for n, t in enumerate(graph.tag_ids)}
         for item_id, role in splits.roles.items():
             idx = dataset.item_index[item_id]
+            visible = set(graph.item_tags(idx).tolist())
             if role in dm.FULL_ROLES:
-                assert tag_sets[idx] == set()
+                assert visible == set()
             elif role in dm.COMPLETION_ROLES:
                 held = {tag_pos[t] for t in splits.heldout[item_id]}
                 known = {tag_pos[t] for t in splits.known[item_id]}
-                assert tag_sets[idx] == known and not tag_sets[idx] & held
+                assert visible == known and not visible & held
             else:
-                assert tag_sets[idx] == {tag_pos[t] for t in dataset.item_tag_map()[item_id]}
+                assert visible == set(dataset.it_tag[dataset.it_item == idx].tolist())
 
     def test_query_edges_always_retained(self, toy_setup):
         dataset, splits, vocab, graph = toy_setup
@@ -400,7 +443,6 @@ class TestGraphMasking:
     def test_known_tags_can_be_dropped(self, toy_setup):
         dataset, splits, vocab, graph = toy_setup
         bare = dm.dataset_to_graph(dataset, vocab, splits=splits, include_known_tags=False)
-        tag_sets = bare.item_tag_sets()
         for item_id, role in splits.roles.items():
             if role in dm.COMPLETION_ROLES:
-                assert tag_sets[dataset.item_index[item_id]] == set()
+                assert len(bare.item_tags(dataset.item_index[item_id])) == 0

@@ -263,11 +263,9 @@ class TestItemRestrictedPredictor:
 class TestEvaluate:
     def test_oracle_scores_score_perfectly(self, toy_setup):
         dataset, splits, vocab, graph = toy_setup
-        tag_pos = {t: n for n, t in enumerate(graph.tag_ids)}
+        assert graph.tag_ids == dataset.tag_ids
         labels = np.zeros((graph.n_items, graph.n_tags))
-        for item_id, tags in dataset.item_tag_map().items():
-            for t in tags:
-                labels[dataset.item_index[item_id], tag_pos[t]] = 1.0
+        labels[dataset.it_item, dataset.it_tag] = 1.0
         oracle = _StubPredictor(labels)
         out = subset_precision(oracle, graph, splits,
                                roles=("test_full", "test_comp"), ks=(1, 3))

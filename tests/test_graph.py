@@ -19,23 +19,23 @@ from conftest import random_tiny_graph
 class TestVocabulary:
     def test_known_tokens(self):
         vocab = Vocabulary.from_texts(["pikachu game", "pikachu go"], min_count=1)
-        ids = vocab.encode("pikachu game")
+        [ids] = vocab.encode_texts(["pikachu game"])
         assert ids == [vocab.token_to_id["pikachu"], vocab.token_to_id["game"]]
         assert 0 not in ids
 
     def test_unseen_token_maps_to_unk(self):
         vocab = Vocabulary.from_texts(["pikachu game"], min_count=1)
-        assert vocab.encode("zzzz") == [g.UNK_ID]
+        assert vocab.encode_texts(["zzzz"]) == [[g.UNK_ID]]
 
     def test_empty_text(self):
         vocab = Vocabulary.from_texts(["pikachu"], min_count=1)
-        assert vocab.encode("") == []
+        assert vocab.encode_texts([""]) == [[]]
 
     def test_min_count_threshold(self):
         vocab = Vocabulary.from_texts(["a a a b", "a b c"], min_count=3)
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id  # 2 < 3
-        assert vocab.encode("b c") == [g.UNK_ID, g.UNK_ID]
+        assert vocab.encode_texts(["b c"]) == [[g.UNK_ID, g.UNK_ID]]
 
     def test_ids_are_dense(self):
         vocab = Vocabulary.from_texts(["x y z"], min_count=1)
@@ -45,10 +45,11 @@ class TestVocabulary:
            st.lists(st.text(st.sampled_from("abc "), max_size=12), max_size=4),
            st.integers(1, 2))
     @settings(max_examples=100, deadline=None)
-    def test_encode_texts_matches_encode_per_text(self, texts, corpus, min_count):
+    def test_encode_texts_matches_per_token_lookup(self, texts, corpus, min_count):
         # unknown tokens, empty and whitespace-only texts, non-ASCII whitespace
         vocab = Vocabulary.from_texts(corpus, min_count=min_count)
-        assert vocab.encode_texts(texts) == [vocab.encode(text) for text in texts]
+        assert vocab.encode_texts(texts) == [[vocab.token_to_id.get(tok, g.UNK_ID)
+                                              for tok in text.split()] for text in texts]
 
 
 class TestEdgeWeightStandardization:

@@ -323,13 +323,12 @@ class TestLabelMatrix:
         np.testing.assert_array_equal(y.rows, [0, 0, 1])
         np.testing.assert_array_equal(y.cols, [0, 2, 1])
 
-    def test_any_row_order_matches_item_tag_sets(self):
+    def test_any_row_order_matches_item_tags(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             graph, _ = random_tiny_graph(rng)
             items = rng.integers(0, graph.n_items, size=int(rng.integers(0, 7)))
             y = label_matrix(graph, items)
-            sets = graph.item_tag_sets()
             assert y.shape == (len(items), graph.n_tags)
             assert [sorted(y.cols[y.rows == r]) for r in range(len(items))] == \
-                   [sorted(sets[i]) for i in items]
+                   [list(graph.item_tags(i)) for i in items]
