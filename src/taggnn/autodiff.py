@@ -14,9 +14,10 @@ The op set is deliberately tiny -- just what the tagging models need.
 Tensors are dense; sparse ops (:func:`spmm`, :func:`segment_softmax`,
 :func:`edge_scores`) take a :class:`SparsePattern`, the fixed CSR layout of
 a graph's adjacency or token lists, and run through scipy's CSR kernels.
-The ``spmm`` backward forms its per-entry gradient over cache-sized entry
-blocks (:func:`_sddmm`).  :func:`bce_with_logits` takes its positive labels
-as a pattern too.  Everything is float64.  Only :func:`bce_with_logits` uses
+The ``spmm`` backward reads ``A.T`` as scipy's CSC view of the same arrays
+and forms its per-entry gradient over cache-sized entry blocks
+(:func:`_sddmm`).  :func:`bce_with_logits` takes its positive labels as a
+pattern too.  Everything is float64.  Only :func:`bce_with_logits` uses
 threads: it computes two row blocks at once and folds them in block order,
 so a fixed seed reproduces a training run bit for bit on any core count.
 """
@@ -415,10 +416,10 @@ class SparsePattern:
     """The entry layout of an ``n_rows x n_cols`` sparse matrix, in CSR order.
 
     ``rows`` must be non-decreasing; entries keep their given order within a
-    row, and ``cols`` may repeat or be unsorted.  The transpose lists each
-    column's entries in that same order (a stable sort), so both ``A @ x``
-    and ``A.T @ g`` add up every output row in entry order, exactly as
-    ``np.add.at`` over the entries would.  Build one per graph and reuse it.
+    row, and ``cols`` may repeat or be unsorted.  ``matrix(values).T`` is
+    scipy's CSC view of the same arrays, so both ``A @ x`` and ``A.T @ g``
+    add up every output row in entry order, exactly as ``np.add.at`` over the
+    entries would.  Build one per graph and reuse it.
     """
 
     def __init__(self, rows, cols, shape):
@@ -435,9 +436,6 @@ class SparsePattern:
         self.shape = (n_rows, n_cols)
         self.rows, self.cols = rows, cols
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
-        self._t_order = np.argsort(cols, kind="stable")
-        self._t_indices = rows[self._t_order]
-        self._t_indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
 
     @property
     def nnz(self):
@@ -446,11 +444,6 @@ class SparsePattern:
     def matrix(self, values):
         """The CSR matrix holding ``values`` (one per entry, in entry order)."""
         return scipy.sparse.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
-
-    def transpose(self, values):
-        """The CSR matrix of the transpose, ``matrix(values).T``."""
-        return scipy.sparse.csr_matrix((values[self._t_order], self._t_indices, self._t_indptr),
-                                       shape=self.shape[::-1])
 
 
 _SDDMM_BLOCK_ELEMENTS = 2**15  # gathered floats per operand in one entry block of the spmm backward
@@ -480,8 +473,9 @@ def spmm(values, pattern, x):
     """Sparse-dense product ``A @ x``, where ``A`` holds ``values`` at ``pattern``'s entries.
 
     Rows of ``A`` without entries give zero rows.  The backward pass is
-    ``dx = A.T @ g`` and, per entry ``(r, c)``, ``dvalue = g[r] . x[c]``
-    (a sampled dense-dense product, computed by :func:`_sddmm`).
+    ``dx = A.T @ g``, read through the CSC view of the forward's matrix, and,
+    per entry ``(r, c)``, ``dvalue = g[r] . x[c]`` (a sampled dense-dense
+    product, computed by :func:`_sddmm`).
     """
     values, x = _wrap(values), _wrap(x)
     v = values.data.reshape(-1)
@@ -489,9 +483,10 @@ def spmm(values, pattern, x):
         raise ValueError(f"{v.shape[0]} values for a pattern of {pattern.nnz} entries")
     if x.data.ndim != 2 or x.data.shape[0] != pattern.shape[1]:
         raise ValueError(f"cannot multiply a {pattern.shape} pattern by shape {x.data.shape}")
-    return _from_op(pattern.matrix(v) @ x.data, "spmm", (values, x),
+    a = pattern.matrix(v)
+    return _from_op(a @ x.data, "spmm", (values, x),
                     (lambda g: _sddmm(g, x.data, pattern.rows, pattern.cols).reshape(values.shape),
-                     lambda g: pattern.transpose(v) @ g))
+                     lambda g: a.T @ g))
 
 
 def edge_scores(x, context, pattern):

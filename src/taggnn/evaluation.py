@@ -21,11 +21,10 @@ SCORE_CHUNK = 256   # items scored and ranked together by _subset_scores
 
 
 def precision_at_k(predicted, truth, k):
-    """Fraction of the first ``k`` predictions that are in the truth set."""
+    """Fraction of the first ``k`` predictions that are in ``truth`` (a set, list or array)."""
     if k <= 0:
         raise ValueError("k must be positive")
-    truth = set(truth)
-    if not truth:
+    if not len(truth):
         raise ValueError("empty ground-truth set")
     hits = sum(1 for p in predicted[:k] if p in truth)
     return hits / k

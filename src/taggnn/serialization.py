@@ -137,14 +137,14 @@ def load_model(directory):
         raise ValueError(f"unsupported model format {manifest['format']!r}")
     for key, kind, what in (("gamma", (int, float), "a number"), ("meta", dict, "an object"),
                             ("tensors", list, "a list"), ("params_sha256", str, "a string")):
-        if not isinstance(manifest[key], kind):
+        if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
             raise ValueError(f"manifest.json {key} must be {what}, got {manifest[key]!r}")
     vdata = _read(directory, "vocab.json")
     _require(vdata, ("tokens", "min_count"), "vocab.json")
     tokens, min_count = vdata["tokens"], vdata["min_count"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError("vocab.json tokens must be a list of strings")
-    if not isinstance(min_count, int):
+    if type(min_count) is not int:   # a JSON true or false is no count
         raise ValueError(f"vocab.json min_count must be an integer, got {min_count!r}")
     vocab = Vocabulary(tokens, min_count=min_count)
     if vocab.sha256() != manifest["vocab_sha256"]:
@@ -157,7 +157,7 @@ def load_model(directory):
         if not isinstance(v[key], bool):
             raise ValueError(f"manifest.json variant.{key} must be true or false, got {v[key]!r}")
     counts = (manifest["dim"], manifest["n_words"], manifest["n_tags"], v["n_layers"])
-    if not all(isinstance(c, int) for c in counts) or min(counts[:3]) <= 0:
+    if not all(type(c) is int for c in counts) or min(counts[:3]) <= 0:
         raise ValueError(f"manifest.json dim, n_words, n_tags and n_layers must be integers "
                          f"(the first three positive), got {counts}")
     dim, n_words, n_tags, n_layers = counts

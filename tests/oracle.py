@@ -11,7 +11,8 @@
   run to its fixed point over Python sets of those tuples.
 - The fused BCE op as one sequential loop over its row blocks.
 - The ``spmm`` values gradient (a sampled dense-dense product) as one
-  unblocked row dot over whole E x d gathers.
+  unblocked row dot over whole E x d gathers, and its input gradient
+  ``A.T @ g`` as one add per entry, in entry order.
 """
 
 import os
@@ -317,6 +318,15 @@ def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
 def sddmm(g, x, rows, cols):
     """Per entry ``(r, c)`` the row dot ``g[r] . x[c]``, from two whole E x d gathers."""
     return np.einsum("ij,ij->i", g[rows], x[cols])
+
+
+def transpose_product(values, rows, cols, g, n_cols):
+    """``A.T @ g`` for ``A`` holding ``values`` at entries ``(rows, cols)``: each
+    entry adds ``values[k] * g[rows[k]]`` into row ``cols[k]``, one entry at a time."""
+    out = np.zeros((n_cols, g.shape[1]))
+    for value, r, c in zip(values, rows, cols):
+        out[c] += value * g[r]
+    return out
 
 
 def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):

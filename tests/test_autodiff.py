@@ -651,6 +651,48 @@ class TestSddmm:
         assert np.array_equal(v.grad, oracle.sddmm(G, x.data, rows, cols))
 
 
+def _random_pattern(rng, n_rows, n_cols):
+    """Sorted rows and repeated, unsorted columns; at least two rows and two columns stay empty."""
+    n_entries = int(rng.integers(1, 4 * n_rows))
+    rows = np.sort(rng.choice(rng.permutation(n_rows)[:n_rows - 2], n_entries))
+    cols = rng.choice(rng.permutation(n_cols)[:n_cols - 2], n_entries)
+    return rows, cols
+
+
+class TestTransposeProduct:
+    """``A.T @ g`` in the ``spmm`` backward adds every output row in entry
+    order: byte-equal to a per-entry sequential add, whatever scipy's kernel."""
+
+    @pytest.mark.parametrize("d", [1, 7, 64, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spmm_input_gradient_is_a_sequential_add(self, d, seed):
+        rng = np.random.default_rng([seed, d])
+        n_rows, n_cols = int(rng.integers(3, 12)), int(rng.integers(3, 12))
+        rows, cols = _random_pattern(rng, n_rows, n_cols)
+        v, x, loss, G = _spmm_case(n_rows, n_cols, rows, cols, d, seed)
+        v.data *= 10.0 ** rng.uniform(-8, 8, size=v.shape)   # values over 16 decades
+        ad.backward(loss)
+        want = oracle.transpose_product(v.data, rows, cols, G, n_cols)
+        assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 7, 64, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mean_token_rows_word_gradient_is_a_sequential_add(self, d, seed):
+        rng = np.random.default_rng([seed, d, 1])
+        n_lists, n_words = int(rng.integers(3, 12)), int(rng.integers(3, 12))
+        rows, cols = _random_pattern(rng, n_lists, n_words)
+        pattern = ad.SparsePattern(rows, cols, (n_lists, n_words))
+        words = Tensor(rng.normal(size=(n_words, d)), requires_grad=True)
+        w = rng.normal(size=(n_lists, d))
+        ad.backward(ad.mean(ad.mul(graph_mod.mean_token_rows(words, pattern), w)))
+        lengths = np.bincount(rows, minlength=n_lists)
+        inv = np.zeros((n_lists, 1))
+        inv[lengths > 0, 0] = 1.0 / lengths[lengths > 0]
+        G = np.full(w.shape, 1.0 / w.size) * w * inv
+        want = oracle.transpose_product(np.ones(len(rows)), rows, cols, G, n_words)
+        assert words.grad.tobytes() == want.tobytes()
+
+
 def _taped():
     """Whether an op called now records its backward step."""
     return ad.mul(Tensor(1.0, requires_grad=True), 2.0)._backward is not None

@@ -229,9 +229,13 @@ WRONG_TYPES = {
     "token_not_a_string": ("vocab.json", lambda v: v["tokens"].append(7), "tokens"),
     "tokens_null": ("vocab.json", lambda v: v.update(tokens=None), "tokens"),
     "min_count_null": ("vocab.json", lambda v: v.update(min_count=None), "min_count"),
+    "min_count_false": ("vocab.json", lambda v: v.update(min_count=False), "min_count"),
     "meta_not_an_object": ("manifest.json", lambda m: m.update(meta=["seed"]), "meta"),
     "tensors_not_a_list": ("manifest.json", lambda m: m.update(tensors={}), "tensors"),
     "gamma_null": ("manifest.json", lambda m: m.update(gamma=None), "gamma"),
+    "gamma_true": ("manifest.json", lambda m: m.update(gamma=True), "gamma"),
+    "dim_true": ("manifest.json", lambda m: m.update(dim=True),
+                 "dim, n_words, n_tags and n_layers"),
     "use_tag_names_null": ("manifest.json", lambda m: m["variant"].update(use_tag_names=None),
                            "variant.use_tag_names"),
     "use_tag_ids_zero": ("manifest.json", lambda m: m["variant"].update(use_tag_ids=0),
