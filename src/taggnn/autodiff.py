@@ -130,11 +130,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def grad_enabled():
-    """Whether ops called now record a tape (false inside :func:`no_grad`)."""
-    return _grad_enabled
-
-
 def _gets_grad(t):
     """Whether an op's backward step gives input ``t`` (``None`` for an absent one) a gradient."""
     return t is not None and t.requires_grad
@@ -459,13 +454,14 @@ def _sddmm(g, x, rows, cols):
     is the same ``einsum`` row dot, so the result does not depend on the
     block size.  Rows longer than einsum's buffer would round differently in
     a one-entry block, so at such widths all entries form one block.
+    ``np.take`` gathers the same rows as fancy indexing, in less time.
     """
     out = np.empty(len(rows))
     d = max(1, g.shape[1])
     step = max(1, _SDDMM_BLOCK_ELEMENTS // d if d <= _EINSUM_BUFFER else len(rows))
     for lo in range(0, len(rows), step):
         block = slice(lo, lo + step)
-        np.einsum("ij,ij->i", g[rows[block]], x[cols[block]], out=out[block])
+        np.einsum("ij,ij->i", np.take(g, rows[block], 0), np.take(x, cols[block], 0), out=out[block])
     return out
 
 
@@ -519,44 +515,22 @@ def edge_scores(x, context, pattern):
                      lambda g: (x.data.T @ per_node(g)).T.reshape(2 * d, 1)))
 
 
-def where_rows(mask, a, b, rows=None):
+def where_rows(mask, a, b):
     """Row-wise select: rows of ``a`` where ``mask`` holds, rows of ``b`` elsewhere.
 
-    With ``rows`` (sorted, distinct rows of ``b``), ``a`` and ``mask`` cover
-    those rows only: output row ``rows[j]`` is ``a[j]`` where ``mask[j]``
-    holds, and every other row is ``b``'s.  Unselected rows are copied bit for
-    bit, which is what lets isolated graph nodes pass through a propagation
-    layer exactly unchanged.
+    ``a`` and ``b`` share a shape.  Unselected rows are copied bit for bit,
+    which is what lets isolated graph nodes pass through a propagation layer
+    exactly unchanged.
     """
     a, b = _wrap(a), _wrap(b)
     mask = np.asarray(mask, dtype=bool)
+    if a.data.shape != b.data.shape:
+        raise ValueError("branches must share a shape")
     if mask.shape != (a.data.shape[0],):
         raise ValueError("mask must have one entry per row")
-    if rows is None:
-        if a.data.shape != b.data.shape:
-            raise ValueError("branches must share a shape")
-        col = mask[:, None] if a.data.ndim > 1 else mask
-        return _from_op(np.where(col, a.data, b.data), "where_rows", (a, b),
-                        (lambda g: np.where(col, g, 0.0), lambda g: np.where(col, 0.0, g)))
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.shape != mask.shape or a.data.shape[1:] != b.data.shape[1:]:
-        raise ValueError("rows must name one row of b per row of a")
-    picked = rows[mask]
-    data = b.data.copy()
-    data[rows] = a.data
-    data[rows[~mask]] = b.data[rows[~mask]]   # the few unselected rows, without an a-sized copy
-
-    def grad_a(g):
-        ga = np.zeros_like(a.data)
-        ga[mask] = g[picked]
-        return ga
-
-    def grad_b(g):
-        gb = g.copy()
-        gb[picked] = 0.0
-        return gb
-
-    return _from_op(data, "where_rows", (a, b), (grad_a, grad_b))
+    col = mask[:, None] if a.data.ndim > 1 else mask
+    return _from_op(np.where(col, a.data, b.data), "where_rows", (a, b),
+                    (lambda g: np.where(col, g, 0.0), lambda g: np.where(col, 0.0, g)))
 
 
 def backward(loss):

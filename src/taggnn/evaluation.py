@@ -56,12 +56,15 @@ def rank_topk(scores, k, exclude=()):
         lengths = [len(e) for e in excluded]
         neg[:, :n][np.repeat(np.arange(m), lengths), np.concatenate(excluded)] = np.inf
     # the k-th smallest group minimum bounds each row's k-th best candidate from above,
-    # so only the entries at or below it can make the list
+    # so only the entries at or below it, all in groups whose minimum is too, can make the list
+    blocks = neg.reshape(m, groups, RANK_GROUP)
+    group_min = blocks.min(axis=2)
     bound = np.full(m, np.finfo(np.float64).max)
     if k < groups:
-        group_min = neg.reshape(m, groups, RANK_GROUP).min(axis=2)
         np.minimum(bound, np.partition(group_min, k - 1, axis=1)[:, k - 1], out=bound)
-    rows, cols = np.nonzero(neg[:, :n] <= bound[:, None])
+    group_rows, group_cols = np.nonzero(group_min <= bound[:, None])
+    picked, at = np.nonzero(blocks[group_rows, group_cols] <= bound[group_rows, None])
+    rows, cols = group_rows[picked], group_cols[picked] * RANK_GROUP + at
     order = np.lexsort((cols, neg[rows, cols], rows))
     cols = cols[order].tolist()
     starts = np.searchsorted(rows[order], np.arange(m + 1)).tolist()

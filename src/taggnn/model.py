@@ -5,9 +5,9 @@ per-node-type update.  Layers run synchronously: every node's new
 representation is computed from the previous layer's matrix, and nodes
 without edges pass through bit for bit.  A forward told which items the
 caller reads (``items``) runs its last layer's attention and aggregation only
-at those items' rows and the tag rows, with the same results there.  Without
-a tape (inference), each layer's dense half also runs only at the rows with
-edges, and the ``qi`` head only at the items read.
+at those items' rows and the tag rows, with the same results there.  Every
+dense product (per-type update, gate, ``qi`` head) spans all rows, taped or
+not, so a row's bits never depend on which rows are read.
 """
 
 import collections
@@ -21,7 +21,6 @@ from .graph import NodeType, EmbeddingTable, mean_token_rows
 
 LEAKY_SLOPE = 0.2
 CENTER_CACHE_SIZE = 4   # row-restricted patterns kept per graph and variant (training reads two)
-DENSE_ROWS_SHARE = 0.75  # most rows a tape-free dense half is narrowed to, as a share of all
 
 VARIANT_KINDS = ("it", "qi", "full")
 
@@ -182,37 +181,6 @@ def center_edges(graph, kind, centers):
     return packed
 
 
-def _widened(rows, lo, hi):
-    """Sorted ``rows`` of ``[lo, hi)``, with a neighbouring row added when there is
-    exactly one and the range holds another.
-
-    numpy multiplies a one-row matrix by a different kernel (GEMV), which can
-    round a row differently from the same row in a product of two or more
-    rows; from two rows on, a row's product does not depend on the others.
-    """
-    if len(rows) != 1 or hi - lo < 2:
-        return rows
-    r = rows[0]
-    return np.array([r, r + 1] if r + 1 < hi else [r - 1, r], dtype=np.int64)
-
-
-def _dense_rows(active, bounds):
-    """The rows a tape-free layer's dense half runs at, or None for every row.
-
-    These are the ``active`` rows; a node type's block of exactly one row, and
-    a whole set of one row, is widened to two (:func:`_widened`), and the
-    extra row is computed but not kept.  Narrowing copies those rows of ``H``
-    and of the message, so above ``DENSE_ROWS_SHARE`` of all rows it would
-    cost more time and memory than it saves, and every row runs.
-    """
-    if active.all():
-        return None
-    rows = np.concatenate([_widened(np.flatnonzero(active[lo:hi]) + lo, lo, hi)
-                           for lo, hi in zip(bounds[:-1], bounds[1:])])
-    rows = _widened(rows, 0, len(active))
-    return None if len(rows) > DENSE_ROWS_SHARE * len(active) else rows
-
-
 def propagate_layer(graph, H, params, kind="full", edges=None):
     """One synchronous propagation layer over the whole node matrix.
 
@@ -220,10 +188,10 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     rows without edges under this variant's edge set are copied through
     exactly.  ``edges`` replaces ``pack_edges(graph, kind)``: given some rows
     of it (:func:`center_edges`), the layer attends and aggregates only there,
-    and every other row passes through like an isolated node.  A taped layer
-    runs its dense half (the per-type update, the gate and the blend) over
-    every row, so the weight gradients sum over the same rows; without a tape
-    it runs only at the rows with edges, and bit-identically there.
+    and every other row passes through like an isolated node.  The dense half
+    (the per-type update, the gate and the blend) runs over every row, with or
+    without a tape, so the weight gradients sum over the same rows and a
+    row's result never depends on which other rows are computed.
     """
     if not isinstance(H, Tensor):
         H = Tensor(H)
@@ -232,9 +200,6 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     pattern = edges.pattern
     if pattern.nnz == 0:
         return H
-    active = np.diff(pattern.indptr) > 0
-    bounds = (0, graph.n_queries, graph.n_queries + graph.n_items, graph.n_nodes)
-    rows = None if ad.grad_enabled() else _dense_rows(active, bounds)
 
     Wh = ad.matmul(H, params.attn_proj)
     raw = ad.edge_scores(Wh, params.attn_context, pattern)
@@ -243,12 +208,9 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     alpha = ad.mul(attn, edges.multipliers[:, None])
 
     message = ad.spmm(alpha, pattern, Wh)
-    H_rows = H
-    if rows is not None:
-        H_rows, message = ad.gather_rows(H, rows), ad.gather_rows(message, rows)
-        active, bounds = active[rows], np.searchsorted(rows, bounds)
-    fused = ad.add(H_rows, ad.relu(message))
+    fused = ad.add(H, ad.relu(message))
 
+    bounds = (0, graph.n_queries, graph.n_queries + graph.n_items, graph.n_nodes)
     blocks = []
     for lo, hi, W_type in zip(bounds[:-1], bounds[1:],
                               (params.update_query, params.update_item, params.update_tag)):
@@ -257,10 +219,10 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     hat = ad.relu(ad.concat(blocks) if len(blocks) > 1 else blocks[0])
 
     z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, params.gate_new),
-                                 ad.matmul(H_rows, params.gate_old)),
+                                 ad.matmul(H, params.gate_old)),
                           params.gate_bias))
-    updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H_rows))
-    return ad.where_rows(active, updated, H, rows=rows)
+    updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H))
+    return ad.where_rows(np.diff(pattern.indptr) > 0, updated, H)
 
 
 @dataclass
@@ -353,11 +315,12 @@ class TagGNNModel:
 
         ``items`` are the graph item rows whose final vectors the caller
         reads (``None``: every item).  Each final vector depends on every
-        tag's, so only the last layer narrows: it attends and aggregates at
-        those items' rows and, for link prediction, at every tag row, and all
-        other rows pass it through.  Those rows are not final values, so then
-        ``reps`` is None and ``item_reps`` (and ``head_logits``) hold exactly
-        ``items``, in the given order, bit-identical to the full forward's rows.
+        tag's, so only the last layer narrows, and only its sparse half: it
+        attends and aggregates at those items' rows and, for link prediction,
+        at every tag row, and all other rows pass it through.  Those rows are
+        not final values, so then ``reps`` is None and ``item_reps`` (and
+        ``head_logits``) hold exactly ``items``, in the given order,
+        bit-identical to the full forward's rows at any width.
         """
         nq, ni = graph.n_queries, graph.n_items
         kind = self.variant.kind
@@ -393,14 +356,13 @@ class TagGNNModel:
         head_logits = None
         if self.variant.needs_head and not train_mode:
             # only Predictor ranks by these; the losses apply the head to their own rows.
-            # A single item is widened to two rows, so its product is the full forward's
-            block, keep = item_reps, None
-            if items is not None and len(items) == 1 and ni > 1:
-                wide = _widened(items, 0, ni)
-                block, keep = ad.gather_rows(H, nq + wide), np.searchsorted(wide, items)
-            head_logits = ad.add(ad.matmul(block, self.head_weight), self.head_bias)
-            if keep is not None:
-                head_logits = ad.gather_rows(head_logits, keep)
+            # The product always spans the whole item block, so the rows read are the full
+            # forward's bits whatever items are read; the per-entry bias goes on after the gather
+            block = item_reps if items is None else ad.gather_rows(H, slice(nq, nq + ni))
+            head_logits = ad.matmul(block, self.head_weight)
+            if items is not None:
+                head_logits = ad.gather_rows(head_logits, items)
+            head_logits = ad.add(head_logits, self.head_bias)
         return ForwardResult(reps=H if items is None else None, initial=H0,
                              item_reps=item_reps, tag_reps=tag_reps,
                              initial_item_reps=initial_items, head_logits=head_logits)

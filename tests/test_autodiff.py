@@ -533,18 +533,6 @@ class TestOpGradients:
         mask = np.array([True, False, True, False])
         _fd(lambda: ad.mean(ad.where_rows(mask, a, b)), [a, b])
 
-    def test_where_rows_at_some_rows(self):
-        a = Tensor(self.rng.normal(size=(3, 2)), requires_grad=True)
-        b = Tensor(self.rng.normal(size=(5, 2)), requires_grad=True)
-        mask, rows = np.array([True, False, True]), np.array([0, 2, 3])
-        out = ad.where_rows(mask, a, b, rows=rows).data
-        assert out.tobytes() == np.concatenate([a.data[:1], b.data[1:3], a.data[2:],
-                                                b.data[4:]]).tobytes()
-        w = self.rng.normal(size=(5, 2))
-        _fd(lambda: ad.mean(ad.mul(ad.where_rows(mask, a, b, rows=rows), w)), [a, b])
-        with pytest.raises(ValueError, match="one row of b"):
-            ad.where_rows(mask, a, b, rows=rows[:2])
-
     def test_dropout(self):
         x = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         w = self.rng.normal(size=(4, 3))

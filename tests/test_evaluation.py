@@ -185,7 +185,7 @@ class TestItemRestrictedPredictor:
         sets = [item_rows(graph, splits, r) for r in roles]
         return sets + [[i] for i in range(graph.n_items)] + [list(range(graph.n_items))[::-1]]
 
-    @pytest.mark.parametrize("dim", [8, 64])
+    @pytest.mark.parametrize("dim", [8, 17, 50, 64])
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("heterogeneous", [True, False])
     @pytest.mark.parametrize("kind", ["it", "qi", "full"])

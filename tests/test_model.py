@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taggnn import autodiff as ad
-from taggnn import model as model_mod
 from taggnn.autodiff import Tensor
 from taggnn.evaluation import item_rows
 from taggnn.graph import build_graph, standardize_edge_weights
@@ -277,7 +276,7 @@ class TestForward:
 
 
 class TestTapeFreeRows:
-    """A forward without a tape runs the dense half only at the rows with edges."""
+    """A forward without a tape gives the taped forward's rows, bit for bit."""
 
     @staticmethod
     def _item_sets(graph, splits):
@@ -287,13 +286,12 @@ class TestTapeFreeRows:
         pairs = [[i, j] for i in range(graph.n_items) for j in range(i + 1, graph.n_items)]
         return [None] + [item_rows(graph, splits, r) for r in roles] + singles + pairs
 
-    @pytest.mark.parametrize("dim", [8, 64])
+    @pytest.mark.parametrize("dim", [8, 17, 50, 64])
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("heterogeneous", [True, False])
     @pytest.mark.parametrize("kind", ["it", "qi", "full"])
-    def test_outputs_byte_equal_to_the_taped_full_row_forward(self, toy_setup, monkeypatch, kind,
+    def test_outputs_byte_equal_to_the_taped_full_row_forward(self, toy_setup, kind,
                                                               heterogeneous, n_layers, dim):
-        monkeypatch.setattr(model_mod, "DENSE_ROWS_SHARE", 1.0)   # narrow whenever a row is idle
         _, splits, vocab, graph = toy_setup
         variant = ModelVariant(kind=kind, heterogeneous=heterogeneous, n_layers=n_layers)
         model = TagGNNModel.init(len(vocab), graph.n_tags, dim, variant,
@@ -310,11 +308,10 @@ class TestTapeFreeRows:
                 assert free.head_logits.data.tobytes() == \
                     taped.head_logits.data[read].tobytes()
 
-    def test_a_lone_row_is_widened_past_its_type(self, monkeypatch):
-        # a qi forward for the only item narrows its last layer to that one row: its
-        # block cannot widen, so the set takes a row of another type (a one-row gate
-        # product rounds differently here)
-        monkeypatch.setattr(model_mod, "DENSE_ROWS_SHARE", 1.0)
+    def test_a_lone_row_is_widened_past_its_type(self):
+        # a qi forward for the only item: its last layer attends at that one row, and
+        # its dense half and head still run over every row (a one-row product would
+        # round differently here)
         graph = build_graph([[1], [2]], [[2]], [[1], [3]], [(0, 0, 2.0)], [(0, 1)])
         model = TagGNNModel.init(4, graph.n_tags, 64, ModelVariant(kind="qi", n_layers=1),
                                  rng=np.random.default_rng(1))
@@ -325,8 +322,8 @@ class TestTapeFreeRows:
             assert getattr(free, name).data.tobytes() == getattr(taped, name).data.tobytes()
 
     def test_only_rows_with_edges_reach_the_dense_half(self, monkeypatch):
-        # only query 0, item 0 and the tag have edges; the one-row query and item
-        # blocks are widened to two rows, and query 2 and item 2 stay out
+        # only query 0, item 0 and the tag have edges: the dense half runs over every
+        # row with or without a tape, and the rows without edges pass through unchanged
         graph = build_graph([[1], [2], [3]], [[2], [3], [1]], [[1]], [(0, 0, 2.0)], [(0, 0)])
         layer = make_layer(4, seed=3)
         H = np.random.default_rng(3).normal(size=(graph.n_nodes, 4))
@@ -344,7 +341,7 @@ class TestTapeFreeRows:
         row_counts.clear()
         with ad.no_grad():
             free = propagate_layer(graph, H, layer).data
-        assert row_counts == [2, 5]
+        assert row_counts == [graph.n_items, graph.n_nodes]
         assert free.tobytes() == taped.tobytes()
         assert free[[1, 2, 4, 5]].tobytes() == H[[1, 2, 4, 5]].tobytes()
 
