@@ -40,6 +40,18 @@ def test_demo03_stdout_matches_golden():
     assert timed.sub("", proc.stdout) == _golden("demo03_stdout.txt")
 
 
+def test_demo04_stdout_matches_golden():
+    proc = _run_demo("04_cold_start_dual_loss.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _golden("demo04_stdout.txt")
+
+
+def test_demo05_stdout_matches_golden():
+    proc = _run_demo("05_query_signal.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _golden("demo05_stdout.txt")
+
+
 def test_demo06_stdout_matches_golden():
     proc = _run_demo("06_eval_reports_and_baselines.py")
     assert proc.returncode == 0, proc.stderr
