@@ -621,8 +621,8 @@ def finite_difference_check(loss_fn, params, eps=1e-5, analytic=None):
     ``analytic`` to check externally supplied gradients instead of the
     engine's own.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     if analytic is None:
         zero_grads(params)
         loss = loss_fn()

@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import UNK_ID, mean_token_rows, token_pattern
 from .model import ForwardResult
-from .training import fit, label_matrix, train_rows
+from .training import fit, label_matrix, node_classification_loss, train_rows
 
 MODES = ("item", "item_queries")
 TOP_QUERIES = 10
@@ -51,7 +51,7 @@ class BaselineModel:
         self.weight = weight
         self.bias = bias
         self.mode = mode
-        self._features = (None, None, None)  # (graph, token lists, pattern): graphs are immutable
+        self._features = (None, None)  # (graph, pattern): graphs are immutable
 
     def named_parameters(self):
         return [("words", self.words), ("weight", self.weight), ("bias", self.bias)]
@@ -62,22 +62,21 @@ class BaselineModel:
             self.words.grad[UNK_ID] = 0.0
 
     def features(self, graph):
-        """:func:`item_feature_tokens` of ``graph`` in this model's mode and their
-        :func:`graph.token_pattern`, computed once per graph."""
+        """The :func:`graph.token_pattern` of :func:`item_feature_tokens` of ``graph`` in
+        this model's mode, computed once per graph."""
         if self._features[0] is not graph:
             tokens = item_feature_tokens(graph, self.mode)
-            self._features = (graph, tokens, token_pattern(tokens, self.words.shape[0]))
-        return self._features[1:]
+            self._features = (graph, token_pattern(tokens, self.words.shape[0]))
+        return self._features[1]
 
     def forward(self, graph, train_mode=False, items=None):
-        """Head logits for the graph item rows ``items`` (``None``: every item), in order,
-        shaped for :class:`evaluation.Predictor`."""
-        feats = mean_token_rows(self.words, self.features(graph)[1])
-        head_logits = ad.add(ad.matmul(feats, self.weight), self.bias)
+        """Averaged feature vectors of the graph item rows ``items`` (``None``: every
+        item), in order, with the linear head that scores them."""
+        feats = mean_token_rows(self.words, self.features(graph))
         if items is not None:
-            feats, head_logits = (ad.gather_rows(t, items) for t in (feats, head_logits))
-        return ForwardResult(reps=feats, initial=feats, item_reps=feats, tag_reps=None,
-                             initial_item_reps=feats, head_logits=head_logits)
+            feats = ad.gather_rows(feats, items)
+        return ForwardResult(item_reps=feats, tag_reps=None, initial_item_reps=feats,
+                             head=(self.weight, self.bias))
 
 
 def train_baseline(graph, mode, config, splits, n_words):
@@ -94,12 +93,9 @@ def train_baseline(graph, mode, config, splits, n_words):
     )
     rows = train_rows(graph, splits)
     labels = label_matrix(graph, rows)
-    tokens, _ = model.features(graph)
-    train_feats = token_pattern([tokens[r] for r in rows], n_words)
 
     def loss_fn():
-        feats = mean_token_rows(model.words, train_feats)
-        return ad.bce_with_logits(feats, model.weight, labels, bias=model.bias), {}
+        out = model.forward(graph, train_mode=True, items=rows)
+        return node_classification_loss(out.item_reps, *out.head, labels), {}
 
     return fit(model, loss_fn, graph, splits, config)
-

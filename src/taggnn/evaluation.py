@@ -1,12 +1,13 @@
 """Top-K tag inference and the Precision@K harness.
 
 A trained model is frozen into a :class:`Predictor` (one dropout-free
-forward pass); ranking is by dot-product similarity against every tag, or by
-head logits for the query-item variant and the baseline.  Every ranking goes
-through :func:`rank_topk`, which ranks one score vector or a block of score
-rows; Precision@K scores and ranks ``SCORE_CHUNK`` items at a time, so no
-score matrix over every item is held.  Completion items never see their known
-tags among the candidates.  A predictor is built for the items it will score
+forward pass); every item is scored by one matrix-vector product against one
+tag-side matrix: the propagated tag vectors for link prediction, or the head
+weight (plus its bias) for the query-item variant and the baseline.  Every
+ranking goes through :func:`rank_topk`, which ranks one score vector or a
+block of score rows; Precision@K scores and ranks ``SCORE_CHUNK`` items at a
+time, so no score matrix over every item is held.  Completion items never see
+their known tags among the candidates.  A predictor is built for the items it will score
 (``items``), so its forward computes final vectors for those items only.
 """
 
@@ -78,28 +79,34 @@ class Predictor:
     outlives its use.  ``items`` (graph item rows, ``None`` for all) are the
     only items it can score; the forward computes final vectors for just
     those, and their scores are bit-identical to an all-items predictor's.
+    Every model is scored the same way, against one (tags x d) matrix: the
+    propagated tag rows, or for a model with a head (``qi``, the baseline)
+    the transpose of a copy of the head weight, with the head bias added.
     """
 
     def __init__(self, model, graph, items=None):
         with no_grad():
             out = model.forward(graph, train_mode=False, items=items)
         self._item_reps = out.item_reps.data
-        self._tag_reps = out.tag_reps.data if out.tag_reps is not None else None
-        self._head_logits = out.head_logits.data if out.head_logits is not None else None
+        if out.head is None:
+            self._tags, self._bias = out.tag_reps.data, None
+        else:
+            weight, bias = out.head
+            self._tags, self._bias = weight.data.copy().T, bias.data.copy()
         self._position = None if items is None else {int(r): n for n, r in enumerate(items)}
 
     def score_rows(self, item_indices):
         """Scores of several items (graph item rows) against every tag, one row each.
 
-        Each row is one matrix-vector product written into the block, as
-        :meth:`scores` gives it for one item.
+        Each row is one matrix-vector product written into the block, plus
+        the head bias if there is one, as :meth:`scores` gives it for one item.
         """
         positions = [self._row(int(i)) for i in item_indices]
-        if self._head_logits is not None:
-            return self._head_logits[positions]
-        out = np.empty((len(positions), len(self._tag_reps)))
+        out = np.empty((len(positions), len(self._tags)))
         for j, p in enumerate(positions):
-            np.matmul(self._tag_reps, self._item_reps[p], out=out[j])
+            np.matmul(self._tags, self._item_reps[p], out=out[j])
+        if self._bias is not None:
+            out += self._bias
         return out
 
     def scores(self, item_index):

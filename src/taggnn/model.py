@@ -4,10 +4,11 @@ One layer = neighbor attention, weighted aggregation, and a gated
 per-node-type update.  Layers run synchronously: every node's new
 representation is computed from the previous layer's matrix, and nodes
 without edges pass through bit for bit.  A forward told which items the
-caller reads (``items``) runs its last layer's attention and aggregation only
-at those items' rows and the tag rows, with the same results there.  Every
-dense product (per-type update, gate, ``qi`` head) spans all rows, taped or
-not, so a row's bits never depend on which rows are read.
+caller reads (``items``, every item by default) runs its last layer's
+attention and aggregation only at those items' rows and the tag rows, with
+the same results there.  Every dense product (per-type update, gate) spans
+all rows, taped or not, so a row's bits never depend on which rows are read.
+The ``qi`` head is not applied here: the forward hands it to whoever scores.
 """
 
 import collections
@@ -142,7 +143,9 @@ def pack_edges(graph, kind):
         centers = np.concatenate(cs)
         neighbors = np.concatenate(ns)
         mult = np.concatenate(ms)
-        order = np.lexsort((neighbors, centers))
+        # the edge arrays are sorted by endpoint, so within each center the parts above
+        # already list neighbours in ascending order: a stable sort by center suffices
+        order = np.argsort(centers, kind="stable")
         centers, neighbors, mult = centers[order], neighbors[order], mult[order]
     else:
         centers = neighbors = np.empty(0, dtype=np.int64)
@@ -227,14 +230,12 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
 
 @dataclass
 class ForwardResult:
-    """Everything downstream losses and inference need from one forward pass."""
+    """What the losses and :class:`evaluation.Predictor` read from one forward pass."""
 
-    reps: Tensor            # (n_nodes, d) after all layers; None when only some items are read
-    initial: Tensor         # (n_nodes, d) entering the first layer (post-dropout)
-    item_reps: Tensor       # final rows of the items read (every item by default), in order
-    tag_reps: Tensor        # final tag block
-    initial_item_reps: Tensor   # initial rows of the same items
-    head_logits: Tensor = None  # (items, n_tags), qi variant in eval mode only
+    item_reps: Tensor           # final rows of the items read (every item by default), in order
+    tag_reps: Tensor            # final tag block (None without tags)
+    initial_item_reps: Tensor   # initial (post-dropout) rows of the same items
+    head: tuple = None          # (weight, bias) scoring the items; None: score against tag_reps
 
 
 class TagGNNModel:
@@ -317,28 +318,23 @@ class TagGNNModel:
         reads (``None``: every item).  Each final vector depends on every
         tag's, so only the last layer narrows, and only its sparse half: it
         attends and aggregates at those items' rows and, for link prediction,
-        at every tag row, and all other rows pass it through.  Those rows are
-        not final values, so then ``reps`` is None and ``item_reps`` (and
-        ``head_logits``) hold exactly ``items``, in the given order,
-        bit-identical to the full forward's rows at any width.
+        at every tag row, and all other rows pass it through.  ``item_reps``
+        holds exactly ``items``, in the given order, bit-identical at any
+        width whichever other items are read.  A ``qi`` model returns its
+        head as ``head`` and leaves scoring to the caller.
         """
         nq, ni = graph.n_queries, graph.n_items
         kind = self.variant.kind
-        tag_rows = slice(nq + ni, graph.n_nodes)
-        if items is None:
-            item_rows = slice(nq, nq + ni)
-            last_edges = None
-        else:
-            items = np.asarray(items, dtype=np.int64)
-            if len(items) and (items.min() < 0 or items.max() >= ni):
-                raise ValueError(f"item rows must lie in [0, {ni})")
-            item_rows = nq + items
-            centers = np.unique(item_rows)
-            if kind != "qi":
-                centers = np.concatenate((centers, np.arange(nq + ni, graph.n_nodes)))
-            # built before the tape: a cached array allocated amid the tape stops glibc from
-            # handing the freed tape back, which raised the wide workload's peak RSS
-            last_edges = center_edges(graph, kind, centers) if self.layers else None
+        items = np.arange(ni) if items is None else np.asarray(items, dtype=np.int64)
+        if len(items) and (items.min() < 0 or items.max() >= ni):
+            raise ValueError(f"item rows must lie in [0, {ni})")
+        item_rows = nq + items
+        centers = np.unique(item_rows)
+        if kind != "qi":
+            centers = np.concatenate((centers, np.arange(nq + ni, graph.n_nodes)))
+        # built before the tape: a cached array allocated amid the tape stops glibc from
+        # handing the freed tape back, which raised the wide workload's peak RSS
+        last_edges = center_edges(graph, kind, centers) if self.layers else None
 
         H0 = self.initial_representations(graph)
         if train_mode and dropout_p > 0.0:
@@ -350,19 +346,8 @@ class TagGNNModel:
             H = propagate_layer(graph, H, layer, kind=kind,
                                 edges=last_edges if n == len(self.layers) else None)
 
-        item_reps = ad.gather_rows(H, item_rows)
-        tag_reps = ad.gather_rows(H, tag_rows) if graph.n_tags else None
-        initial_items = ad.gather_rows(H0, item_rows)
-        head_logits = None
-        if self.variant.needs_head and not train_mode:
-            # only Predictor ranks by these; the losses apply the head to their own rows.
-            # The product always spans the whole item block, so the rows read are the full
-            # forward's bits whatever items are read; the per-entry bias goes on after the gather
-            block = item_reps if items is None else ad.gather_rows(H, slice(nq, nq + ni))
-            head_logits = ad.matmul(block, self.head_weight)
-            if items is not None:
-                head_logits = ad.gather_rows(head_logits, items)
-            head_logits = ad.add(head_logits, self.head_bias)
-        return ForwardResult(reps=H if items is None else None, initial=H0,
-                             item_reps=item_reps, tag_reps=tag_reps,
-                             initial_item_reps=initial_items, head_logits=head_logits)
+        tag_reps = ad.gather_rows(H, slice(nq + ni, graph.n_nodes)) if graph.n_tags else None
+        return ForwardResult(item_reps=ad.gather_rows(H, item_rows), tag_reps=tag_reps,
+                             initial_item_reps=ad.gather_rows(H0, item_rows),
+                             head=None if self.head_weight is None
+                             else (self.head_weight, self.head_bias))

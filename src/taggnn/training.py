@@ -106,14 +106,15 @@ def combined_loss(graph, model, item_indices, labels, train_mode=False, dropout_
     Returns ``(total, l1, l2)``.  With ``gamma == 0`` the total *is* the
     primary loss tensor, untouched, so the two are equal to the last bit.
     The forward reads only ``item_indices`` (its ``items``), so the last layer
-    runs only at those items' rows and the tag rows.
+    runs only at those items' rows and the tag rows.  A forward that returns a
+    head is trained by node classification, any other by link prediction.
     """
     out = model.forward(graph, train_mode=train_mode, dropout_p=dropout_p, rng=rng,
                         items=item_indices)
     final_items, initial_items = out.item_reps, out.initial_item_reps
-    if model.variant.kind == "qi":
-        l1 = node_classification_loss(final_items, model.head_weight, model.head_bias, labels)
-        l2 = node_classification_loss(initial_items, model.head_weight, model.head_bias, labels)
+    if out.head is not None:
+        l1 = node_classification_loss(final_items, *out.head, labels)
+        l2 = node_classification_loss(initial_items, *out.head, labels)
     else:
         l1 = link_prediction_loss(final_items, out.tag_reps, labels)
         l2 = link_prediction_loss(initial_items, out.tag_reps, labels)

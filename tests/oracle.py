@@ -329,19 +329,38 @@ def transpose_product(values, rows, cols, g, n_cols):
     return out
 
 
+def full_forward(graph, model, train_mode=False, dropout_p=0.5, rng=None):
+    """``(H, H0)``: every node's final and initial rows, taped, from a forward that runs
+    every layer over the whole adjacency; what every item-restricted forward must
+    reproduce bit for bit at the rows it reads."""
+    from taggnn import autodiff as ad
+    from taggnn.model import propagate_layer
+
+    H0 = model.initial_representations(graph)
+    if train_mode and dropout_p > 0.0:
+        H0 = ad.dropout(H0, dropout_p, rng)
+    H = H0
+    for layer in model.layers:
+        H = propagate_layer(graph, H, layer, kind=model.variant.kind)
+    return H, H0
+
+
 def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
-    """``training.combined_loss`` on the forward over every item, the rows then gathered:
+    """``training.combined_loss`` on :func:`full_forward`, the item rows then gathered:
     what the item-restricted forward must reproduce bit for bit."""
     from taggnn import autodiff as ad
     from taggnn.training import link_prediction_loss, node_classification_loss
 
-    out = model.forward(graph, **forward_kw)
-    final_items = ad.gather_rows(out.item_reps, item_indices)
-    initial_items = ad.gather_rows(out.initial_item_reps, item_indices)
-    if model.variant.kind == "qi":
+    H, H0 = full_forward(graph, model, **forward_kw)
+    nq, ni = graph.n_queries, graph.n_items
+    items = slice(nq, nq + ni)
+    final_items = ad.gather_rows(ad.gather_rows(H, items), item_indices)
+    initial_items = ad.gather_rows(ad.gather_rows(H0, items), item_indices)
+    if model.head_weight is not None:
         l1 = node_classification_loss(final_items, model.head_weight, model.head_bias, labels)
         l2 = node_classification_loss(initial_items, model.head_weight, model.head_bias, labels)
     else:
-        l1 = link_prediction_loss(final_items, out.tag_reps, labels)
-        l2 = link_prediction_loss(initial_items, out.tag_reps, labels)
+        tag_reps = ad.gather_rows(H, slice(nq + ni, graph.n_nodes))
+        l1 = link_prediction_loss(final_items, tag_reps, labels)
+        l2 = link_prediction_loss(initial_items, tag_reps, labels)
     return l1 if model.gamma == 0.0 else l1 + model.gamma * l2

@@ -82,8 +82,8 @@ def test_criterion_3_isolated_node_invariance():
                                  rng=np.random.default_rng([n_layers, 0]))
         out = model.forward(graph)
         for item in (1, 2):
-            row = graph.n_queries + item
-            ok = ok and out.reps.data[row].tobytes() == out.initial.data[row].tobytes()
+            ok = ok and out.item_reps.data[item].tobytes() == \
+                out.initial_item_reps.data[item].tobytes()
     _verdict(3, ok, "degree-0 items bit-identical through 1-4 layers")
 
 

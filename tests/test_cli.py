@@ -73,6 +73,13 @@ def test_gradcheck_command(capsys):
     assert "max relative gradient error" in out
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_gradcheck_rejects_a_bad_eps_with_exit_one(capsys, eps):
+    assert cli_main(["gradcheck", f"--eps={eps}"]) == 1
+    err = capsys.readouterr().err
+    assert "eps must be a finite number > 0" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert cli_main(["train", "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestTopK:
         model, graph = self._trained(toy_setup)
         pred = Predictor(model, graph)
         before = [pred.topk(i, graph.n_tags) for i in range(graph.n_items)]
-        pred._tag_reps = pred._tag_reps * 7.5
+        pred._tags = pred._tags * 7.5
         after = [pred.topk(i, graph.n_tags) for i in range(graph.n_items)]
         assert before == after
 
@@ -165,14 +166,24 @@ class TestTapeFreeForward:
         assert taped.item_reps._backward is not None
         with ad.no_grad():
             free = model.forward(graph, train_mode=False)
-        predictor = Predictor(model, graph)
-        cached = (predictor._item_reps, predictor._tag_reps, predictor._head_logits)
-        for name, kept in zip(("item_reps", "tag_reps", "head_logits"), cached):
+        for name in ("item_reps", "tag_reps"):
             want, got = getattr(taped, name), getattr(free, name)
-            assert (want is None) == (got is None) == (kept is None)
+            assert (want is None) == (got is None)
             if want is not None:
                 assert got.inputs == () and got._backward is None
-                assert got.data.tobytes() == want.data.tobytes() == kept.tobytes()
+                assert got.data.tobytes() == want.data.tobytes()
+        assert free.head == taped.head
+        # the predictor keeps the item rows and one tag-side matrix, plus the head's bias
+        predictor = Predictor(model, graph)
+        assert predictor._item_reps.tobytes() == free.item_reps.data.tobytes()
+        if free.head is None:
+            assert predictor._tags.tobytes() == free.tag_reps.data.tobytes()
+            assert predictor._bias is None
+        else:
+            weight, bias = free.head
+            assert predictor._tags.shape == (graph.n_tags, weight.shape[0])
+            assert predictor._tags.tobytes(order="A") == weight.data.tobytes()
+            assert predictor._bias.tobytes() == bias.data.tobytes()
 
 
 class TestItemRestrictedPredictor:
@@ -195,11 +206,18 @@ class TestItemRestrictedPredictor:
         variant = ModelVariant(kind=kind, heterogeneous=heterogeneous, n_layers=n_layers)
         model = TagGNNModel.init(len(vocab), graph.n_tags, dim, variant,
                                  rng=np.random.default_rng([n_layers, 5]))
+        self._assert_scores_byte_equal(model, graph, self._item_sets(graph, splits))
+
+    @staticmethod
+    def _assert_scores_byte_equal(model, graph, item_sets):
         reference = Predictor(model, graph)
-        for items in self._item_sets(graph, splits):
+        for items in item_sets:
             predictor = Predictor(model, graph, items=items)
-            for i in items:
-                assert predictor.scores(i).tobytes() == reference.scores(i).tobytes()
+            block = predictor.score_rows(items)
+            assert block.tobytes() == reference.score_rows(items).tobytes()
+            for row, i in zip(block, items):
+                assert predictor.scores(i).tobytes() == row.tobytes() == \
+                    reference.scores(i).tobytes()
 
     def test_the_fixture_covers_isolated_and_completion_items(self, toy_setup):
         _, splits, _, graph = toy_setup
@@ -229,14 +247,33 @@ class TestItemRestrictedPredictor:
                 for i in items:
                     assert predictor.scores(i).tobytes() == reference.scores(i).tobytes()
 
-    def test_baseline_scores_byte_equal(self, toy_setup):
+    @pytest.mark.parametrize("dim", [8, 17, 50, 64])
+    def test_baseline_scores_byte_equal(self, toy_setup, dim):
         _, splits, vocab, graph = toy_setup
-        model = _baseline(graph, len(vocab))
-        reference = Predictor(model, graph)
-        for items in self._item_sets(graph, splits):
-            predictor = Predictor(model, graph, items=items)
-            for i in items:
-                assert predictor.scores(i).tobytes() == reference.scores(i).tobytes()
+        model = _baseline(graph, len(vocab), dim=dim)
+        self._assert_scores_byte_equal(model, graph, self._item_sets(graph, splits))
+
+    def test_a_one_item_qi_predictor_holds_no_all_items_score_block(self):
+        # the head scores only the items read: a one-item predictor never writes an
+        # items x tags block, which here outweighs everything else the forward holds
+        rng = np.random.default_rng(0)
+        n_queries, n_items, n_tags = 300, 3000, 1000
+        graph = build_graph([[int(w)] for w in rng.integers(1, 50, n_queries)],
+                            [[int(w)] for w in rng.integers(1, 50, n_items)],
+                            [[int(w)] for w in rng.integers(1, 50, n_tags)],
+                            [(int(q), i, 1.0) for i, q in
+                             enumerate(rng.integers(0, n_queries, n_items))],
+                            [(i, i % n_tags) for i in range(n_items)])
+        model = TagGNNModel.init(50, n_tags, 8, ModelVariant(kind="qi"),
+                                 rng=np.random.default_rng(0))
+        Predictor(model, graph, items=[7])  # the graph's edge caches are built once, here
+        tracemalloc.start()
+        try:
+            Predictor(model, graph, items=[7]).scores(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_items * n_tags * 8 / 4
 
     def test_an_item_it_was_not_built_for_raises(self, toy_setup):
         _, _, vocab, graph = toy_setup
@@ -253,9 +290,11 @@ class TestItemRestrictedPredictor:
                                  rng=np.random.default_rng(0))
         full = model.forward(graph)
         out = model.forward(graph, items=[5, 2])
-        assert out.reps is None
+        assert set(vars(out)) == {"item_reps", "tag_reps", "initial_item_reps", "head"}
         assert out.item_reps.data.tobytes() == full.item_reps.data[[5, 2]].tobytes()
-        assert out.head_logits.data.tobytes() == full.head_logits.data[[5, 2]].tobytes()
+        assert out.initial_item_reps.data.tobytes() == \
+            full.initial_item_reps.data[[5, 2]].tobytes()
+        assert out.head[0] is model.head_weight and out.head[1] is model.head_bias
         with pytest.raises(ValueError, match="item rows"):
             model.forward(graph, items=[graph.n_items])
 

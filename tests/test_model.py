@@ -207,15 +207,18 @@ class TestForward:
         graph, n_words = random_tiny_graph(rng)
         model = self._model(graph, n_words, n_layers=0)
         out = model.forward(graph)
-        assert out.reps is out.initial
+        H0 = model.initial_representations(graph).data
+        nq, ni = graph.n_queries, graph.n_items
+        assert out.item_reps.data.tobytes() == out.initial_item_reps.data.tobytes() == \
+            H0[nq:nq + ni].tobytes()
+        assert out.tag_reps.data.tobytes() == H0[nq + ni:].tobytes()
 
     def test_isolated_item_unchanged_for_any_depth(self):
         graph = build_graph([[1]], [[2], [3]], [[1]], [(0, 0, 2.0)], [(0, 0)])  # item 1: no edges
         for n_layers in (1, 2, 3, 4):
             model = self._model(graph, 4, n_layers=n_layers, seed=n_layers)
             out = model.forward(graph)
-            row = graph.n_queries + 1
-            assert out.reps.data[row].tobytes() == out.initial.data[row].tobytes()
+            assert out.item_reps.data[1].tobytes() == out.initial_item_reps.data[1].tobytes()
 
     def test_vectorized_initial_matches_per_node(self):
         rng = np.random.default_rng(11)
@@ -243,13 +246,18 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(graph, train_mode=True)
 
-    def test_qi_variant_has_head_logits(self):
-        graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
-        model = self._model(graph, 4, kind="qi")
-        out = model.forward(graph)
-        assert out.head_logits.shape == (1, graph.n_tags)
+    def test_only_the_qi_variant_returns_a_head(self):
+        graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
+        for kind in ("it", "qi", "full"):
+            model = self._model(graph, 4, kind=kind)
+            head = model.forward(graph).head
+            if kind == "qi":
+                assert head[0] is model.head_weight and head[1] is model.head_bias
+            else:
+                assert head is None
 
-    def test_train_mode_qi_forward_tapes_no_head_matmul(self, monkeypatch):
+    @pytest.mark.parametrize("train_mode", [True, False])
+    def test_qi_forward_never_applies_its_head(self, monkeypatch, train_mode):
         graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
         model = self._model(graph, 4, kind="qi")
         right_operands = []
@@ -260,8 +268,7 @@ class TestForward:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(ad, "matmul", recording)
-        out = model.forward(graph, train_mode=True, rng=np.random.default_rng(0))
-        assert out.head_logits is None
+        model.forward(graph, train_mode=train_mode, rng=np.random.default_rng(0))
         assert right_operands and not any(b is model.head_weight for b in right_operands)
 
     def test_head_presence_tied_to_variant(self):
@@ -276,7 +283,8 @@ class TestForward:
 
 
 class TestTapeFreeRows:
-    """A forward without a tape gives the taped forward's rows, bit for bit."""
+    """A forward without a tape, for any items, gives the rows of the taped forward over the
+    whole adjacency (:func:`oracle.full_forward`), bit for bit."""
 
     @staticmethod
     def _item_sets(graph, splits):
@@ -296,30 +304,31 @@ class TestTapeFreeRows:
         variant = ModelVariant(kind=kind, heterogeneous=heterogeneous, n_layers=n_layers)
         model = TagGNNModel.init(len(vocab), graph.n_tags, dim, variant,
                                  rng=np.random.default_rng([n_layers, dim]))
-        taped = model.forward(graph)
-        assert taped.item_reps._backward is not None
+        H, _ = oracle.full_forward(graph, model)
+        assert H._backward is not None
+        nq, ni = graph.n_queries, graph.n_items
+        taped_items, taped_tags = H.data[nq:nq + ni], H.data[nq + ni:]
+        assert model.forward(graph).item_reps.data.tobytes() == taped_items.tobytes()
         for items in self._item_sets(graph, splits):
             with ad.no_grad():
                 free = model.forward(graph, items=items)
             read = slice(None) if items is None else items
-            assert free.item_reps.data.tobytes() == taped.item_reps.data[read].tobytes()
-            assert free.tag_reps.data.tobytes() == taped.tag_reps.data.tobytes()
-            if kind == "qi":
-                assert free.head_logits.data.tobytes() == \
-                    taped.head_logits.data[read].tobytes()
+            assert free.item_reps.data.tobytes() == taped_items[read].tobytes()
+            assert free.tag_reps.data.tobytes() == taped_tags.tobytes()
 
     def test_a_lone_row_is_widened_past_its_type(self):
         # a qi forward for the only item: its last layer attends at that one row, and
-        # its dense half and head still run over every row (a one-row product would
-        # round differently here)
+        # its dense half still runs over every row (a one-row product would round
+        # differently here)
         graph = build_graph([[1], [2]], [[2]], [[1], [3]], [(0, 0, 2.0)], [(0, 1)])
         model = TagGNNModel.init(4, graph.n_tags, 64, ModelVariant(kind="qi", n_layers=1),
                                  rng=np.random.default_rng(1))
-        taped = model.forward(graph)
+        H, _ = oracle.full_forward(graph, model)
         with ad.no_grad():
             free = model.forward(graph, items=[0])
-        for name in ("item_reps", "tag_reps", "head_logits"):
-            assert getattr(free, name).data.tobytes() == getattr(taped, name).data.tobytes()
+        nq, ni = graph.n_queries, graph.n_items
+        assert free.item_reps.data.tobytes() == H.data[nq:nq + ni].tobytes()
+        assert free.tag_reps.data.tobytes() == H.data[nq + ni:].tobytes()
 
     def test_only_rows_with_edges_reach_the_dense_half(self, monkeypatch):
         # only query 0, item 0 and the tag have edges: the dense half runs over every
@@ -398,4 +407,31 @@ class TestPackEdges:
         np.testing.assert_array_equal(edges.pattern.cols, [2, 2, 0, 1])
         np.testing.assert_array_equal(edges.multipliers,
                                       np.tile(standardize_edge_weights(graph.qi_weight), 2))
+
+    @pytest.mark.parametrize("kind", ["it", "qi", "full"])
+    def test_order_matches_a_lexsort_by_center_then_neighbour(self, kind):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            graph, _ = random_tiny_graph(rng, with_queries=trial % 4 != 0)
+            if trial % 5 == 1:      # no item-tag edges
+                graph = build_graph(graph.query_tokens, graph.item_tokens, graph.tag_tokens,
+                                    np.stack([graph.qi_query, graph.qi_item, graph.qi_weight],
+                                             axis=1), [])
+            elif trial % 5 == 2:    # no query-item edges
+                graph = build_graph(graph.query_tokens, graph.item_tokens, graph.tag_tokens,
+                                    [], np.stack([graph.it_item, graph.it_tag], axis=1))
+            edges = pack_edges(graph, kind)
+            rows, cols = edges.pattern.rows, edges.pattern.cols
+            order = np.lexsort((cols, rows))
+            np.testing.assert_array_equal(order, np.arange(len(rows)))
+            # the same directed edges as the graph's edge arrays, each once
+            nq, ni = graph.n_queries, graph.n_items
+            want = []
+            if kind != "it":
+                q, i = graph.qi_query, graph.qi_item + nq
+                want += list(zip(q, i, graph.qi_mult)) + list(zip(i, q, graph.qi_mult))
+            if kind != "qi":
+                i, t = graph.it_item + nq, graph.it_tag + nq + ni
+                want += [(a, b, 1.0) for a, b in zip(i, t)] + [(b, a, 1.0) for a, b in zip(i, t)]
+            assert sorted(want) == list(zip(rows, cols, edges.multipliers))
 

@@ -40,7 +40,8 @@ def test_loaded_model_predicts_identically(trained, tmp_path):
     loaded, _, _ = load_model(tmp_path)
     out1 = model.forward(graph)
     out2 = loaded.forward(graph)
-    assert out1.reps.data.tobytes() == out2.reps.data.tobytes()
+    for name in ("item_reps", "tag_reps", "initial_item_reps"):
+        assert getattr(out1, name).data.tobytes() == getattr(out2, name).data.tobytes()
 
 
 def test_binary_layout_is_little_endian_f64(trained, tmp_path):

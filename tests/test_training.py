@@ -134,7 +134,8 @@ class TestCombinedLoss:
 
         def scores():
             with ad.no_grad():
-                return model.forward(graph).reps.data.tobytes()
+                out = model.forward(graph)
+            return out.item_reps.data.tobytes() + out.tag_reps.data.tobytes()
 
         before = scores()
         errors = [ad.finite_difference_check(loss_fn, model.parameters()) for _ in range(2)]
