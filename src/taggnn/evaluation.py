@@ -7,8 +7,9 @@ weight (plus its bias) for the query-item variant and the baseline.  Every
 ranking goes through :func:`rank_topk`, which ranks one score vector or a
 block of score rows; Precision@K scores and ranks ``SCORE_CHUNK`` items at a
 time, so no score matrix over every item is held.  Completion items never see
-their known tags among the candidates.  A predictor is built for the items it will score
-(``items``), so its forward computes final vectors for those items only.
+their known tags among the candidates.  A predictor is built for the items it
+will score (``items``), so its forward computes final vectors for those items
+only.
 """
 
 import json
@@ -81,7 +82,9 @@ class Predictor:
     those, and their scores are bit-identical to an all-items predictor's.
     Every model is scored the same way, against one (tags x d) matrix: the
     propagated tag rows, or for a model with a head (``qi``, the baseline)
-    the transpose of a copy of the head weight, with the head bias added.
+    the transpose of a copy of the head weight (copied, as the bias is, so
+    later training steps leave the predictor's scores as they were), with the
+    head bias added.
     """
 
     def __init__(self, model, graph, items=None):

@@ -235,7 +235,7 @@ class ForwardResult:
     item_reps: Tensor           # final rows of the items read (every item by default), in order
     tag_reps: Tensor            # final tag block (None without tags)
     initial_item_reps: Tensor   # initial (post-dropout) rows of the same items
-    head: tuple = None          # (weight, bias) scoring the items; None: score against tag_reps
+    head: tuple                 # (weight, bias) scoring the items; None: score against tag_reps
 
 
 class TagGNNModel:

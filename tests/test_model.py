@@ -434,4 +434,3 @@ class TestPackEdges:
                 i, t = graph.it_item + nq, graph.it_tag + nq + ni
                 want += [(a, b, 1.0) for a, b in zip(i, t)] + [(b, a, 1.0) for a, b in zip(i, t)]
             assert sorted(want) == list(zip(rows, cols, edges.multipliers))
-
