@@ -13,8 +13,8 @@ from .data import (FilterThresholds, RawDataset, SplitAssignment, build_vocabula
                    dataset_to_graph, load_dataset, load_splits, make_splits,
                    mask_completion_tags, preprocess_filter, save_dataset, save_splits)
 from .evaluation import Predictor, evaluate, precision_at_k, rank_topk, report_to_json
-from .graph import (EmbeddingTable, NodeType, TripartiteGraph, Vocabulary, build_graph,
-                    mean_token_rows, standardize, standardize_edge_weights, token_pattern)
+from .graph import (EmbeddingTable, TripartiteGraph, Vocabulary, build_graph, mean_token_rows,
+                    standardize, standardize_edge_weights, token_pattern)
 from .model import ForwardResult, LayerParams, ModelVariant, TagGNNModel, propagate_layer
 from .serialization import load_model, save_model
 from .training import (TrainConfig, TrainResult, combined_loss, fit, label_matrix,

@@ -20,27 +20,30 @@ TOP_QUERIES = 10
 
 
 def item_feature_tokens(graph, mode):
-    """Per-item token-id lists for the chosen input mode.
+    """The (items x vocabulary) token pattern of every item's features in the chosen mode.
 
-    In ``item_queries`` mode the title is concatenated with the contents of
-    the item's top-10 queries by descending interaction weight (ties broken
-    by query order); items with no queries fall back to the title alone.
+    In ``item`` mode that is the graph's item pattern.  In ``item_queries``
+    mode each row is the title followed by the contents of the item's top-10
+    queries by descending interaction weight (ties broken by query order);
+    items with no queries fall back to the title alone.
     """
     if mode not in MODES:
         raise ValueError(f"unknown baseline mode {mode!r}")
+    titles, queries = graph.item_tokens, graph.query_tokens
     if mode == "item":
-        return graph.item_tokens
+        return titles
+
+    def row(pattern, r):
+        return pattern.cols[pattern.indptr[r]:pattern.indptr[r + 1]]
 
     by_item = [[] for _ in range(graph.n_items)]
     for q, i, w in zip(graph.qi_query, graph.qi_item, graph.qi_weight):
         by_item[i].append((-w, q))
     feats = []
-    for title, linked in zip(graph.item_tokens, by_item):
-        toks = list(title)
-        for _, q in sorted(linked)[:TOP_QUERIES]:
-            toks.extend(graph.query_tokens[q])
-        feats.append(toks)
-    return feats
+    for i, linked in enumerate(by_item):
+        top = [row(queries, q) for _, q in sorted(linked)[:TOP_QUERIES]]
+        feats.append(np.concatenate([row(titles, i)] + top))
+    return token_pattern(feats, titles.shape[1])
 
 
 class BaselineModel:
@@ -62,11 +65,10 @@ class BaselineModel:
             self.words.grad[UNK_ID] = 0.0
 
     def features(self, graph):
-        """The :func:`graph.token_pattern` of :func:`item_feature_tokens` of ``graph`` in
-        this model's mode, computed once per graph."""
+        """:func:`item_feature_tokens` of ``graph`` in this model's mode, computed once
+        per graph."""
         if self._features[0] is not graph:
-            tokens = item_feature_tokens(graph, self.mode)
-            self._features = (graph, token_pattern(tokens, self.words.shape[0]))
+            self._features = (graph, item_feature_tokens(graph, self.mode))
         return self._features[1]
 
     def forward(self, graph, train_mode=False, items=None):

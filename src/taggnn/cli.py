@@ -262,7 +262,7 @@ def cli_main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (DataFormatError, ValueError) as exc:
+    except (DataFormatError, ValueError, OSError) as exc:   # OSError: a bad path
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (NumericalError, FloatingPointError) as exc:

@@ -1,27 +1,21 @@
 """The query-item-tag tripartite graph and the word pooling behind its initial node vectors.
 
-Nodes carry token-id lists; query-item edges carry weights that are
-standardized and pushed through a softplus so the per-edge attention
-multipliers stay positive.  The graph is immutable once built.
+Each node type's texts are held as one token :class:`autodiff.SparsePattern`
+(row ``r``: node ``r``'s token ids, in text order), the layout the pooling
+reads; query-item edges carry weights that are standardized and pushed
+through a softplus so the per-edge attention multipliers stay positive.
+The graph is immutable once built.
 """
 
 import hashlib
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-class NodeType(Enum):
-    QUERY = "query"
-    ITEM = "item"
-    TAG = "tag"
-
 
 UNK_ID = 0
 UNK_TOKEN = "<unk>"
@@ -50,20 +44,20 @@ class Vocabulary:
         Kept tokens get ids in first-occurrence order, which makes the
         vocabulary deterministic for a fixed corpus ordering.
         """
-        counts = Counter()
-        order = []
-        for text in texts:
-            for tok in text.split():
-                if tok not in counts:
-                    order.append(tok)
-                counts[tok] += 1
-        kept = [tok for tok in order if counts[tok] >= min_count and tok != UNK_TOKEN]
-        return cls(kept, min_count=min_count)
+        counts = Counter(chain.from_iterable(map(str.split, texts)))  # first-occurrence order
+        return cls([tok for tok, n in counts.items() if n >= min_count and tok != UNK_TOKEN],
+                   min_count=min_count)
 
     def encode_texts(self, texts):
-        """Per text, its whitespace-split tokens' ids (``UNK_ID`` for unknown ones)."""
-        get = self.token_to_id.get
-        return [[get(tok, UNK_ID) for tok in text.split()] for text in texts]
+        """The (texts x ``len(self)``) token pattern of a sequence of strings.
+
+        Row ``r`` holds the ids of text ``r``'s whitespace-split tokens, in
+        order (``UNK_ID`` for unknown ones), as :func:`token_pattern` would.
+        """
+        lengths = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=len(texts))
+        ids = np.fromiter(map(self.token_to_id.get, " ".join(texts).split(), repeat(UNK_ID)),
+                          dtype=np.int64, count=int(lengths.sum()))
+        return _rows_pattern(lengths, ids, len(self))
 
     def __len__(self):
         return len(self.id_to_token)
@@ -114,14 +108,15 @@ class TripartiteGraph:
 
     def __init__(self, query_tokens, item_tokens, tag_tokens, qi_edges, it_edges,
                  query_ids=None, item_ids=None, tag_ids=None):
-        self.query_tokens = list(query_tokens)
-        self.item_tokens = list(item_tokens)
-        self.tag_tokens = list(tag_tokens)
-        self.query_ids = list(query_ids) if query_ids is not None else [str(i) for i in range(len(query_tokens))]
-        self.item_ids = list(item_ids) if item_ids is not None else [str(i) for i in range(len(item_tokens))]
-        self.tag_ids = list(tag_ids) if tag_ids is not None else [str(i) for i in range(len(tag_tokens))]
+        n_words = {p.shape[1] for p in (query_tokens, item_tokens, tag_tokens)}
+        if len(n_words) != 1:
+            raise ValueError(f"token patterns span different vocabulary sizes {sorted(n_words)}")
+        self.query_tokens, self.item_tokens, self.tag_tokens = query_tokens, item_tokens, tag_tokens
+        nq, ni, nt = self.n_queries, self.n_items, self.n_tags
+        self.query_ids = list(query_ids) if query_ids is not None else [str(i) for i in range(nq)]
+        self.item_ids = list(item_ids) if item_ids is not None else [str(i) for i in range(ni)]
+        self.tag_ids = list(tag_ids) if tag_ids is not None else [str(i) for i in range(nt)]
 
-        nq, ni, nt = len(self.query_tokens), len(self.item_tokens), len(self.tag_tokens)
         qi = np.asarray(qi_edges, dtype=np.float64).reshape(-1, 3)
         q, i, w = qi[:, 0], qi[:, 1], qi[:, 2]
         bad = (q < 0) | (q >= nq) | (i < 0) | (i >= ni) | (w < 0)
@@ -151,36 +146,25 @@ class TripartiteGraph:
         self.it_item, self.it_tag = np.divmod(np.unique(i * nt + t), max(nt, 1))
 
         self._pack_cache = {}
-        self._pooling_cache = {}
         self.standardize_weights()
 
-    # -- sizes and token pooling -------------------------------------------
+    # -- sizes --------------------------------------------------------------
 
     @property
     def n_queries(self):
-        return len(self.query_tokens)
+        return self.query_tokens.shape[0]
 
     @property
     def n_items(self):
-        return len(self.item_tokens)
+        return self.item_tokens.shape[0]
 
     @property
     def n_tags(self):
-        return len(self.tag_tokens)
+        return self.tag_tokens.shape[0]
 
     @property
     def n_nodes(self):
         return self.n_queries + self.n_items + self.n_tags
-
-    def token_pooling(self, node_type, n_words):
-        """:func:`token_pattern` of one node type's token lists, built on first use."""
-        key = (node_type, n_words)
-        pattern = self._pooling_cache.get(key)
-        if pattern is None:
-            lists = {NodeType.QUERY: self.query_tokens, NodeType.ITEM: self.item_tokens,
-                     NodeType.TAG: self.tag_tokens}[node_type]
-            pattern = self._pooling_cache[key] = token_pattern(lists, n_words)
-        return pattern
 
     # -- edges --------------------------------------------------------------
 
@@ -200,13 +184,14 @@ def build_graph(queries, items, tags, qi_edges, it_edges,
                 query_ids=None, item_ids=None, tag_ids=None):
     """Assemble a deduplicated undirected tripartite graph.
 
-    ``queries``/``items``/``tags`` are token-id lists per node, kept as given
-    (not copied), so they must not change afterwards.  ``qi_edges``
-    is an (E, 3) array-like of (query, item, weight) rows and ``it_edges`` an
-    (E, 2) one of (item, tag) rows; lists of tuples work.  Duplicate
-    query-item edges are merged with their weights summed in input order;
-    duplicate item-tag edges collapse to one.  Dangling indices and negative
-    weights raise, naming the first offending edge.
+    ``queries``/``items``/``tags`` are the node types' token patterns
+    (:meth:`Vocabulary.encode_texts` or :func:`token_pattern`), one row per
+    node and all over one vocabulary size (else ``ValueError``), kept as
+    given.  ``qi_edges`` is an (E, 3) array-like of (query, item, weight)
+    rows and ``it_edges`` an (E, 2) one of (item, tag) rows; lists of tuples
+    work.  Duplicate query-item edges are merged with their weights summed in
+    input order; duplicate item-tag edges collapse to one.  Dangling indices
+    and negative weights raise, naming the first offending edge.
     """
     return TripartiteGraph(queries, items, tags, qi_edges, it_edges,
                            query_ids=query_ids, item_ids=item_ids, tag_ids=tag_ids)
@@ -237,10 +222,15 @@ def token_pattern(token_lists, n_words):
     one per token-list collection and reuse it.
     """
     lengths = np.array([len(toks) for toks in token_lists], dtype=np.int64)
-    tokens = np.fromiter(itertools.chain.from_iterable(token_lists), dtype=np.int64,
+    tokens = np.fromiter(chain.from_iterable(token_lists), dtype=np.int64,
                          count=int(lengths.sum()))
-    owners = np.repeat(np.arange(len(lengths)), lengths)
-    return ad.SparsePattern(owners, tokens, (len(lengths), n_words))
+    return _rows_pattern(lengths, tokens, n_words)
+
+
+def _rows_pattern(lengths, tokens, n_words):
+    """The pattern whose row ``r`` holds the next ``lengths[r]`` entries of ``tokens``."""
+    return ad.SparsePattern(np.repeat(np.arange(len(lengths)), lengths), tokens,
+                            (len(lengths), n_words))
 
 
 def mean_token_rows(words, pattern):

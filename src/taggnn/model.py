@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import NodeType, EmbeddingTable, mean_token_rows
+from .graph import EmbeddingTable, mean_token_rows
 
 LEAKY_SLOPE = 0.2
 CENTER_CACHE_SIZE = 4   # row-restricted patterns kept per graph and variant (training reads two)
@@ -291,16 +291,15 @@ class TagGNNModel:
     def initial_representations(self, graph):
         """Stacked initial vectors for every node, in (queries, items, tags) order."""
         words = self.embeddings.words
-        n_words = words.shape[0]
         blocks = []
         if graph.n_queries:
-            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.QUERY, n_words)))
+            blocks.append(mean_token_rows(words, graph.query_tokens))
         if graph.n_items:
-            blocks.append(mean_token_rows(words, graph.token_pooling(NodeType.ITEM, n_words)))
+            blocks.append(mean_token_rows(words, graph.item_tokens))
         if graph.n_tags:
             tag_block = None
             if self.variant.use_tag_names:
-                tag_block = mean_token_rows(words, graph.token_pooling(NodeType.TAG, n_words))
+                tag_block = mean_token_rows(words, graph.tag_tokens)
             if self.variant.use_tag_ids:
                 if self.embeddings.tag_ids.shape[0] != graph.n_tags:
                     raise ValueError("tag-id table does not match the graph's tag count")

@@ -127,7 +127,8 @@ def load_model(directory):
 
     The model is initialised from the manifest's dimensions and every
     registry tensor is copied in by name.  A missing file or key, a value of
-    the wrong JSON type, a tensor table that does not match the registry, a
+    the wrong JSON type, a word table whose row count is not the vocabulary
+    size, a tensor table that does not match the registry, a
     ``params.bin`` of the wrong length, or a ``params.bin`` or variant that
     does not match ``params_sha256`` raises ``ValueError``.
     """
@@ -161,6 +162,9 @@ def load_model(directory):
         raise ValueError(f"manifest.json dim, n_words, n_tags and n_layers must be integers "
                          f"(the first three positive), got {counts}")
     dim, n_words, n_tags, n_layers = counts
+    if n_words != len(vocab):
+        raise ValueError(f"manifest.json n_words is {n_words}, but vocab.json holds "
+                         f"{len(vocab)} words")
     variant = ModelVariant(**{k: v[k] for k in VARIANT_KEYS})
     # every layer holds at least one dim x dim matrix: refuse to allocate past params.bin
     if 8 * dim * (n_words + n_tags + n_layers * dim) > len(blob):

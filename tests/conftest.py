@@ -1,11 +1,12 @@
 import os
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from taggnn import data as data_mod
 from taggnn.autodiff import SparsePattern
-from taggnn.graph import Vocabulary
+from taggnn.graph import Vocabulary, build_graph, token_pattern
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -29,10 +30,17 @@ def toy_setup(toy_dataset):
     return toy_dataset, splits, vocab, graph
 
 
-def random_tiny_graph(rng, with_queries=True):
-    """A small random tripartite graph with token lists, for property tests."""
-    from taggnn.graph import build_graph
+def token_graph(queries, items, tags, qi_edges, it_edges, n_words=None, **ids):
+    """``build_graph`` over per-node token-id lists, each node type's lists held as a
+    ``token_pattern`` of ``n_words`` columns (default: one past the largest id)."""
+    if n_words is None:
+        n_words = 1 + int(max(chain.from_iterable(queries + items + tags), default=0))
+    return build_graph(*(token_pattern(lists, n_words) for lists in (queries, items, tags)),
+                       qi_edges, it_edges, **ids)
 
+
+def random_tiny_graph(rng, with_queries=True):
+    """A small random tripartite graph over ``n_words`` word ids, for property tests."""
     nq = int(rng.integers(1, 4)) if with_queries else 0
     ni = int(rng.integers(2, 5))
     nt = int(rng.integers(2, 5))
@@ -55,7 +63,7 @@ def random_tiny_graph(rng, with_queries=True):
         for t in range(nt):
             if rng.random() < 0.5:
                 it.append((i, t))
-    return build_graph(queries, items, tags, qi, it), n_words
+    return token_graph(queries, items, tags, qi, it, n_words=n_words), n_words
 
 
 def positives(y):

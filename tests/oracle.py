@@ -1,5 +1,7 @@
 """Loop-at-a-time references for the vectorized code, in plain Python and numpy.
 
+- The vocabulary and the token-id lists of a text column, per token, and a
+  token pattern's rows as those lists.
 - The TagGNN layer and initial vectors, per node.  They read the graph's
   edge arrays directly, so they share no code with the vectorized path they
   check (``pack_edges`` and the sparse autodiff ops).  Rows are ordered
@@ -22,7 +24,30 @@ from scipy.special import expit
 
 from taggnn.data import (COMPLETION_ROLES, DATASET_FILES, FULL_ROLES, ROLES, DataFormatError,
                          FilterThresholds, RawDataset)
-from taggnn.graph import UNK_TOKEN
+from taggnn.graph import UNK_ID, UNK_TOKEN
+
+
+def vocabulary_tokens(texts, min_count=1):
+    """The tokens a ``Vocabulary.from_texts`` keeps after ``<unk>``, in first-occurrence
+    order: those seen at least ``min_count`` times, other than ``<unk>`` itself."""
+    counts, order = {}, []
+    for text in texts:
+        for tok in text.split():
+            if tok not in counts:
+                order.append(tok)
+                counts[tok] = 0
+            counts[tok] += 1
+    return [tok for tok in order if counts[tok] >= min_count and tok != UNK_TOKEN]
+
+
+def encode_texts(vocab, texts):
+    """Per text, its whitespace-split tokens' ids (``UNK_ID`` for unknown ones)."""
+    return [[vocab.token_to_id.get(tok, UNK_ID) for tok in text.split()] for text in texts]
+
+
+def token_lists(pattern):
+    """A token pattern's rows as lists of Python ints, one per row."""
+    return [pattern.cols[lo:hi].tolist() for lo, hi in zip(pattern.indptr, pattern.indptr[1:])]
 
 
 def neighbours(graph, v, kind="full"):
@@ -66,9 +91,11 @@ def initial_row(graph, model, v):
     """Initial vector of row ``v``: the mean word embedding (zero without tokens);
     tags add their id embedding and keep the names only if the variant does."""
     words, variant = model.embeddings.words.data, model.variant
-    tokens = (graph.query_tokens + graph.item_tokens + graph.tag_tokens)[v]
-    mean = words[tokens].sum(axis=0) * (1.0 / len(tokens)) if tokens else np.zeros(model.dim)
     tag = v - graph.n_queries - graph.n_items
+    pattern, row = ((graph.query_tokens, v) if v < graph.n_queries else
+                    (graph.item_tokens, v - graph.n_queries) if tag < 0 else (graph.tag_tokens, tag))
+    tokens = pattern.cols[pattern.indptr[row]:pattern.indptr[row + 1]]
+    mean = words[tokens].sum(axis=0) * (1.0 / len(tokens)) if len(tokens) else np.zeros(model.dim)
     if tag < 0:
         return mean
     rep = mean if variant.use_tag_names else np.zeros(model.dim)

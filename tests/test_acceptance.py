@@ -13,12 +13,12 @@ from taggnn import data as dm
 from taggnn import synthetic
 from taggnn.autodiff import Tensor, finite_difference_check
 from taggnn.evaluation import Predictor, evaluate, precision_at_k, report_to_json
-from taggnn.graph import Vocabulary, build_graph
+from taggnn.graph import Vocabulary
 from taggnn.model import LayerParams, ModelVariant, TagGNNModel, pack_edges
 from taggnn.training import TrainConfig, combined_loss, train
 
 import oracle
-from conftest import random_tiny_graph
+from conftest import random_tiny_graph, token_graph
 
 
 def _verdict(num, ok, detail):
@@ -74,7 +74,7 @@ def test_criterion_2_attention_normalization():
 
 
 def test_criterion_3_isolated_node_invariance():
-    graph = build_graph([[1], [2]], [[3], [4], [5]], [[1], [2]],
+    graph = token_graph([[1], [2]], [[3], [4], [5]], [[1], [2]],
                         [(0, 0, 2.0), (1, 0, 1.0)], [(0, 0), (0, 1)])  # items 1, 2: no edges
     ok = True
     for n_layers in (1, 2, 3, 4):

@@ -7,10 +7,11 @@ from taggnn.autodiff import Tensor
 from taggnn.baseline import BaselineModel, item_feature_tokens, train_baseline
 from taggnn.data import SplitAssignment
 from taggnn.evaluation import Predictor, precision_at_k, subset_precision
-from taggnn.graph import Vocabulary, build_graph
+from taggnn.graph import Vocabulary
 from taggnn.training import TrainConfig, validation_p1
 
 import oracle
+from conftest import token_graph
 
 
 def _graph(ds, splits=None):
@@ -74,7 +75,7 @@ def test_empty_features_predict_deterministically():
         weight=Tensor(np.zeros((4, 3)), requires_grad=True),
         bias=Tensor(np.zeros(3), requires_grad=True),
         mode="item")
-    graph = build_graph([], [[]], [[1], [2], [3]], [], [])  # one item, empty title
+    graph = token_graph([], [[]], [[1], [2], [3]], [], [])  # one item, empty title
     predictor = Predictor(model, graph)
     # uniform logits: ties broken by ascending tag index
     assert predictor.topk(0, 2) == [0, 1]
@@ -87,7 +88,7 @@ def test_top_ten_queries_by_weight():
     ds = oracle.dataset_from_rows(items=[("i0", "title")], queries=queries,
                                   tags=[("t0", "x")], qi=qi, it=[("i0", "t0")])
     graph, vocab = _graph(ds)
-    toks = item_feature_tokens(graph, "item_queries")[0]
+    [toks] = oracle.token_lists(item_feature_tokens(graph, "item_queries"))
     assert toks[0] == vocab.token_to_id["title"]
     picked = {vocab.id_to_token[t] for t in toks[1:]}
     assert picked == {f"qw{m}" for m in range(2, 12)}  # the ten heaviest
@@ -96,7 +97,8 @@ def test_top_ten_queries_by_weight():
     ds2 = oracle.dataset_from_rows(items=[("i0", "title")], queries=queries, tags=[("t0", "x")],
                                    qi=[], it=[("i0", "t0")])
     graph2, vocab2 = _graph(ds2)
-    assert item_feature_tokens(graph2, "item_queries")[0] == [vocab2.token_to_id["title"]]
+    assert oracle.token_lists(item_feature_tokens(graph2, "item_queries")) == \
+        [[vocab2.token_to_id["title"]]]
 
 
 def test_unknown_mode_rejected():

@@ -254,6 +254,29 @@ def served_model(tmp_path_factory):
                               os.path.join(FIXTURES, "toydata"))
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--config", "{tmp}/missing.json", "--counts", "8,2,2", "--out", "{tmp}/m"],
+     "{tmp}/missing.json"),
+    (["train", "--splits", "{tmp}/missing.tsv", "--out", "{tmp}/m"], "{tmp}/missing.tsv"),
+    (["train", "--splits", "{tmp}", "--out", "{tmp}/m"], "{tmp}"),
+    (["train", "--counts", "8,2,2", "--out", "{data}/items.tsv"], "{data}/items.tsv"),
+    (["split", "--counts", "8,2,2", "--out", "{tmp}/missing/s.tsv"], "{tmp}/missing/s.tsv"),
+    (["eval", "--model", "{model}", "--report", "{tmp}/missing/r.json"], "{tmp}/missing/r.json"),
+], ids=["train-config", "train-splits", "train-splits-dir", "train-out-file", "split-out",
+        "eval-report"])
+def test_a_path_that_cannot_be_read_or_written_exits_one(workspace, served_model, capsys,
+                                                         argv, named):
+    tmp_path, data = workspace
+    paths = {"tmp": str(tmp_path), "data": data, "model": str(served_model)}
+    argv = [arg.format(**paths) for arg in argv]
+    capsys.readouterr()
+    assert cli_main([argv[0], "--data", data, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1
+    assert repr(named.format(**paths)) in captured.err
+
+
 @pytest.mark.parametrize("command", [["eval"], ["predict", "--item-id", "i01"]],
                          ids=["eval", "predict"])
 @pytest.mark.parametrize("bad_file, bad_line, message", [

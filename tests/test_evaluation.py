@@ -17,7 +17,7 @@ from taggnn.graph import build_graph
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import TrainConfig, train
 
-from conftest import random_tiny_graph
+from conftest import random_tiny_graph, token_graph
 
 
 class TestPrecisionAtK:
@@ -258,12 +258,12 @@ class TestItemRestrictedPredictor:
         # items x tags block, which here outweighs everything else the forward holds
         rng = np.random.default_rng(0)
         n_queries, n_items, n_tags = 300, 3000, 1000
-        graph = build_graph([[int(w)] for w in rng.integers(1, 50, n_queries)],
+        graph = token_graph([[int(w)] for w in rng.integers(1, 50, n_queries)],
                             [[int(w)] for w in rng.integers(1, 50, n_items)],
                             [[int(w)] for w in rng.integers(1, 50, n_tags)],
                             [(int(q), i, 1.0) for i, q in
                              enumerate(rng.integers(0, n_queries, n_items))],
-                            [(i, i % n_tags) for i in range(n_items)])
+                            [(i, i % n_tags) for i in range(n_items)], n_words=50)
         model = TagGNNModel.init(50, n_tags, 8, ModelVariant(kind="qi"),
                                  rng=np.random.default_rng(0))
         Predictor(model, graph, items=[7])  # the graph's edge caches are built once, here

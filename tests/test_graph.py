@@ -8,48 +8,65 @@ from hypothesis import strategies as st
 from taggnn import autodiff as ad
 from taggnn import graph as g
 from taggnn.autodiff import Tensor
-from taggnn.graph import (EmbeddingTable, NodeType, Vocabulary, build_graph, mean_token_rows,
-                          standardize, standardize_edge_weights)
+from taggnn.graph import (EmbeddingTable, Vocabulary, build_graph, mean_token_rows, standardize,
+                          standardize_edge_weights, token_pattern)
 from taggnn.model import ModelVariant, TagGNNModel, pack_edges
 
 import oracle
-from conftest import random_tiny_graph
+from conftest import random_tiny_graph, token_graph
+
+
+# texts of words, unknown words, <unk> itself, empty and whitespace-only texts, and
+# runs of ASCII and non-ASCII whitespace
+TEXTS = st.lists(st.lists(st.sampled_from(["a", "b", "ab", "<unk>", " ", "  ", "\u00a0",
+                                           "\u3000", "\x1c", "\t"]), max_size=10).map("".join),
+                 max_size=8)
+
+
+def _encoded(vocab, texts):
+    return oracle.token_lists(vocab.encode_texts(texts))
 
 
 class TestVocabulary:
     def test_known_tokens(self):
         vocab = Vocabulary.from_texts(["pikachu game", "pikachu go"], min_count=1)
-        [ids] = vocab.encode_texts(["pikachu game"])
+        [ids] = _encoded(vocab, ["pikachu game"])
         assert ids == [vocab.token_to_id["pikachu"], vocab.token_to_id["game"]]
         assert 0 not in ids
 
     def test_unseen_token_maps_to_unk(self):
         vocab = Vocabulary.from_texts(["pikachu game"], min_count=1)
-        assert vocab.encode_texts(["zzzz"]) == [[g.UNK_ID]]
+        assert _encoded(vocab, ["zzzz"]) == [[g.UNK_ID]]
 
     def test_empty_text(self):
         vocab = Vocabulary.from_texts(["pikachu"], min_count=1)
-        assert vocab.encode_texts([""]) == [[]]
+        assert _encoded(vocab, [""]) == [[]]
 
     def test_min_count_threshold(self):
         vocab = Vocabulary.from_texts(["a a a b", "a b c"], min_count=3)
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id  # 2 < 3
-        assert vocab.encode_texts(["b c"]) == [[g.UNK_ID, g.UNK_ID]]
+        assert _encoded(vocab, ["b c"]) == [[g.UNK_ID, g.UNK_ID]]
 
     def test_ids_are_dense(self):
         vocab = Vocabulary.from_texts(["x y z"], min_count=1)
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
 
-    @given(st.lists(st.text(st.sampled_from("ab c\u00a0\u3000"), max_size=12), max_size=8),
-           st.lists(st.text(st.sampled_from("abc "), max_size=12), max_size=4),
-           st.integers(1, 2))
-    @settings(max_examples=100, deadline=None)
+    @given(texts=TEXTS, corpus=TEXTS, min_count=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
     def test_encode_texts_matches_per_token_lookup(self, texts, corpus, min_count):
-        # unknown tokens, empty and whitespace-only texts, non-ASCII whitespace
         vocab = Vocabulary.from_texts(corpus, min_count=min_count)
-        assert vocab.encode_texts(texts) == [[vocab.token_to_id.get(tok, g.UNK_ID)
-                                              for tok in text.split()] for text in texts]
+        got = vocab.encode_texts(texts)
+        want = token_pattern(oracle.encode_texts(vocab, texts), len(vocab))
+        assert got.shape == want.shape
+        for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @given(corpus=TEXTS, min_count=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_from_texts_matches_the_per_token_count(self, corpus, min_count):
+        vocab = Vocabulary.from_texts(corpus, min_count=min_count)
+        assert vocab.id_to_token == [g.UNK_TOKEN] + oracle.vocabulary_tokens(corpus, min_count)
 
 
 class TestEdgeWeightStandardization:
@@ -87,21 +104,26 @@ def degrees(graph):
 
 class TestBuildGraph:
     def test_tiny_chain_degrees(self):
-        graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
+        graph = token_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
         assert degrees(graph) == [1, 2, 1]  # query, item, tag
 
     def test_duplicate_edges_merge_with_summed_weights(self):
-        graph = build_graph([[1]], [[2]], [], [(0, 0, 1.5), (0, 0, 2.0)], [])
+        graph = token_graph([[1]], [[2]], [], [(0, 0, 1.5), (0, 0, 2.0)], [])
         assert len(graph.qi_weight) == 1
         assert graph.qi_weight[0] == pytest.approx(3.5)
 
     def test_empty_item_tag_edges_is_valid(self):
-        graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
+        graph = token_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
         assert degrees(graph) == [1, 1, 0]
 
     def test_dangling_edge_raises(self):
         with pytest.raises(ValueError, match="unknown item"):
-            build_graph([[1]], [[2]], [[3]], [(0, 5, 1.0)], [])
+            token_graph([[1]], [[2]], [[3]], [(0, 5, 1.0)], [])
+
+    def test_patterns_over_different_vocabularies_raise(self):
+        with pytest.raises(ValueError, match=r"different vocabulary sizes \[4, 5\]"):
+            build_graph(token_pattern([[1]], 4), token_pattern([[2]], 5), token_pattern([[3]], 4),
+                        [], [])
 
     def test_adjacency_symmetry(self):
         rng = np.random.default_rng(5)
@@ -113,7 +135,7 @@ class TestBuildGraph:
 
     def test_deterministic_rebuild(self):
         args = ([[1], [2]], [[3]], [[4]], [(0, 0, 2.0), (1, 0, 1.0)], [(0, 0)])
-        g1, g2 = build_graph(*args), build_graph(*args)
+        g1, g2 = token_graph(*args), token_graph(*args)
         np.testing.assert_array_equal(g1.qi_query, g2.qi_query)
         np.testing.assert_array_equal(g1.qi_weight, g2.qi_weight)
         np.testing.assert_array_equal(g1.it_item, g2.it_item)
@@ -157,10 +179,10 @@ class TestEdgeBuildMatchesDictMerge:
             want = oracle.build_edges(nq, ni, nt, qi, it)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                build_graph(*nodes, qi, it)
+                token_graph(*nodes, qi, it)
             assert str(got.value) == str(exc)
             return
-        graph = build_graph(*nodes, qi, it)
+        graph = token_graph(*nodes, qi, it)
         for name, array in want.items():
             assert getattr(graph, name).dtype == array.dtype, name
             assert getattr(graph, name).tobytes() == array.tobytes(), name
@@ -179,29 +201,29 @@ class TestInitialRepresentation:
         return model.initial_representations(graph).data[0]
 
     def test_item_mean(self):
-        graph = build_graph([], [[1, 2]], [], [], [])
+        graph = token_graph([], [[1, 2]], [], [], [])
         model = self._model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], graph)
         np.testing.assert_allclose(self._rep(model, graph), [0.5, 0.5])
 
     def test_tag_adds_id_embedding(self):
-        graph = build_graph([], [], [[1, 2]], [], [])
+        graph = token_graph([], [], [[1, 2]], [], [])
         model = self._model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], graph)
         np.testing.assert_allclose(self._rep(model, graph),
                                    np.array([0.5, 0.5]) + model.embeddings.tag_ids.data[0])
 
     def test_tag_without_tokens_uses_id_alone(self):
-        graph = build_graph([], [], [[]], [], [])
+        graph = token_graph([], [], [[]], [], [])
         model = self._model([[0.0, 0.0], [1.0, 0.0]], graph)
         np.testing.assert_array_equal(self._rep(model, graph), model.embeddings.tag_ids.data[0])
 
     def test_item_with_no_tokens_is_zero(self):
-        graph = build_graph([], [[]], [], [], [])
+        graph = token_graph([], [[]], [], [], [])
         model = self._model([[0.0, 0.0], [1.0, 0.0]], graph)
         np.testing.assert_array_equal(self._rep(model, graph), np.zeros(2))
 
     def test_item_with_only_unknown_tokens_is_zero(self):
         # UNK embedding row is pinned to zero, so the mean stays zero
-        graph = build_graph([], [[g.UNK_ID, g.UNK_ID]], [], [], [])
+        graph = token_graph([], [[g.UNK_ID, g.UNK_ID]], [], [], [], n_words=2)
         model = self._model([[0.0, 0.0], [1.0, 0.0]], graph)
         np.testing.assert_array_equal(self._rep(model, graph), np.zeros(2))
 
@@ -211,7 +233,7 @@ class TestInitialRepresentation:
         rng = np.random.default_rng(9)
         words = rng.normal(size=(4, 3))
         words[0] = 0.0
-        graph = build_graph([], [[1, 2, 3]], [], [], [])
+        graph = token_graph([], [[1, 2, 3]], [], [], [])
         model = self._model(words, graph)
         base = self._rep(model, graph)
         model.embeddings.words.data *= c
@@ -236,9 +258,10 @@ def _gather_scatter_mean(words, token_lists):
 def test_mean_token_rows_bit_identical_to_gather_scatter(toy_setup):
     _, _, vocab, graph = toy_setup
     rng = np.random.default_rng(5)
-    cases = [(graph.token_pooling(NodeType.QUERY, len(vocab)), graph.query_tokens),
-             (graph.token_pooling(NodeType.ITEM, len(vocab)), graph.item_tokens),
-             (g.token_pattern(graph.tag_tokens + [[]], len(vocab)), graph.tag_tokens + [[]])]
+    tags = oracle.token_lists(graph.tag_tokens) + [[]]
+    cases = [(graph.query_tokens, oracle.token_lists(graph.query_tokens)),
+             (graph.item_tokens, oracle.token_lists(graph.item_tokens)),
+             (token_pattern(tags, len(vocab)), tags)]
     for pattern, lists in cases:
         initial = rng.normal(size=(len(vocab), 4))
         w = rng.normal(size=(len(lists), 4))

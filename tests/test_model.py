@@ -11,7 +11,7 @@ from taggnn.model import (CENTER_CACHE_SIZE, LEAKY_SLOPE, LayerParams, ModelVari
                           TagGNNModel, center_edges, pack_edges, propagate_layer)
 
 import oracle
-from conftest import random_tiny_graph
+from conftest import random_tiny_graph, token_graph
 
 
 def make_layer(dim, seed=0, heterogeneous=True):
@@ -35,7 +35,7 @@ def layer_attention(graph, H, layer, kind, row):
 
 def one_edge_graph():
     """One item (row 0) linked to one tag (row 1)."""
-    return build_graph([], [[1]], [[1]], [], [(0, 0)])
+    return token_graph([], [[1]], [[1]], [], [(0, 0)])
 
 
 def one_edge_candidates(H, layer):
@@ -54,7 +54,7 @@ class TestAttentionCoefficients:
         np.testing.assert_allclose(layer_attention(graph, H, layer, "it", 0), [1.0])
 
     def test_identical_neighbors_split_evenly(self):
-        graph = build_graph([], [[1]], [[1], [1]], [], [(0, 0), (0, 1)])
+        graph = token_graph([], [[1]], [[1], [1]], [], [(0, 0), (0, 1)])
         layer = make_layer(3)
         H = np.random.default_rng(1).normal(size=(graph.n_nodes, 3))
         H[2] = H[1]  # the two tag nodes look the same
@@ -62,7 +62,7 @@ class TestAttentionCoefficients:
 
     def test_scalar_multipliers_scale_softmax(self):
         # raw weights 1 and 3 standardize to -1 and +1, then softplus
-        graph = build_graph([[1], [1]], [[2]], [], [(0, 0, 1.0), (1, 0, 3.0)], [])
+        graph = token_graph([[1], [1]], [[2]], [], [(0, 0, 1.0), (1, 0, 3.0)], [])
         layer = make_layer(3, seed=2)
         H = np.random.default_rng(2).normal(size=(graph.n_nodes, 3))
         H[1] = H[0]  # equal scores for both query neighbors
@@ -76,7 +76,7 @@ class TestAggregateMessage:
     # H[item] = 0 the output is the layer's message itself
     def _message(self, neighbor_rows, proj):
         k, d = neighbor_rows.shape
-        graph = build_graph([], [[1]], [[1]] * k, [], [(0, t) for t in range(k)])
+        graph = token_graph([], [[1]], [[1]] * k, [], [(0, t) for t in range(k)])
         layer = make_layer(d)
         zero_gate(layer)
         layer.gate_bias.data[...] = 50.0
@@ -103,7 +103,7 @@ class TestGatedUpdate:
     def test_zero_gate_params_blend_halfway(self):
         # one query-item edge: each side attends to the other with the lone
         # edge's multiplier ln 2, and moves halfway toward its candidate
-        graph = build_graph([[1]], [[2]], [], [(0, 0, 1.0)], [])
+        graph = token_graph([[1]], [[2]], [], [(0, 0, 1.0)], [])
         layer = make_layer(2, seed=3)
         zero_gate(layer)
         H = np.array([[0.4, -0.2], [0.1, 0.3]])
@@ -143,7 +143,7 @@ class TestGatedUpdate:
 
 class TestPropagateLayer:
     def test_fully_isolated_graph_is_identity(self):
-        graph = build_graph([[1]], [[2]], [[3]], [], [])
+        graph = token_graph([[1]], [[2]], [[3]], [], [])
         layer = make_layer(4, seed=6)
         H = np.random.default_rng(6).normal(size=(graph.n_nodes, 4))
         out = propagate_layer(graph, Tensor(H), layer, kind="full")
@@ -214,7 +214,7 @@ class TestForward:
         assert out.tag_reps.data.tobytes() == H0[nq + ni:].tobytes()
 
     def test_isolated_item_unchanged_for_any_depth(self):
-        graph = build_graph([[1]], [[2], [3]], [[1]], [(0, 0, 2.0)], [(0, 0)])  # item 1: no edges
+        graph = token_graph([[1]], [[2], [3]], [[1]], [(0, 0, 2.0)], [(0, 0)])  # item 1: no edges
         for n_layers in (1, 2, 3, 4):
             model = self._model(graph, 4, n_layers=n_layers, seed=n_layers)
             out = model.forward(graph)
@@ -233,7 +233,7 @@ class TestForward:
                     np.testing.assert_array_equal(H0[v], oracle.initial_row(graph, model, v))
 
     def test_tag_name_toggle(self):
-        graph = build_graph([], [[1]], [[2]], [], [(0, 0)])
+        graph = token_graph([], [[1]], [[2]], [], [(0, 0)])
         variant = ModelVariant(kind="it", use_tag_names=False, n_layers=1)
         model = TagGNNModel.init(3, 1, 4, variant, rng=np.random.default_rng(0))
         H0 = model.initial_representations(graph).data
@@ -241,13 +241,13 @@ class TestForward:
         np.testing.assert_array_equal(H0[row], model.embeddings.tag_ids.data[0])
 
     def test_train_mode_needs_rng(self):
-        graph = build_graph([], [[1]], [[1]], [], [(0, 0)])
+        graph = token_graph([], [[1]], [[1]], [], [(0, 0)])
         model = self._model(graph, 2, kind="it")
         with pytest.raises(ValueError):
             model.forward(graph, train_mode=True)
 
     def test_only_the_qi_variant_returns_a_head(self):
-        graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
+        graph = token_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
         for kind in ("it", "qi", "full"):
             model = self._model(graph, 4, kind=kind)
             head = model.forward(graph).head
@@ -258,7 +258,7 @@ class TestForward:
 
     @pytest.mark.parametrize("train_mode", [True, False])
     def test_qi_forward_never_applies_its_head(self, monkeypatch, train_mode):
-        graph = build_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
+        graph = token_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
         model = self._model(graph, 4, kind="qi")
         right_operands = []
         matmul = ad.matmul
@@ -320,7 +320,7 @@ class TestTapeFreeRows:
         # a qi forward for the only item: its last layer attends at that one row, and
         # its dense half still runs over every row (a one-row product would round
         # differently here)
-        graph = build_graph([[1], [2]], [[2]], [[1], [3]], [(0, 0, 2.0)], [(0, 1)])
+        graph = token_graph([[1], [2]], [[2]], [[1], [3]], [(0, 0, 2.0)], [(0, 1)])
         model = TagGNNModel.init(4, graph.n_tags, 64, ModelVariant(kind="qi", n_layers=1),
                                  rng=np.random.default_rng(1))
         H, _ = oracle.full_forward(graph, model)
@@ -333,7 +333,7 @@ class TestTapeFreeRows:
     def test_only_rows_with_edges_reach_the_dense_half(self, monkeypatch):
         # only query 0, item 0 and the tag have edges: the dense half runs over every
         # row with or without a tape, and the rows without edges pass through unchanged
-        graph = build_graph([[1], [2], [3]], [[2], [3], [1]], [[1]], [(0, 0, 2.0)], [(0, 0)])
+        graph = token_graph([[1], [2], [3]], [[2], [3], [1]], [[1]], [(0, 0, 2.0)], [(0, 0)])
         layer = make_layer(4, seed=3)
         H = np.random.default_rng(3).normal(size=(graph.n_nodes, 4))
         row_counts = []
@@ -397,7 +397,7 @@ class TestCenterEdges:
 class TestPackEdges:
     def test_bare_graph_packs_softplus_multipliers(self):
         # two queries share item 0; weights 1 and 3 standardize to -1 and +1
-        graph = build_graph([[1], [2]], [[3]], [], [(0, 0, 1.0), (1, 0, 3.0)], [])
+        graph = token_graph([[1], [2]], [[3]], [], [(0, 0, 1.0), (1, 0, 3.0)], [])
         edges = pack_edges(graph, "qi")
         softplus = np.log1p(np.exp([-1.0, 1.0]))
         np.testing.assert_allclose(standardize_edge_weights(graph.qi_weight), softplus,

@@ -72,6 +72,17 @@ def test_vocab_hash_mismatch_detected(trained, tmp_path):
         load_model(tmp_path)
 
 
+@pytest.mark.parametrize("extra", [1, -1])
+def test_a_word_table_that_is_not_the_vocabulary_size_is_rejected(toy_setup, tmp_path, extra):
+    _, _, vocab, graph = toy_setup
+    model = TagGNNModel.init(len(vocab) + extra, graph.n_tags, 4, ModelVariant(),
+                             rng=np.random.default_rng(0))
+    save_model(model, vocab, tmp_path, graph.tag_ids)
+    with pytest.raises(ValueError, match=f"manifest.json n_words is {len(vocab) + extra}, "
+                                         f"but vocab.json holds {len(vocab)} words"):
+        load_model(tmp_path)
+
+
 def test_homogeneous_model_roundtrips_shared_matrix(toy_setup, tmp_path):
     _, splits, vocab, graph = toy_setup
     cfg = TrainConfig(dim=8, n_layers=1, max_epochs=2, seed=0, heterogeneous=False)

@@ -4,7 +4,7 @@
 defaults, the sha256 of ``repr`` of the dataset's five tuple views and of its
 split (frozensets as sorted lists, so the digest does not depend on string
 hashing), and for ``gradcheck_instance`` the digests of its graph's edge
-arrays and token lists.  Run this file as a script to print the digests.
+arrays and of its token patterns' rows as lists.  Run this file as a script to print the digests.
 """
 
 import hashlib
@@ -12,6 +12,8 @@ import json
 import os
 
 from taggnn import synthetic
+
+import oracle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "synthetic_datasets.json")
@@ -41,7 +43,8 @@ def digests():
         "edges": hashlib.sha256(b"".join(
             a.tobytes() for a in (graph.qi_query, graph.qi_item, graph.qi_weight,
                                   graph.it_item, graph.it_tag))).hexdigest(),
-        "tokens": _sha((graph.query_tokens, graph.item_tokens, graph.tag_tokens)),
+        "tokens": _sha(tuple(oracle.token_lists(p) for p in (graph.query_tokens, graph.item_tokens,
+                                                              graph.tag_tokens))),
     }
     return out
 

@@ -12,14 +12,14 @@ from taggnn import data as dm
 from taggnn import evaluation
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
-from taggnn.graph import Vocabulary, build_graph
+from taggnn.graph import Vocabulary
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import (NumericalError, TrainConfig, combined_loss, fit, label_matrix,
                              link_prediction_loss, node_classification_loss, train,
                              train_model, train_rows)
 
 import oracle
-from conftest import positives, random_tiny_graph
+from conftest import positives, random_tiny_graph, token_graph
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -92,7 +92,7 @@ class TestCombinedLoss:
 
     def test_isolated_items_make_dual_equal_primary(self):
         # no edges at all: initial and final representations coincide
-        graph = build_graph([], [[1], [2]], [[3], [1]], [], [])
+        graph = token_graph([], [[1], [2]], [[3], [1]], [], [])
         model = TagGNNModel.init(4, 2, 3, ModelVariant(kind="it", n_layers=2), gamma=0.7,
                                  rng=np.random.default_rng(0))
         labels = positives(np.eye(2))
@@ -104,7 +104,7 @@ class TestCombinedLoss:
         # tags isolated (query-item edges only): the dual loss sees initial
         # item reps and un-propagated tag reps, so no layer parameter can
         # receive gradient through it
-        graph = build_graph([[1]], [[2], [3]], [[1], [2]],
+        graph = token_graph([[1]], [[2], [3]], [[1], [2]],
                             [(0, 0, 1.0), (0, 1, 2.0)], [])
         model = TagGNNModel.init(4, 2, 3, ModelVariant(kind="full", n_layers=2),
                                  rng=np.random.default_rng(1))
@@ -318,7 +318,7 @@ class TestConfig:
 
 class TestLabelMatrix:
     def test_matches_graph_edges(self):
-        graph = build_graph([], [[1], [2]], [[3], [1], [2]], [], [(0, 0), (0, 2), (1, 1)])
+        graph = token_graph([], [[1], [2]], [[3], [1], [2]], [], [(0, 0), (0, 2), (1, 1)])
         y = label_matrix(graph, np.array([0, 1]))
         assert y.shape == (2, 3)
         np.testing.assert_array_equal(y.rows, [0, 0, 1])
