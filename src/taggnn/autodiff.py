@@ -256,7 +256,7 @@ def _bce_pool():
     return concurrent.futures.ThreadPoolExecutor(_BCE_WORKERS, thread_name_prefix="taggnn-bce")
 
 
-def _bce_block(a_rows, w, bias, r, c, scale, wants, transpose_b):
+def _bce_block(a_rows, w, bias, r, c, scale, wants):
     """One row block of :func:`bce_with_logits`: the logits ``a_rows @ w (+ bias)``
     with positives at ``(r, c)``.
 
@@ -286,14 +286,14 @@ def _bce_block(a_rows, w, bias, r, c, scale, wants, transpose_b):
     x *= scale
     return (hinge, soft,
             x @ w.T if want_a else None,
-            (x.T @ a_rows if transpose_b else a_rows.T @ x) if want_b else None,
+            x.T @ a_rows if want_b else None,
             x.sum(axis=0) if want_bias else None)
 
 
-def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
-    """Mean binary cross-entropy of the logits ``a @ b (+ bias)`` against sparse 0/1 labels.
+def bce_with_logits(a, b, labels, bias=None):
+    """Mean binary cross-entropy of the logits ``a @ b.T (+ bias)`` against sparse 0/1 labels.
 
-    With ``transpose_b`` the logits are ``a @ b.T``.
+    ``b`` holds one row per logit column (a tag's vector).
     ``labels`` is a :class:`SparsePattern` shaped like the logits whose
     entries are the positives; every other logit is a negative.  Each
     entry's loss is ``max(x,0) - x*y + log1p(exp(-|x|))``, finite for any
@@ -308,7 +308,7 @@ def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
     a, b = _wrap(a), _wrap(b)
     bias = None if bias is None else _wrap(bias)
     inputs = (a, b) if bias is None else (a, b, bias)
-    w = b.data.T if transpose_b else b.data
+    w = b.data.T
     n_rows, n_cols = a.data.shape[0], w.shape[1]
     if labels.shape != (n_rows, n_cols):
         raise ValueError(f"a {labels.shape} label pattern for {n_rows} x {n_cols} logits")
@@ -329,7 +329,7 @@ def bce_with_logits(a, b, labels, bias=None, transpose_b=False):
         span = slice(labels.indptr[lo], labels.indptr[hi])
         future = _bce_pool().submit(
             _bce_block, a.data[lo:hi], w, None if bias is None else bias.data,
-            labels.rows[span] - lo, labels.cols[span], scale, wants, transpose_b)
+            labels.rows[span] - lo, labels.cols[span], scale, wants)
         return slice(lo, hi), future
 
     total = 0.0
@@ -394,6 +394,13 @@ def gather_rows(x, index):
         return gx
 
     return _from_op(data, "gather_rows", (x,), (grad,))
+
+
+def transpose(x):
+    """``x.T`` as a copy in the transposed layout, so, like :func:`gather_rows`, it never
+    aliases ``x``, and ``transpose(x).data.T`` reads ``x``'s bytes in their own order."""
+    x = _wrap(x)
+    return _from_op(x.data.T.copy(order="K"), "transpose", (x,), (lambda g: g.T,))
 
 
 def scatter_add_rows(values, index, num_rows):

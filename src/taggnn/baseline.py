@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import UNK_ID, mean_token_rows, token_pattern
 from .model import ForwardResult
-from .training import fit, label_matrix, node_classification_loss, train_rows
+from .training import check_n_words, fit, label_matrix, link_prediction_loss, train_rows
 
 MODES = ("item", "item_queries")
 TOP_QUERIES = 10
@@ -73,16 +73,17 @@ class BaselineModel:
 
     def forward(self, graph, train_mode=False, items=None):
         """Averaged feature vectors of the graph item rows ``items`` (``None``: every
-        item), in order, with the linear head that scores them."""
+        item), in order, scored against the transposed head weight plus its bias."""
         feats = mean_token_rows(self.words, self.features(graph))
         if items is not None:
             feats = ad.gather_rows(feats, items)
-        return ForwardResult(item_reps=feats, tag_reps=None, initial_item_reps=feats,
-                             head=(self.weight, self.bias))
+        return ForwardResult(item_reps=feats, initial_item_reps=feats,
+                             tags=ad.transpose(self.weight), bias=self.bias)
 
 
 def train_baseline(graph, mode, config, splits, n_words):
     """Fit the linear baseline on the graph's training items with :func:`training.fit`."""
+    check_n_words(graph, n_words)
     rng = np.random.default_rng([config.seed, 2])
     words = rng.uniform(-0.05, 0.05, size=(n_words, config.dim))
     words[UNK_ID] = 0.0
@@ -98,6 +99,6 @@ def train_baseline(graph, mode, config, splits, n_words):
 
     def loss_fn():
         out = model.forward(graph, train_mode=True, items=rows)
-        return node_classification_loss(out.item_reps, *out.head, labels), {}
+        return link_prediction_loss(out.item_reps, out.tags, labels, out.bias), {}
 
     return fit(model, loss_fn, graph, splits, config)

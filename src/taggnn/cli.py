@@ -262,7 +262,8 @@ def cli_main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (DataFormatError, ValueError, OSError) as exc:   # OSError: a bad path
+    # OSError: a bad path; MemoryError: a config or input whose arrays do not fit
+    except (DataFormatError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (NumericalError, FloatingPointError) as exc:

@@ -398,7 +398,7 @@ def load_splits(path, dataset):
     Validated in bulk like :func:`load_dataset`; a failure names the first
     failing line and the first of its checks that fails: column count,
     unknown item, unknown role, repeated item, then for completion roles a
-    missing, not-two or not-linked held-out tag pair.
+    missing, not-two or not-linked held-out tag pair, for full roles no tags.
     """
     name, linenos, (items, roles, held) = _read_table(path, 2, 3, pad="\t")
     index, tags_of = dataset.item_index, dataset._tags_by_item()
@@ -411,7 +411,8 @@ def load_splits(path, dataset):
         # the linked tags of every evaluation item
         linked = {i: frozenset(tags_of[index[i]]) for i, role in role_of.items()
                   if role != "train"}
-        valid = all(len(h) == 2 and h <= linked[i] for i, h in heldout.items())
+        valid = (all(len(h) == 2 and h <= linked[i] for i, h in heldout.items())
+                 and all(linked[i] for i, role in role_of.items() if role in FULL_ROLES))
     if not valid:
         first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
         needs_pair = [role in COMPLETION_ROLES for role in roles]
@@ -424,7 +425,9 @@ def load_splits(path, dataset):
             and "exactly two held-out tags required",
             lambda n: needs_pair[n]
             and not frozenset(held[n].split(",")) <= frozenset(tags_of[index[items[n]]])
-            and "held-out tags not linked to item"))
+            and "held-out tags not linked to item",
+            lambda n: roles[n] in FULL_ROLES and not tags_of[index[items[n]]]
+            and f"item '{items[n]}' has no tags; cannot evaluate it"))
     return SplitAssignment(roles=role_of, heldout=heldout,
                            truth={i: heldout.get(i, tags) for i, tags in linked.items()},
                            known={i: linked[i] - h for i, h in heldout.items()})

@@ -1,9 +1,9 @@
 """Top-K tag inference and the Precision@K harness.
 
 A trained model is frozen into a :class:`Predictor` (one dropout-free
-forward pass); every item is scored by one matrix-vector product against one
-tag-side matrix: the propagated tag vectors for link prediction, or the head
-weight (plus its bias) for the query-item variant and the baseline.  Every
+forward pass); every item is scored by one matrix-vector product against the
+forward's tag-side matrix (the propagated tag vectors, or the transposed head
+weight of the query-item variant and the baseline), plus its bias.  Every
 ranking goes through :func:`rank_topk`, which ranks one score vector or a
 block of score rows; Precision@K scores and ranks ``SCORE_CHUNK`` items at a
 time, so no score matrix over every item is held.  Completion items never see
@@ -80,29 +80,24 @@ class Predictor:
     outlives its use.  ``items`` (graph item rows, ``None`` for all) are the
     only items it can score; the forward computes final vectors for just
     those, and their scores are bit-identical to an all-items predictor's.
-    Every model is scored the same way, against one (tags x d) matrix: the
-    propagated tag rows, or for a model with a head (``qi``, the baseline)
-    the transpose of a copy of the head weight (copied, as the bias is, so
-    later training steps leave the predictor's scores as they were), with the
-    head bias added.
+    Every model is scored the same way, against the forward's (tags x d)
+    ``tags`` plus its ``bias``, if any.  ``tags`` is a forward output, never
+    a parameter, and the bias is copied, so later training steps leave the
+    predictor's scores as they were.
     """
 
     def __init__(self, model, graph, items=None):
         with no_grad():
             out = model.forward(graph, train_mode=False, items=items)
-        self._item_reps = out.item_reps.data
-        if out.head is None:
-            self._tags, self._bias = out.tag_reps.data, None
-        else:
-            weight, bias = out.head
-            self._tags, self._bias = weight.data.copy().T, bias.data.copy()
+        self._item_reps, self._tags = out.item_reps.data, out.tags.data
+        self._bias = None if out.bias is None else out.bias.data.copy()
         self._position = None if items is None else {int(r): n for n, r in enumerate(items)}
 
     def score_rows(self, item_indices):
         """Scores of several items (graph item rows) against every tag, one row each.
 
         Each row is one matrix-vector product written into the block, plus
-        the head bias if there is one, as :meth:`scores` gives it for one item.
+        the bias if there is one.
         """
         positions = [self._row(int(i)) for i in item_indices]
         out = np.empty((len(positions), len(self._tags)))
@@ -112,13 +107,9 @@ class Predictor:
             out += self._bias
         return out
 
-    def scores(self, item_index):
-        """Similarity of one item (a graph item row) against every tag."""
-        return self.score_rows([item_index])[0]
-
     def topk(self, item_index, k, exclude=()):
-        """Indices of the best-scoring tags, by :func:`rank_topk`."""
-        return rank_topk(self.scores(item_index), k, exclude)
+        """Indices of one item's best-scoring tags, by :func:`rank_topk`."""
+        return rank_topk(self.score_rows([item_index])[0], k, exclude)
 
     def _row(self, item_index):
         if self._position is None:

@@ -8,7 +8,7 @@ caller reads (``items``, every item by default) runs its last layer's
 attention and aggregation only at those items' rows and the tag rows, with
 the same results there.  Every dense product (per-type update, gate) spans
 all rows, taped or not, so a row's bits never depend on which rows are read.
-The ``qi`` head is not applied here: the forward hands it to whoever scores.
+No score is formed here: the forward hands the items and their tag side to whoever scores.
 """
 
 import collections
@@ -233,9 +233,9 @@ class ForwardResult:
     """What the losses and :class:`evaluation.Predictor` read from one forward pass."""
 
     item_reps: Tensor           # final rows of the items read (every item by default), in order
-    tag_reps: Tensor            # final tag block (None without tags)
     initial_item_reps: Tensor   # initial (post-dropout) rows of the same items
-    head: tuple                 # (weight, bias) scoring the items; None: score against tag_reps
+    tags: Tensor                # (tags x d): every model scores item_reps @ tags.T (+ bias)
+    bias: Tensor                # per-tag bias, or None
 
 
 class TagGNNModel:
@@ -319,8 +319,8 @@ class TagGNNModel:
         attends and aggregates at those items' rows and, for link prediction,
         at every tag row, and all other rows pass it through.  ``item_reps``
         holds exactly ``items``, in the given order, bit-identical at any
-        width whichever other items are read.  A ``qi`` model returns its
-        head as ``head`` and leaves scoring to the caller.
+        width whichever other items are read.  ``tags`` is the final tag block,
+        or the transposed head weight of a ``qi`` model, whose ``bias`` is the head's.
         """
         nq, ni = graph.n_queries, graph.n_items
         kind = self.variant.kind
@@ -345,8 +345,9 @@ class TagGNNModel:
             H = propagate_layer(graph, H, layer, kind=kind,
                                 edges=last_edges if n == len(self.layers) else None)
 
-        tag_reps = ad.gather_rows(H, slice(nq + ni, graph.n_nodes)) if graph.n_tags else None
-        return ForwardResult(item_reps=ad.gather_rows(H, item_rows), tag_reps=tag_reps,
-                             initial_item_reps=ad.gather_rows(H0, item_rows),
-                             head=None if self.head_weight is None
-                             else (self.head_weight, self.head_bias))
+        if self.head_weight is not None:
+            tags, bias = ad.transpose(self.head_weight), self.head_bias
+        else:
+            tags, bias = ad.gather_rows(H, slice(nq + ni, graph.n_nodes)), None
+        return ForwardResult(item_reps=ad.gather_rows(H, item_rows),
+                             initial_item_reps=ad.gather_rows(H0, item_rows), tags=tags, bias=bias)

@@ -83,21 +83,14 @@ class TrainConfig:
         ).hexdigest()
 
 
-def link_prediction_loss(item_reps, tag_reps, labels):
-    """Mean BCE of every item-against-every-tag dot-product score.
+def link_prediction_loss(item_reps, tags, labels, bias=None):
+    """Mean BCE of every item-against-every-tag score ``item_reps @ tags.T (+ bias)``.
 
     ``labels`` is the :func:`label_matrix` pattern of the positive links.
     """
     if item_reps.shape[0] == 0:
         raise ValueError("link prediction needs at least one item")
-    return ad.bce_with_logits(item_reps, tag_reps, labels, transpose_b=True)
-
-
-def node_classification_loss(item_reps, head_weight, head_bias, labels):
-    """Mean BCE of the linear classification head over all tags."""
-    if head_weight is None or head_bias is None:
-        raise ValueError("node classification requires the qi head")
-    return ad.bce_with_logits(item_reps, head_weight, labels, bias=head_bias)
+    return ad.bce_with_logits(item_reps, tags, labels, bias=bias)
 
 
 def combined_loss(graph, model, item_indices, labels, train_mode=False, dropout_p=0.5, rng=None):
@@ -106,18 +99,12 @@ def combined_loss(graph, model, item_indices, labels, train_mode=False, dropout_
     Returns ``(total, l1, l2)``.  With ``gamma == 0`` the total *is* the
     primary loss tensor, untouched, so the two are equal to the last bit.
     The forward reads only ``item_indices`` (its ``items``), so the last layer
-    runs only at those items' rows and the tag rows.  A forward that returns a
-    head is trained by node classification, any other by link prediction.
+    runs only at those items' rows and the tag rows.
     """
     out = model.forward(graph, train_mode=train_mode, dropout_p=dropout_p, rng=rng,
                         items=item_indices)
-    final_items, initial_items = out.item_reps, out.initial_item_reps
-    if out.head is not None:
-        l1 = node_classification_loss(final_items, *out.head, labels)
-        l2 = node_classification_loss(initial_items, *out.head, labels)
-    else:
-        l1 = link_prediction_loss(final_items, out.tag_reps, labels)
-        l2 = link_prediction_loss(initial_items, out.tag_reps, labels)
+    l1 = link_prediction_loss(out.item_reps, out.tags, labels, out.bias)
+    l2 = link_prediction_loss(out.initial_item_reps, out.tags, labels, out.bias)
     total = l1 if model.gamma == 0.0 else l1 + model.gamma * l2
     return total, l1, l2
 
@@ -153,11 +140,19 @@ def train_rows(graph, splits):
     return rows
 
 
+def check_n_words(graph, n_words):
+    """Reject an ``n_words`` other than the vocabulary size of the graph's token patterns."""
+    if n_words != graph.item_tokens.shape[1]:
+        raise ValueError(f"n_words is {n_words}, but the graph's token patterns span "
+                         f"{graph.item_tokens.shape[1]} words")
+
+
 def train(graph, splits, config, n_words, log_stream=None):
     """Initialise a TagGNN model from ``config`` and train it with :func:`train_model`.
 
-    ``n_words`` is the vocabulary size, which sets the rows of the word table.
+    ``n_words``, the graph's vocabulary size, sets the rows of the word table.
     """
+    check_n_words(graph, n_words)
     model = TagGNNModel.init(n_words, graph.n_tags, config.dim, config.model_variant(),
                              gamma=config.gamma, rng=np.random.default_rng([config.seed, 0]))
     return train_model(model, graph, splits, config, log_stream=log_stream)

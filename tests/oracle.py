@@ -202,6 +202,9 @@ def load_splits(path, items, it):
             known[item_id] = frozenset(tag_map[item_id]) - held
             truth[item_id] = held
         elif role in FULL_ROLES:
+            if not tag_map[item_id]:
+                raise DataFormatError(f"{name}:{lineno}: item '{item_id}' has no tags; "
+                                      "cannot evaluate it")
             truth[item_id] = frozenset(tag_map[item_id])
     return roles, heldout, truth, known
 
@@ -376,7 +379,7 @@ def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
     """``training.combined_loss`` on :func:`full_forward`, the item rows then gathered:
     what the item-restricted forward must reproduce bit for bit."""
     from taggnn import autodiff as ad
-    from taggnn.training import link_prediction_loss, node_classification_loss
+    from taggnn.training import link_prediction_loss
 
     H, H0 = full_forward(graph, model, **forward_kw)
     nq, ni = graph.n_queries, graph.n_items
@@ -384,10 +387,9 @@ def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
     final_items = ad.gather_rows(ad.gather_rows(H, items), item_indices)
     initial_items = ad.gather_rows(ad.gather_rows(H0, items), item_indices)
     if model.head_weight is not None:
-        l1 = node_classification_loss(final_items, model.head_weight, model.head_bias, labels)
-        l2 = node_classification_loss(initial_items, model.head_weight, model.head_bias, labels)
+        tags, bias = ad.transpose(model.head_weight), model.head_bias
     else:
-        tag_reps = ad.gather_rows(H, slice(nq + ni, graph.n_nodes))
-        l1 = link_prediction_loss(final_items, tag_reps, labels)
-        l2 = link_prediction_loss(initial_items, tag_reps, labels)
+        tags, bias = ad.gather_rows(H, slice(nq + ni, graph.n_nodes)), None
+    l1 = link_prediction_loss(final_items, tags, labels, bias)
+    l2 = link_prediction_loss(initial_items, tags, labels, bias)
     return l1 if model.gamma == 0.0 else l1 + model.gamma * l2

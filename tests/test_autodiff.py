@@ -209,10 +209,10 @@ class TestBceWithLogits:
         # a repeated positive would count twice
         labels = ad.SparsePattern([0, 0], [1, 1], (1, 2))
         with pytest.raises(ValueError, match="duplicate label entry"):
-            ad.bce_with_logits(Tensor(np.ones((1, 3))), Tensor(np.ones((3, 2))), labels)
+            ad.bce_with_logits(Tensor(np.ones((1, 3))), Tensor(np.ones((2, 3))), labels)
 
     def test_unsorted_labels_checked_for_duplicates(self):
-        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
         with pytest.raises(ValueError, match="duplicate label entry"):
             ad.bce_with_logits(a, b, ad.SparsePattern([0, 0, 0, 1], [3, 1, 3, 0], (2, 4)))
         unsorted = ad.bce_with_logits(a, b, ad.SparsePattern([0, 0, 1], [3, 1, 0], (2, 4)))
@@ -222,9 +222,9 @@ class TestBceWithLogits:
     def test_shape_mismatch_rejected(self):
         a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
         with pytest.raises(ValueError, match="label pattern"):
-            ad.bce_with_logits(a, b, positives(np.zeros((2, 3))), transpose_b=True)
+            ad.bce_with_logits(a, b, positives(np.zeros((2, 3))))
         with pytest.raises(ValueError, match="label pattern"):
-            ad.bce_with_logits(a, b, positives(np.zeros((2, 4))))  # b is read as 4 x 3
+            ad.bce_with_logits(a, b, positives(np.zeros((4, 2))))  # the logits are a @ b.T
 
     @given(st.floats(-1e4, 1e4), st.sampled_from([0.0, 1.0]))
     @settings(max_examples=100, deadline=None)
@@ -234,43 +234,44 @@ class TestBceWithLogits:
     def test_gradient_matches_finite_differences(self, monkeypatch):
         rng = np.random.default_rng(1)
         y = positives(rng.random((5, 4)) < 0.5)
-        for block_rows, transpose_b in ((5, False), (5, True), (2, False), (2, True)):
+        for block_rows, tag_rows in ((5, False), (5, True), (2, False), (2, True)):
             monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", block_rows * 4)
             a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-            b = Tensor(rng.normal(size=(4, 3) if transpose_b else (3, 4)), requires_grad=True)
+            # the tags as rows, or as the columns of a head weight read through transpose
+            b = Tensor(rng.normal(size=(4, 3) if tag_rows else (3, 4)), requires_grad=True)
             bias = Tensor(rng.normal(size=4), requires_grad=True)
 
             def loss_fn():
-                return ad.bce_with_logits(a, b, y, bias=bias, transpose_b=transpose_b)
+                return ad.bce_with_logits(a, b if tag_rows else ad.transpose(b), y, bias=bias)
 
             assert ad.finite_difference_check(loss_fn, [a, b, bias]) < 1e-8
 
     @given(st.integers(1, 13), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3),
            st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense_formula(self, n_rows, n_cols, block_rows, d, transpose_b, seed):
+    def test_matches_dense_formula(self, n_rows, n_cols, block_rows, d, tag_rows, seed):
         rng = np.random.default_rng(seed)
         a = Tensor(rng.normal(size=(n_rows, d)) * 3, requires_grad=True)
         w = rng.normal(size=(d, n_cols))
-        b = Tensor(w.T.copy() if transpose_b else w, requires_grad=True)
+        b = Tensor(w.T.copy() if tag_rows else w, requires_grad=True)
         bias = Tensor(rng.normal(size=n_cols), requires_grad=True)
         y = (rng.random((n_rows, n_cols)) < 0.3).astype(float)
         y[0] = 0.0                 # a row with no positives
         y[-1] = 1.0                # and one that is all positives (the same row if only one)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ad, "_BCE_BLOCK_ELEMENTS", block_rows * n_cols)
-            loss = ad.bce_with_logits(a, b, positives(y), bias=bias, transpose_b=transpose_b)
+            loss = ad.bce_with_logits(a, b if tag_rows else ad.transpose(b), positives(y),
+                                      bias=bias)
         ad.backward(ad.mul(loss, 0.7))
         want, da, dw, dbias = _dense_bce(a.data, w, bias.data, y)
         assert float(loss.data) == pytest.approx(want, rel=1e-12)
         np.testing.assert_allclose(a.grad, 0.7 * da, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(b.grad, 0.7 * (dw.T if transpose_b else dw),
+        np.testing.assert_allclose(b.grad, 0.7 * (dw.T if tag_rows else dw),
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(bias.grad, 0.7 * dbias, rtol=1e-12, atol=1e-15)
 
     def test_constant_inputs_give_the_loss_only(self):
-        out = ad.bce_with_logits(np.zeros((2, 1)), np.ones((3, 1)), positives(np.eye(2, 3)),
-                                 transpose_b=True)
+        out = ad.bce_with_logits(np.zeros((2, 1)), np.ones((3, 1)), positives(np.eye(2, 3)))
         assert not out.requires_grad
         assert out.data == pytest.approx(math.log(2.0), abs=1e-15)
 
@@ -285,7 +286,7 @@ class TestBceWithLogits:
         labels = ad.SparsePattern(rows, (7 * rows + np.tile([0, 1, 2], n)) % n_tags, (n, n_tags))
         tracemalloc.start()
         try:
-            ad.backward(ad.bce_with_logits(a, b, labels, transpose_b=True))
+            ad.backward(ad.bce_with_logits(a, b, labels))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,11 +294,15 @@ class TestBceWithLogits:
         assert peak < n * n_tags * 8 / 2
 
 
-def _bce_case(seed, with_bias=True, transpose_b=False, n_rows=9, n_cols=7, d=3):
-    """Op inputs with every gradient wanted, as tensors and as the raw arrays."""
+def _bce_case(seed, with_bias=True, tag_rows=True, n_rows=9, n_cols=7, d=3):
+    """Op inputs with every gradient wanted, as tensors and as the raw arrays.
+
+    ``b`` holds the tags as rows, or without ``tag_rows`` as the columns of a
+    head weight, which the op reads through :func:`autodiff.transpose`.
+    """
     rng = np.random.default_rng(seed)
     arrays = (rng.normal(size=(n_rows, d)) * 3,
-              rng.normal(size=(n_cols, d) if transpose_b else (d, n_cols)),
+              rng.normal(size=(n_cols, d) if tag_rows else (d, n_cols)),
               rng.normal(size=n_cols) if with_bias else None)
     labels = positives(rng.random((n_rows, n_cols)) < 0.3)
     tensors = [None if x is None else Tensor(x, requires_grad=True) for x in arrays]
@@ -312,15 +317,16 @@ def _block_start(a, a_rows):
 class TestBceBlocksInFlight:
     @pytest.mark.parametrize("block_rows", [9, 5, 4, 2])   # 1, 2, 3 and 5 blocks of 9 rows
     @pytest.mark.parametrize("with_bias", [False, True])
-    @pytest.mark.parametrize("transpose_b", [False, True])
+    @pytest.mark.parametrize("tag_rows", [False, True])
     def test_bit_identical_to_sequential_blocks(self, monkeypatch, block_rows, with_bias,
-                                                transpose_b):
+                                                tag_rows):
+        # a head weight's gradient, (x.T @ a).T through transpose, has the bytes of a.T @ x
         monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", block_rows * 7)
-        (a, b, bias), arrays, labels = _bce_case(block_rows, with_bias, transpose_b)
-        loss = ad.bce_with_logits(a, b, labels, bias=bias, transpose_b=transpose_b)
+        (a, b, bias), arrays, labels = _bce_case(block_rows, with_bias, tag_rows)
+        loss = ad.bce_with_logits(a, b if tag_rows else ad.transpose(b), labels, bias=bias)
         ad.backward(loss)
         want, da, db, dbias = oracle.bce_blocks(*arrays[:2], labels, block_rows * 7,
-                                                bias=arrays[2], transpose_b=transpose_b)
+                                                bias=arrays[2], transpose_b=tag_rows)
         assert float(loss.data) == want
         assert np.array_equal(a.grad, da) and np.array_equal(b.grad, db)
         assert bias is None or np.array_equal(bias.grad, dbias)
@@ -378,7 +384,8 @@ class TestBceBlocksInFlight:
         monkeypatch.setattr(ad, "_bce_block", block)
         loss = ad.bce_with_logits(a, b, labels, bias=bias)
         ad.backward(loss)
-        want, da, db, dbias = oracle.bce_blocks(*arrays[:2], labels, 2 * 7, bias=arrays[2])
+        want, da, db, dbias = oracle.bce_blocks(*arrays[:2], labels, 2 * 7, bias=arrays[2],
+                                                transpose_b=True)
         assert float(loss.data) == want
         assert np.array_equal(a.grad, da) and np.array_equal(b.grad, db)
         assert np.array_equal(bias.grad, dbias)
@@ -498,6 +505,16 @@ class TestOpGradients:
         _fd(lambda: ad.mean(ad.mul(ad.gather_rows(x, slice(1, 4)), w)), [x])
         v = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         _fd(lambda: ad.mean(ad.scatter_add_rows(v, idx, 5)), [v])
+
+    def test_transpose(self):
+        x = Tensor(self.rng.normal(size=(3, 4)), requires_grad=True)
+        for data in (x.data, np.asfortranarray(x.data)):
+            t = ad.transpose(data)
+            assert np.array_equal(t.data, data.T) and not np.shares_memory(t.data, data)
+            # the copy keeps the input's layout, so t.data.T reads the input's bytes in order
+            assert t.data.T.tobytes(order="A") == data.tobytes(order="A")
+        w = self.rng.normal(size=(4, 3))
+        _fd(lambda: ad.mean(ad.mul(ad.transpose(x), w)), [x])
 
     def test_spmm(self):
         # row 1 is empty; row 2 lists its columns out of order, with a repeat
@@ -699,8 +716,9 @@ class TestNoGrad:
         z = ad.sigmoid(ad.add(ad.mul(m, 0.5), 1.0) - x)
         y = ad.where_rows(np.array([True, False, True, True]), z, x)
         y = ad.concat([ad.gather_rows(y, [3, 1]), ad.gather_rows(y, slice(0, 2))])
-        loss = ad.bce_with_logits(y, w, positives(np.eye(4, 3)), transpose_b=True)
-        return [h, alpha, m, z, y, loss, ad.mean(ad.dropout(y, 0.5, np.random.default_rng(0)))]
+        loss = ad.bce_with_logits(y, w, positives(np.eye(4, 3)))
+        return [h, alpha, m, z, y, loss, ad.transpose(h),
+                ad.mean(ad.dropout(y, 0.5, np.random.default_rng(0)))]
 
     def test_every_tensor_made_inside_is_a_constant_with_the_taped_value(self, monkeypatch):
         taped = self._ops(np.random.default_rng(1))

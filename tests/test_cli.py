@@ -1,10 +1,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import taggnn
 from taggnn.cli import cli_main
 from taggnn.model import TagGNNModel
 from taggnn.serialization import load_model, save_model
@@ -100,6 +103,27 @@ def test_bad_config_value_exits_one(workspace, capsys, config, named):
                      "--out", str(tmp_path / "model")]) == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+def test_a_shape_that_would_exhaust_memory_exits_one(workspace):
+    # a child process with its address space capped at 3 GiB: the 168 GB word table of
+    # dim 10**9 is refused there, and the host's memory is never touched
+    tmp_path, data = workspace
+    code = ("import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from taggnn.cli import cli_main\n"
+            "sys.exit(cli_main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(taggnn.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", code, "train", "--data", data,
+                            "--config", _config(tmp_path, dim=10**9), "--counts", "8,2,2",
+                            "--out", str(tmp_path / "model")],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 def test_unknown_item_exits_one(workspace, capsys):

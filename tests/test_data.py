@@ -136,7 +136,7 @@ DATASET_FILES = st.fixed_dictionaries({
 })
 SPLITS_FAULTS = (" ", "i0", "i0\ttrain\t\tx", "ix\tbogus", "i3\tbogus", "i0\ttrain",
                  "i1\ttest_comp", "i1\tval_comp\tt0", "i1\tval_comp\tt0,t0",
-                 "i1\ttest_comp\tt0,t1,t2", "i2\ttest_comp\tt0,tx")
+                 "i1\ttest_comp\tt0,t1,t2", "i2\ttest_comp\tt0,tx", "i3\ttest_full")
 SPLITS_EXTRAS = _extras(SPLITS_FAULTS)
 
 

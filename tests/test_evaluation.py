@@ -166,24 +166,25 @@ class TestTapeFreeForward:
         assert taped.item_reps._backward is not None
         with ad.no_grad():
             free = model.forward(graph, train_mode=False)
-        for name in ("item_reps", "tag_reps"):
+        for name in ("item_reps", "tags"):
             want, got = getattr(taped, name), getattr(free, name)
-            assert (want is None) == (got is None)
-            if want is not None:
-                assert got.inputs == () and got._backward is None
-                assert got.data.tobytes() == want.data.tobytes()
-        assert free.head == taped.head
-        # the predictor keeps the item rows and one tag-side matrix, plus the head's bias
+            assert got.inputs == () and got._backward is None
+            assert got.data.tobytes() == want.data.tobytes()
+        assert free.bias is taped.bias
+        # the predictor keeps the item rows, the tag-side matrix and a copy of the bias
         predictor = Predictor(model, graph)
         assert predictor._item_reps.tobytes() == free.item_reps.data.tobytes()
-        if free.head is None:
-            assert predictor._tags.tobytes() == free.tag_reps.data.tobytes()
-            assert predictor._bias is None
+        assert predictor._tags.tobytes() == free.tags.data.tobytes()
+        weight = model.weight if kind == "baseline" else model.head_weight
+        if weight is None:
+            assert free.bias is None and predictor._bias is None
         else:
-            weight, bias = free.head
+            # a head is scored in its own layout, from a copy
             assert predictor._tags.shape == (graph.n_tags, weight.shape[0])
             assert predictor._tags.tobytes(order="A") == weight.data.tobytes()
-            assert predictor._bias.tobytes() == bias.data.tobytes()
+            assert not np.shares_memory(predictor._tags, weight.data)
+            assert predictor._bias.tobytes() == free.bias.data.tobytes()
+            assert not np.shares_memory(predictor._bias, free.bias.data)
 
 
 class TestItemRestrictedPredictor:
@@ -216,8 +217,8 @@ class TestItemRestrictedPredictor:
             block = predictor.score_rows(items)
             assert block.tobytes() == reference.score_rows(items).tobytes()
             for row, i in zip(block, items):
-                assert predictor.scores(i).tobytes() == row.tobytes() == \
-                    reference.scores(i).tobytes()
+                assert predictor.score_rows([i])[0].tobytes() == row.tobytes() == \
+                    reference.score_rows([i])[0].tobytes()
 
     def test_the_fixture_covers_isolated_and_completion_items(self, toy_setup):
         _, splits, _, graph = toy_setup
@@ -245,7 +246,8 @@ class TestItemRestrictedPredictor:
             for items in ([isolated], list(range(graph.n_items))):
                 predictor = Predictor(model, graph, items=items)
                 for i in items:
-                    assert predictor.scores(i).tobytes() == reference.scores(i).tobytes()
+                    assert predictor.score_rows([i])[0].tobytes() == \
+                        reference.score_rows([i])[0].tobytes()
 
     @pytest.mark.parametrize("dim", [8, 17, 50, 64])
     def test_baseline_scores_byte_equal(self, toy_setup, dim):
@@ -269,7 +271,7 @@ class TestItemRestrictedPredictor:
         Predictor(model, graph, items=[7])  # the graph's edge caches are built once, here
         tracemalloc.start()
         try:
-            Predictor(model, graph, items=[7]).scores(7)
+            Predictor(model, graph, items=[7]).score_rows([7])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,11 +292,12 @@ class TestItemRestrictedPredictor:
                                  rng=np.random.default_rng(0))
         full = model.forward(graph)
         out = model.forward(graph, items=[5, 2])
-        assert set(vars(out)) == {"item_reps", "tag_reps", "initial_item_reps", "head"}
+        assert set(vars(out)) == {"item_reps", "initial_item_reps", "tags", "bias"}
         assert out.item_reps.data.tobytes() == full.item_reps.data[[5, 2]].tobytes()
         assert out.initial_item_reps.data.tobytes() == \
             full.initial_item_reps.data[[5, 2]].tobytes()
-        assert out.head[0] is model.head_weight and out.head[1] is model.head_bias
+        assert out.tags.data.tobytes() == model.head_weight.data.T.tobytes()
+        assert out.bias is model.head_bias
         with pytest.raises(ValueError, match="item rows"):
             model.forward(graph, items=[graph.n_items])
 

@@ -211,7 +211,7 @@ class TestForward:
         nq, ni = graph.n_queries, graph.n_items
         assert out.item_reps.data.tobytes() == out.initial_item_reps.data.tobytes() == \
             H0[nq:nq + ni].tobytes()
-        assert out.tag_reps.data.tobytes() == H0[nq + ni:].tobytes()
+        assert out.tags.data.tobytes() == H0[nq + ni:].tobytes() and out.bias is None
 
     def test_isolated_item_unchanged_for_any_depth(self):
         graph = token_graph([[1]], [[2], [3]], [[1]], [(0, 0, 2.0)], [(0, 0)])  # item 1: no edges
@@ -250,11 +250,12 @@ class TestForward:
         graph = token_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
         for kind in ("it", "qi", "full"):
             model = self._model(graph, 4, kind=kind)
-            head = model.forward(graph).head
+            out = model.forward(graph)
             if kind == "qi":
-                assert head[0] is model.head_weight and head[1] is model.head_bias
+                assert out.tags.data.tobytes() == model.head_weight.data.T.tobytes()
+                assert out.bias is model.head_bias
             else:
-                assert head is None
+                assert out.tags.shape == (graph.n_tags, model.dim) and out.bias is None
 
     @pytest.mark.parametrize("train_mode", [True, False])
     def test_qi_forward_never_applies_its_head(self, monkeypatch, train_mode):
@@ -308,13 +309,15 @@ class TestTapeFreeRows:
         assert H._backward is not None
         nq, ni = graph.n_queries, graph.n_items
         taped_items, taped_tags = H.data[nq:nq + ni], H.data[nq + ni:]
+        if kind == "qi":    # scored against its head, not the propagated tag rows
+            taped_tags = model.head_weight.data.T
         assert model.forward(graph).item_reps.data.tobytes() == taped_items.tobytes()
         for items in self._item_sets(graph, splits):
             with ad.no_grad():
                 free = model.forward(graph, items=items)
             read = slice(None) if items is None else items
             assert free.item_reps.data.tobytes() == taped_items[read].tobytes()
-            assert free.tag_reps.data.tobytes() == taped_tags.tobytes()
+            assert free.tags.data.tobytes() == taped_tags.tobytes()
 
     def test_a_lone_row_is_widened_past_its_type(self):
         # a qi forward for the only item: its last layer attends at that one row, and
@@ -328,7 +331,7 @@ class TestTapeFreeRows:
             free = model.forward(graph, items=[0])
         nq, ni = graph.n_queries, graph.n_items
         assert free.item_reps.data.tobytes() == H.data[nq:nq + ni].tobytes()
-        assert free.tag_reps.data.tobytes() == H.data[nq + ni:].tobytes()
+        assert free.tags.data.tobytes() == model.head_weight.data.T.tobytes()
 
     def test_only_rows_with_edges_reach_the_dense_half(self, monkeypatch):
         # only query 0, item 0 and the tag have edges: the dense half runs over every

@@ -40,7 +40,7 @@ def test_loaded_model_predicts_identically(trained, tmp_path):
     loaded, _, _ = load_model(tmp_path)
     out1 = model.forward(graph)
     out2 = loaded.forward(graph)
-    for name in ("item_reps", "tag_reps", "initial_item_reps"):
+    for name in ("item_reps", "tags", "initial_item_reps"):
         assert getattr(out1, name).data.tobytes() == getattr(out2, name).data.tobytes()
 
 

@@ -12,11 +12,11 @@ from taggnn import data as dm
 from taggnn import evaluation
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
+from taggnn.baseline import train_baseline
 from taggnn.graph import Vocabulary
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import (NumericalError, TrainConfig, combined_loss, fit, label_matrix,
-                             link_prediction_loss, node_classification_loss, train,
-                             train_model, train_rows)
+                             link_prediction_loss, train, train_model, train_rows)
 
 import oracle
 from conftest import positives, random_tiny_graph, token_graph
@@ -51,19 +51,21 @@ class TestLinkPredictionLoss:
                                  positives(np.zeros((0, 2))))
 
 
-class TestNodeClassificationLoss:
+class TestHeadScoredLinkLoss:
+    """The ``qi`` head and the baseline score through the same loss: ``tags`` is the
+    transposed head weight, with the head bias."""
+
     def test_zero_head_gives_log2(self):
-        loss = node_classification_loss(Tensor(np.ones((2, 3))),
-                                        Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)),
-                                        positives(np.zeros((2, 4))))
+        loss = link_prediction_loss(Tensor(np.ones((2, 3))),
+                                    ad.transpose(Tensor(np.zeros((3, 4)))),
+                                    positives(np.zeros((2, 4))), Tensor(np.zeros(4)))
         assert loss.data == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_evaluated_example(self):
         # head output d = [0, 2] against y = [1, 0]
-        loss = node_classification_loss(Tensor(np.zeros((1, 2))),
-                                        Tensor(np.zeros((2, 2))),
-                                        Tensor(np.array([0.0, 2.0])),
-                                        positives([[1.0, 0.0]]))
+        loss = link_prediction_loss(Tensor(np.zeros((1, 2))),
+                                    ad.transpose(Tensor(np.zeros((2, 2)))),
+                                    positives([[1.0, 0.0]]), Tensor(np.array([0.0, 2.0])))
         expect = (math.log(2.0) + math.log1p(math.exp(2.0))) / 2.0
         assert loss.data == pytest.approx(expect, abs=1e-12)
         assert loss.data == pytest.approx(1.410037595801459, abs=1e-10)
@@ -74,13 +76,9 @@ class TestNodeClassificationLoss:
         tags = rng.normal(size=(5, 4))
         labels = positives(rng.random((3, 5)) < 0.4)
         lp = link_prediction_loss(Tensor(items), Tensor(tags), labels)
-        nc = node_classification_loss(Tensor(items), Tensor(tags.T), Tensor(np.zeros(5)), labels)
+        nc = link_prediction_loss(Tensor(items), ad.transpose(Tensor(tags.T)), labels,
+                                  Tensor(np.zeros(5)))
         assert lp.data == pytest.approx(nc.data, abs=1e-14)
-
-    def test_missing_head_rejected(self):
-        with pytest.raises(ValueError):
-            node_classification_loss(Tensor(np.ones((1, 2))), None, None,
-                                     positives(np.zeros((1, 2))))
 
 
 class TestCombinedLoss:
@@ -135,7 +133,7 @@ class TestCombinedLoss:
         def scores():
             with ad.no_grad():
                 out = model.forward(graph)
-            return out.item_reps.data.tobytes() + out.tag_reps.data.tobytes()
+            return out.item_reps.data.tobytes() + out.tags.data.tobytes()
 
         before = scores()
         errors = [ad.finite_difference_check(loss_fn, model.parameters()) for _ in range(2)]
@@ -290,6 +288,16 @@ class TestTrainLoop:
                              truth={i: frozenset({"t_game"}) for i in list(splits.roles)[:2]})
         with pytest.raises(ValueError, match="no training items"):
             train(graph, empty, cfg, n_words=len(vocab))
+
+    def test_n_words_must_match_the_graph_vocabulary(self, toy_setup):
+        _, splits, vocab, graph = toy_setup
+        cfg = TrainConfig(dim=8, max_epochs=1)
+        for n_words in (len(vocab) + 1, len(vocab) - 1):
+            want = f"n_words is {n_words}, but the graph's token patterns span {len(vocab)} words"
+            with pytest.raises(ValueError, match=want):
+                train(graph, splits, cfg, n_words=n_words)
+            with pytest.raises(ValueError, match=want):
+                train_baseline(graph, "item", cfg, splits, n_words)
 
     def test_first_ten_epochs_match_golden_log(self):
         ds, splits = synthetic.overfit_dataset(seed=0)
