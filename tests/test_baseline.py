@@ -1,10 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from taggnn import data as dm
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
-from taggnn.baseline import BaselineModel, item_feature_tokens, train_baseline
+from taggnn.baseline import MODES, BaselineModel, item_feature_tokens, train_baseline
 from taggnn.data import SplitAssignment
 from taggnn.evaluation import Predictor, precision_at_k, subset_precision
 from taggnn.graph import Vocabulary
@@ -12,6 +15,8 @@ from taggnn.training import TrainConfig, validation_p1
 
 import oracle
 from conftest import token_graph
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _graph(ds, splits=None):
@@ -56,6 +61,25 @@ def test_query_mode_beats_title_mode_on_query_signal_data():
     qi = test_p1("item_queries")
     title_only = test_p1("item")
     assert qi > title_only
+
+
+def test_both_modes_match_the_golden_log():
+    # query-signal data with its test items validating: the title mode stops early on a
+    # flat metric, the query mode improves and restores its best epoch
+    ds, test_split = synthetic.query_signal_dataset(seed=0)
+    splits = SplitAssignment(roles={i: "val_full" if r == "test_full" else r
+                                    for i, r in test_split.roles.items()},
+                             truth=test_split.truth)
+    graph, vocab = _graph(ds, splits)
+    cfg = TrainConfig(dim=16, max_epochs=10, seed=0)
+    with open(os.path.join(GOLDEN, "baseline_losses.json")) as fh:
+        golden = json.load(fh)
+    for mode in MODES:
+        result = train_baseline(graph, mode, cfg, splits, len(vocab))
+        want = golden[mode]
+        np.testing.assert_allclose([r["loss"] for r in result.log], want["losses"], rtol=1e-9)
+        assert [r["val_p1"] for r in result.log] == want["val_p1"]
+        assert result.best_epoch == want["best_epoch"]
 
 
 def test_early_stops_on_macro_validation_p1(toy_setup):
