@@ -18,6 +18,6 @@ from .graph import (EmbeddingTable, TripartiteGraph, Vocabulary, build_graph, me
 from .model import ForwardResult, LayerParams, ModelVariant, TagGNNModel, propagate_layer
 from .serialization import load_model, save_model
 from .training import (TrainConfig, TrainResult, combined_loss, fit, label_matrix,
-                       link_prediction_loss, train, train_model)
+                       link_prediction_loss, train)
 
 __version__ = "0.1.0"

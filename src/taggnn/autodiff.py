@@ -642,9 +642,9 @@ def finite_difference_check(loss_fn, params, eps=1e-5, analytic=None):
 
     max_err = 0.0
     for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
+        flat = p.data.flat  # writes reach p.data in any memory order, indexed in C order
         aflat = np.asarray(a, dtype=np.float64).reshape(-1)
-        for i in range(flat.size):
+        for i in range(p.data.size):
             orig = flat[i]
             flat[i] = orig + eps
             f_plus = float(loss_fn().data)

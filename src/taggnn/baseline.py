@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import UNK_ID, mean_token_rows, token_pattern
 from .model import ForwardResult
-from .training import check_n_words, fit, label_matrix, link_prediction_loss, train_rows
+from .training import check_n_words, fit
 
 MODES = ("item", "item_queries")
 TOP_QUERIES = 10
@@ -47,7 +47,14 @@ def item_feature_tokens(graph, mode):
 
 
 class BaselineModel:
-    """Word table + linear head over tags."""
+    """Word table + linear head over tags.
+
+    Its features are averaged word vectors, never propagated, so its
+    ``initial_item_reps`` are its ``item_reps`` and it has no dual term
+    (``gamma`` is 0).  It takes no feature dropout.
+    """
+
+    gamma = 0.0
 
     def __init__(self, words, weight, bias, mode):
         self.words = words
@@ -71,9 +78,10 @@ class BaselineModel:
             self._features = (graph, item_feature_tokens(graph, self.mode))
         return self._features[1]
 
-    def forward(self, graph, train_mode=False, items=None):
+    def forward(self, graph, items=None, dropout_p=0.0, rng=None):
         """Averaged feature vectors of the graph item rows ``items`` (``None``: every
-        item), in order, scored against the transposed head weight plus its bias."""
+        item), in order, scored against the transposed head weight plus its bias;
+        ``dropout_p`` and ``rng`` are unused."""
         feats = mean_token_rows(self.words, self.features(graph))
         if items is not None:
             feats = ad.gather_rows(feats, items)
@@ -82,7 +90,11 @@ class BaselineModel:
 
 
 def train_baseline(graph, mode, config, splits, n_words):
-    """Fit the linear baseline on the graph's training items with :func:`training.fit`."""
+    """Initialise the linear baseline in ``mode`` and train it with :func:`training.fit`.
+
+    Its loss is :func:`training.combined_loss`'s primary term alone, one BCE
+    per epoch; ``config.gamma`` and ``config.dropout`` do not apply.
+    """
     check_n_words(graph, n_words)
     rng = np.random.default_rng([config.seed, 2])
     words = rng.uniform(-0.05, 0.05, size=(n_words, config.dim))
@@ -94,11 +106,4 @@ def train_baseline(graph, mode, config, splits, n_words):
         bias=Tensor(np.zeros(graph.n_tags), requires_grad=True),
         mode=mode,
     )
-    rows = train_rows(graph, splits)
-    labels = label_matrix(graph, rows)
-
-    def loss_fn():
-        out = model.forward(graph, train_mode=True, items=rows)
-        return link_prediction_loss(out.item_reps, out.tags, labels, out.bias), {}
-
-    return fit(model, loss_fn, graph, splits, config)
+    return fit(model, graph, splits, config)

@@ -152,7 +152,7 @@ def cmd_gradcheck(args):
     params = model.parameters()
 
     def loss_fn():
-        total, _, _ = combined_loss(graph, model, item_idx, labels, train_mode=False)
+        total, _, _ = combined_loss(graph, model, item_idx, labels)
         return total
 
     err = finite_difference_check(loss_fn, params, eps=args.eps)

@@ -88,7 +88,7 @@ class Predictor:
 
     def __init__(self, model, graph, items=None):
         with no_grad():
-            out = model.forward(graph, train_mode=False, items=items)
+            out = model.forward(graph, items=items)
         self._item_reps, self._tags = out.item_reps.data, out.tags.data
         self._bias = None if out.bias is None else out.bias.data.copy()
         self._position = None if items is None else {int(r): n for n, r in enumerate(items)}

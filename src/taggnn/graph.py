@@ -74,13 +74,13 @@ class Vocabulary:
 
 
 def standardize(weights):
-    """Z-score over the given weights (population sigma; all zeros when sigma=0)."""
+    """Z-score over the given weights (population sigma; all zeros when they are all equal)."""
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         return w.copy()
     mu = w.mean()
     sigma = w.std()
-    if sigma == 0.0:
+    if sigma == 0.0 or (w == w[0]).all():   # equal weights' mean can miss them by an ulp
         return np.zeros_like(w)
     return (w - mu) / sigma
 

@@ -310,10 +310,12 @@ class TagGNNModel:
             blocks.append(tag_block)
         return ad.concat(blocks) if len(blocks) > 1 else blocks[0]
 
-    def forward(self, graph, train_mode=False, dropout_p=0.5, rng=None, items=None):
+    def forward(self, graph, items=None, dropout_p=0.0, rng=None):
         """Initial representations, optional feature dropout, then the layer stack.
 
-        ``items`` are the graph item rows whose final vectors the caller
+        Dropout of rate ``dropout_p`` runs on the initial representations iff
+        ``dropout_p > 0``, drawing its mask from ``rng``, which it then
+        requires.  ``items`` are the graph item rows whose final vectors the caller
         reads (``None``: every item).  Each final vector depends on every
         tag's, so only the last layer narrows, and only its sparse half: it
         attends and aggregates at those items' rows and, for link prediction,
@@ -336,9 +338,9 @@ class TagGNNModel:
         last_edges = center_edges(graph, kind, centers) if self.layers else None
 
         H0 = self.initial_representations(graph)
-        if train_mode and dropout_p > 0.0:
+        if dropout_p > 0.0:
             if rng is None:
-                raise ValueError("train-mode forward needs an rng for dropout")
+                raise ValueError("feature dropout needs an rng")
             H0 = ad.dropout(H0, dropout_p, rng)
         H = H0
         for n, layer in enumerate(self.layers, 1):

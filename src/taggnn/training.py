@@ -4,8 +4,8 @@ The objective pairs a primary loss on propagated item representations with a
 gamma-weighted dual loss that scores the *unpropagated* item vectors against
 the same propagated tag side, so the trained model keeps working for items
 with no edges at all.  The loss reads only the training items' final rows, so
-its forward passes them as ``items``.  :func:`fit` is the one training loop;
-the graph models and the baseline each hand it a loss closure.
+its forward passes them as ``items``.  :func:`fit` is the one training loop:
+it runs :func:`combined_loss` for the graph models and the baseline alike.
 """
 
 import hashlib
@@ -93,18 +93,19 @@ def link_prediction_loss(item_reps, tags, labels, bias=None):
     return ad.bce_with_logits(item_reps, tags, labels, bias=bias)
 
 
-def combined_loss(graph, model, item_indices, labels, train_mode=False, dropout_p=0.5, rng=None):
+def combined_loss(graph, model, item_indices, labels, dropout_p=0.0, rng=None):
     """Primary plus gamma-weighted dual loss over the given item rows.
 
-    Returns ``(total, l1, l2)``.  With ``gamma == 0`` the total *is* the
-    primary loss tensor, untouched, so the two are equal to the last bit.
-    The forward reads only ``item_indices`` (its ``items``), so the last layer
-    runs only at those items' rows and the tag rows.
+    Returns ``(total, l1, l2)``.  The forward, given ``dropout_p`` and ``rng``,
+    reads only ``item_indices`` (its ``items``), so the last layer runs only at
+    those items' rows and the tag rows.  With ``gamma == 0`` the total *is* the
+    primary loss tensor, so the two are equal to the last bit; a forward whose
+    initial item rows are its final ones (the baseline's) has ``l2`` *be* ``l1``.
     """
-    out = model.forward(graph, train_mode=train_mode, dropout_p=dropout_p, rng=rng,
-                        items=item_indices)
+    out = model.forward(graph, items=item_indices, dropout_p=dropout_p, rng=rng)
     l1 = link_prediction_loss(out.item_reps, out.tags, labels, out.bias)
-    l2 = link_prediction_loss(out.initial_item_reps, out.tags, labels, out.bias)
+    l2 = l1 if out.initial_item_reps is out.item_reps else \
+        link_prediction_loss(out.initial_item_reps, out.tags, labels, out.bias)
     total = l1 if model.gamma == 0.0 else l1 + model.gamma * l2
     return total, l1, l2
 
@@ -132,14 +133,6 @@ class TrainResult:
     epochs_trained: int
 
 
-def train_rows(graph, splits):
-    """Graph rows of the training items; an empty training set is an error."""
-    rows = evaluation.item_rows(graph, splits, ("train",))
-    if len(rows) == 0:
-        raise ValueError("no training items in the split assignment")
-    return rows
-
-
 def check_n_words(graph, n_words):
     """Reject an ``n_words`` other than the vocabulary size of the graph's token patterns."""
     if n_words != graph.item_tokens.shape[1]:
@@ -148,29 +141,14 @@ def check_n_words(graph, n_words):
 
 
 def train(graph, splits, config, n_words, log_stream=None):
-    """Initialise a TagGNN model from ``config`` and train it with :func:`train_model`.
+    """Initialise a TagGNN model from ``config`` and train it with :func:`fit`.
 
     ``n_words``, the graph's vocabulary size, sets the rows of the word table.
     """
     check_n_words(graph, n_words)
     model = TagGNNModel.init(n_words, graph.n_tags, config.dim, config.model_variant(),
                              gamma=config.gamma, rng=np.random.default_rng([config.seed, 0]))
-    return train_model(model, graph, splits, config, log_stream=log_stream)
-
-
-def train_model(model, graph, splits, config, log_stream=None):
-    """Fit ``model`` on the primary + dual loss with feature dropout."""
-    train_idx = train_rows(graph, splits)
-    labels = label_matrix(graph, train_idx)
-    dropout_rng = np.random.default_rng([config.seed, 1])
-
-    def loss_fn():
-        total, l1, l2 = combined_loss(graph, model, train_idx, labels,
-                                      train_mode=True, dropout_p=config.dropout,
-                                      rng=dropout_rng)
-        return total, {"l1": float(l1.data), "l2": float(l2.data)}
-
-    return fit(model, loss_fn, graph, splits, config, log_stream=log_stream)
+    return fit(model, graph, splits, config, log_stream=log_stream)
 
 
 def validation_p1(model, graph, splits):
@@ -182,20 +160,27 @@ def validation_p1(model, graph, splits):
             "val_p1": float(np.mean(parts)) if parts else None}
 
 
-def fit(model, loss_fn, graph, splits, config, log_stream=None):
-    """Full-batch Adam on ``loss_fn()`` with early stopping on validation P@1.
+def fit(model, graph, splits, config, log_stream=None):
+    """Full-batch Adam on :func:`combined_loss` with early stopping on validation P@1.
 
-    ``model`` exposes the ``named_parameters()`` registry,
-    ``zero_frozen_grads()`` and the eval-mode ``forward(graph)`` that
-    validation ranks with; ``loss_fn()`` returns the scalar loss Tensor and a
-    dict of extra log fields.  A non-finite loss, or a non-finite gradient
-    (named by its registry entry), raises :class:`NumericalError` before the
-    Adam step.  After every epoch :func:`validation_p1` scores the model (the
-    macro mean over the full-prediction and completion subsets).  Training
-    stops when that metric has not improved for ``patience`` consecutive
-    epochs, and the parameters from the best epoch are restored.  Without
-    validation items the loop simply runs to ``max_epochs``.
+    The one trainer for every model, which exposes the ``named_parameters()``
+    registry, ``zero_frozen_grads()``, the dual-loss weight ``gamma`` and
+    ``forward(graph, items=, dropout_p=, rng=)``.  Every epoch scores the
+    training items against their :func:`label_matrix` links, with dropout
+    ``config.dropout`` drawn from one stream seeded ``[config.seed, 1]``, and
+    logs the total and both loss terms.  A non-finite loss, or a non-finite
+    gradient (named by its registry entry), raises :class:`NumericalError`
+    before the Adam step.  After every epoch :func:`validation_p1` scores the
+    model (the macro mean over the full-prediction and completion subsets).
+    Training stops when that metric has not improved for ``patience``
+    consecutive epochs, and the parameters from the best epoch are restored.
+    Without validation items the loop simply runs to ``max_epochs``.
     """
+    rows = evaluation.item_rows(graph, splits, ("train",))
+    if len(rows) == 0:
+        raise ValueError("no training items in the split assignment")
+    labels = label_matrix(graph, rows)
+    dropout_rng = np.random.default_rng([config.seed, 1])
     named = model.named_parameters()
     params = [p for _, p in named]
     optimizer = Adam(params, lr=config.learning_rate)
@@ -206,10 +191,11 @@ def fit(model, loss_fn, graph, splits, config, log_stream=None):
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
         ad.zero_grads(params)
-        total, parts = loss_fn()
+        total, l1, l2 = combined_loss(graph, model, rows, labels, dropout_p=config.dropout,
+                                      rng=dropout_rng)
+        parts = {"l1": float(l1.data), "l2": float(l2.data)}
         if not np.isfinite(total.data):
-            detail = " ".join(f"{k}={v}" for k, v in parts.items())
-            raise NumericalError(f"non-finite loss at epoch {epoch}: {detail}")
+            raise NumericalError(f"non-finite loss at epoch {epoch}: l1={l1.data} l2={l2.data}")
         ad.backward(total)
         model.zero_frozen_grads()
         for name, p in named:

@@ -359,7 +359,7 @@ def transpose_product(values, rows, cols, g, n_cols):
     return out
 
 
-def full_forward(graph, model, train_mode=False, dropout_p=0.5, rng=None):
+def full_forward(graph, model, dropout_p=0.0, rng=None):
     """``(H, H0)``: every node's final and initial rows, taped, from a forward that runs
     every layer over the whole adjacency; what every item-restricted forward must
     reproduce bit for bit at the rows it reads."""
@@ -367,7 +367,7 @@ def full_forward(graph, model, train_mode=False, dropout_p=0.5, rng=None):
     from taggnn.model import propagate_layer
 
     H0 = model.initial_representations(graph)
-    if train_mode and dropout_p > 0.0:
+    if dropout_p > 0.0:
         H0 = ad.dropout(H0, dropout_p, rng)
     H = H0
     for layer in model.layers:
@@ -377,7 +377,7 @@ def full_forward(graph, model, train_mode=False, dropout_p=0.5, rng=None):
 
 def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
     """``training.combined_loss`` on :func:`full_forward`, the item rows then gathered:
-    what the item-restricted forward must reproduce bit for bit."""
+    ``(total, l1, l2)``, which the item-restricted forward must reproduce bit for bit."""
     from taggnn import autodiff as ad
     from taggnn.training import link_prediction_loss
 
@@ -392,4 +392,4 @@ def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
         tags, bias = ad.gather_rows(H, slice(nq + ni, graph.n_nodes)), None
     l1 = link_prediction_loss(final_items, tags, labels, bias)
     l2 = link_prediction_loss(initial_items, tags, labels, bias)
-    return l1 if model.gamma == 0.0 else l1 + model.gamma * l2
+    return (l1 if model.gamma == 0.0 else l1 + model.gamma * l2), l1, l2

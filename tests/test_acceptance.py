@@ -41,7 +41,7 @@ def test_criterion_1_gradient_correctness():
     assert model.variant.kind == "full" and model.gamma == 1.0
 
     def loss_fn():
-        total, _, _ = combined_loss(graph, model, item_idx, labels, train_mode=False)
+        total, _, _ = combined_loss(graph, model, item_idx, labels)
         return total
 
     err = finite_difference_check(loss_fn, model.parameters(), eps=1e-5)

@@ -456,6 +456,16 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(FloatingPointError):
             ad.finite_difference_check(lambda: ad.mul(x, 1.0), [x])
 
+    def test_fortran_ordered_parameter_is_perturbed_in_place(self):
+        # reshape(-1) of a Fortran-ordered array is a copy: a perturbation written there
+        # never reaches the loss, and an exact gradient would read as wrong
+        rng = np.random.default_rng(5)
+        x = Tensor(np.asfortranarray(rng.normal(size=(3, 4))), requires_grad=True)
+        w = rng.normal(size=(4, 3))
+        assert not x.data.flags.c_contiguous
+        err = ad.finite_difference_check(lambda: ad.mean(ad.mul(ad.transpose(x), w)), [x])
+        assert err < 1e-9
+
 
 def _fd(loss_fn, params, tol=1e-7):
     assert ad.finite_difference_check(loss_fn, params) < tol

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from taggnn import autodiff as ad
 from taggnn import data as dm
 from taggnn import synthetic
 from taggnn.autodiff import Tensor
@@ -80,6 +81,23 @@ def test_both_modes_match_the_golden_log():
         np.testing.assert_allclose([r["loss"] for r in result.log], want["losses"], rtol=1e-9)
         assert [r["val_p1"] for r in result.log] == want["val_p1"]
         assert result.best_epoch == want["best_epoch"]
+
+
+def test_one_loss_term_scored_once_per_epoch(monkeypatch):
+    # no dual term: fit's combined_loss hands back the primary loss as both terms
+    ds, splits = _separable_dataset(3)
+    graph, vocab = _graph(ds, splits)
+    calls = []
+    bce = ad.bce_with_logits
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return bce(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "bce_with_logits", counted)
+    result = train_baseline(graph, "item", TrainConfig(dim=4, max_epochs=3), splits, len(vocab))
+    assert calls == [(graph.n_items, 4)] * 3
+    assert all(r["loss"] == r["l1"] == r["l2"] for r in result.log)
 
 
 def test_early_stops_on_macro_validation_p1(toy_setup):

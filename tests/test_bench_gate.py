@@ -19,6 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("workload, trace", [("train_query_dense", 0), ("train_wide_tags", 0),
                                              ("serve_eval_predict", 0),
+                                             ("train_query_dense", 1), ("train_wide_tags", 1),
                                              ("serve_eval_predict", 1)])
 def test_outputs_match_the_recorded_references(workload, trace):
     proc = subprocess.run([sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
@@ -26,4 +27,10 @@ def test_outputs_match_the_recorded_references(workload, trace):
                           cwd=ROOT, capture_output=True, text=True, timeout=600, check=False)
     lines = proc.stdout.strip().splitlines()
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert json.loads(lines[-1])["correct"] is True
+    result = json.loads(lines[-1])
+    assert result["correct"] is True
+    if trace and workload.startswith("train_"):
+        # the tracer reaches the loss and its labels through training's module names,
+        # which fit calls every run
+        for name in ("training.combined_loss_s", "training.label_matrix_s"):
+            assert result["metrics"][name]["value"] > 0, name

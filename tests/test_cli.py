@@ -9,6 +9,7 @@ import pytest
 
 import taggnn
 from taggnn.cli import cli_main
+from taggnn.data import load_dataset
 from taggnn.model import TagGNNModel
 from taggnn.serialization import load_model, save_model
 
@@ -321,3 +322,27 @@ def test_bad_serving_input_exits_one_naming_the_line(workspace, served_model, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_repeated_item_tag_lines_change_no_report_or_prediction(workspace, served_model,
+                                                                capsys):
+    # metamorphic: an item-tag edge listed again is the same edge
+    tmp_path, data = workspace
+    repeated = tmp_path / "repeated"
+    shutil.copytree(data, repeated)
+    edges = repeated / "item_tag_edges.tsv"
+    lines = edges.read_text(encoding="utf-8").splitlines(keepends=True)
+    edges.write_text("".join(line * 2 for line in lines) + "".join(lines[::3]),
+                     encoding="utf-8")
+
+    def outputs(data_dir):
+        capsys.readouterr()
+        assert cli_main(["eval", "--model", str(served_model), "--data", data_dir]) == 0
+        out = [capsys.readouterr().out]
+        for item_id in load_dataset(data_dir).item_ids:
+            assert cli_main(["predict", "--model", str(served_model), "--data", data_dir,
+                             "--item-id", item_id, "--k", "5"]) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    assert outputs(str(repeated)) == outputs(data)

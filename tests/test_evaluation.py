@@ -162,10 +162,10 @@ class TestTapeFreeForward:
         else:
             model = TagGNNModel.init(len(vocab), graph.n_tags, 8, ModelVariant(kind=kind),
                                      rng=np.random.default_rng([3, 0]))
-        taped = model.forward(graph, train_mode=False)
+        taped = model.forward(graph)
         assert taped.item_reps._backward is not None
         with ad.no_grad():
-            free = model.forward(graph, train_mode=False)
+            free = model.forward(graph)
         for name in ("item_reps", "tags"):
             want, got = getattr(taped, name), getattr(free, name)
             assert got.inputs == () and got._backward is None

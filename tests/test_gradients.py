@@ -36,7 +36,7 @@ def test_hundred_random_instances_match_finite_differences():
         graph, model, item_idx, labels = _random_instance(rng, trial)
 
         def loss_fn():
-            total, _, _ = combined_loss(graph, model, item_idx, labels, train_mode=False)
+            total, _, _ = combined_loss(graph, model, item_idx, labels)
             return total
 
         err = finite_difference_check(loss_fn, model.parameters(), eps=1e-5)

@@ -75,12 +75,24 @@ class TestEdgeWeightStandardization:
         np.testing.assert_allclose(out, [-1.224744871391589, 0.0, 1.224744871391589],
                                    atol=1e-12)
 
-    def test_equal_weights_map_to_log2(self):
-        out = standardize_edge_weights([7.0, 7.0, 7.0])
+    @pytest.mark.parametrize("weight", [7.0, 0.1, 4 * 0.37, 1e-3])
+    def test_equal_weights_map_to_log2(self, weight):
+        # the float mean of three 0.1s is not 0.1, so their sigma comes out an ulp above zero
+        out = standardize_edge_weights([weight] * 3)
         np.testing.assert_allclose(out, math.log(2.0))
 
     def test_single_edge(self):
         np.testing.assert_allclose(standardize_edge_weights([5.0]), [math.log(2.0)])
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.37, 7.0, 1e6])
+    @given(st.lists(st.integers(1, 100), min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_every_weight_keeps_the_multipliers(self, scale, raw):
+        # metamorphic: the z-score is scale-free.  Rounding w * scale moves z by about
+        # eps * max(w) / sigma, so count-like weights stay well inside the bound
+        w = np.array(raw, dtype=np.float64)
+        diff = standardize_edge_weights(w * scale) - standardize_edge_weights(w)
+        assert np.abs(diff).max() <= 1e-12
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)

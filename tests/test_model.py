@@ -240,11 +240,11 @@ class TestForward:
         row = graph.n_queries + graph.n_items
         np.testing.assert_array_equal(H0[row], model.embeddings.tag_ids.data[0])
 
-    def test_train_mode_needs_rng(self):
+    def test_dropout_needs_rng(self):
         graph = token_graph([], [[1]], [[1]], [], [(0, 0)])
         model = self._model(graph, 2, kind="it")
-        with pytest.raises(ValueError):
-            model.forward(graph, train_mode=True)
+        with pytest.raises(ValueError, match="dropout needs an rng"):
+            model.forward(graph, dropout_p=0.5)
 
     def test_only_the_qi_variant_returns_a_head(self):
         graph = token_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [(0, 0)])
@@ -257,8 +257,8 @@ class TestForward:
             else:
                 assert out.tags.shape == (graph.n_tags, model.dim) and out.bias is None
 
-    @pytest.mark.parametrize("train_mode", [True, False])
-    def test_qi_forward_never_applies_its_head(self, monkeypatch, train_mode):
+    @pytest.mark.parametrize("dropout_p", [0.5, 0.0])
+    def test_qi_forward_never_applies_its_head(self, monkeypatch, dropout_p):
         graph = token_graph([[1]], [[2]], [[3]], [(0, 0, 1.0)], [])
         model = self._model(graph, 4, kind="qi")
         right_operands = []
@@ -269,7 +269,7 @@ class TestForward:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(ad, "matmul", recording)
-        model.forward(graph, train_mode=train_mode, rng=np.random.default_rng(0))
+        model.forward(graph, dropout_p=dropout_p, rng=np.random.default_rng(0))
         assert right_operands and not any(b is model.head_weight for b in right_operands)
 
     def test_head_presence_tied_to_variant(self):

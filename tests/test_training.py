@@ -11,12 +11,13 @@ from taggnn import autodiff as ad
 from taggnn import data as dm
 from taggnn import evaluation
 from taggnn import synthetic
+from taggnn import training
 from taggnn.autodiff import Tensor
 from taggnn.baseline import train_baseline
 from taggnn.graph import Vocabulary
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import (NumericalError, TrainConfig, combined_loss, fit, label_matrix,
-                             link_prediction_loss, train, train_model, train_rows)
+                             link_prediction_loss, train)
 
 import oracle
 from conftest import positives, random_tiny_graph, token_graph
@@ -149,12 +150,12 @@ class TestCombinedLoss:
         graph = dm.dataset_to_graph(ds, vocab, splits=splits)
         model = TagGNNModel.init(len(vocab), graph.n_tags, 32, ModelVariant(n_layers=2),
                                  rng=np.random.default_rng(0))
-        rows = train_rows(graph, splits)
+        rows = evaluation.item_rows(graph, splits, ("train",))
         labels = label_matrix(graph, rows)
         rng = np.random.default_rng(1)
 
         def loss():
-            return combined_loss(graph, model, rows, labels, train_mode=True, rng=rng)[0]
+            return combined_loss(graph, model, rows, labels, dropout_p=0.5, rng=rng)[0]
 
         ad.backward(loss())     # first, so lazy set-up (edge cache, BCE threads) is done
         ad.zero_grads(model.parameters())
@@ -181,27 +182,21 @@ def _toy_training_setup(seed=0, n_items=20):
 class TestTrainLoop:
     @pytest.mark.parametrize("kind,heterogeneous", [("it", True), ("qi", True), ("full", True),
                                                     ("full", False)])
-    def test_item_restricted_forward_trains_bit_identically(self, kind, heterogeneous):
+    def test_item_restricted_forward_trains_bit_identically(self, kind, heterogeneous,
+                                                            monkeypatch):
         _, splits, vocab, graph = _toy_training_setup(seed=5, n_items=60)
         cfg = TrainConfig(dim=12, n_layers=2, max_epochs=4, patience=4, seed=1, variant=kind,
                           heterogeneous=heterogeneous)
-        rows = train_rows(graph, splits)
-        labels = label_matrix(graph, rows)
 
-        def trained(loss):
+        def trained():
             model = TagGNNModel.init(len(vocab), graph.n_tags, cfg.dim, cfg.model_variant(),
                                      rng=np.random.default_rng([cfg.seed, 0]))
-            rng = np.random.default_rng([cfg.seed, 1])
-
-            def loss_fn():
-                return loss(graph, model, rows, labels, train_mode=True,
-                            dropout_p=cfg.dropout, rng=rng), {}
-
-            assert fit(model, loss_fn, graph, splits, cfg).epochs_trained == 4
+            assert fit(model, graph, splits, cfg).epochs_trained == 4
             return [p.data.tobytes() for p in model.parameters()]
 
-        restricted = trained(lambda *args, **kw: combined_loss(*args, **kw)[0])
-        assert restricted == trained(oracle.combined_loss_all_items)
+        restricted = trained()
+        monkeypatch.setattr(training, "combined_loss", oracle.combined_loss_all_items)
+        assert restricted == trained()
 
     def test_same_seed_reproduces_losses_exactly(self):
         _, splits, vocab, graph = _toy_training_setup()
@@ -243,9 +238,9 @@ class TestTrainLoop:
                                  rng=np.random.default_rng(0))
         model.embeddings.words.data[1, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="epoch 0"):
-            train_model(model, graph, splits, cfg)
+            fit(model, graph, splits, cfg)
 
-    def test_nonfinite_gradient_aborts_before_the_step(self):
+    def test_nonfinite_gradient_aborts_before_the_step(self, monkeypatch):
         # the loss p * sum(c) is 6e8, but its gradient sum(c) overflows to inf
         class Model:
             p = Tensor([1e-300], requires_grad=True)
@@ -258,12 +253,15 @@ class TestTrainLoop:
 
         model = Model()
 
-        def loss_fn():
-            return ad.mul(ad.mean(ad.mul(model.p, np.full(4, 1.5e308))), 4.0), {}
+        def poisoned(*args, **kwargs):
+            loss = ad.mul(ad.mean(ad.mul(model.p, np.full(4, 1.5e308))), 4.0)
+            return loss, loss, loss
 
+        _, splits, _, graph = _toy_training_setup()
+        monkeypatch.setattr(training, "combined_loss", poisoned)
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericalError, match="gradient of p at epoch 0"):
-            fit(model, loss_fn, None, dm.SplitAssignment(roles={}), TrainConfig(max_epochs=2))
+            fit(model, graph, splits, TrainConfig(max_epochs=2))
         assert model.p.data[0] == 1e-300
 
     def test_tape_free_validation_changes_no_gradient_or_log(self, toy_setup, monkeypatch):
