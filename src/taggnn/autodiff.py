@@ -11,6 +11,9 @@ tape raises ``RuntimeError`` if a later backward reaches it.
 Inside :func:`no_grad` no tape is recorded: op outputs are constants, so
 inference holds only the arrays it still names.
 The op set is deliberately tiny -- just what the tagging models need.
+Two ops are fused chains: :func:`bce_with_logits`, the loss, and
+:func:`gated_update`, a layer's dense half; a fused op keeps fewer arrays on
+the tape and runs its backward in stages (:func:`_in_stages`).
 Tensors are dense; sparse ops (:func:`spmm`, :func:`segment_softmax`,
 :func:`edge_scores`) take a :class:`SparsePattern`, the fixed CSR layout of
 a graph's adjacency or token lists, and run through scipy's CSR kernels.
@@ -131,16 +134,17 @@ def no_grad():
 
 
 def _gets_grad(t):
-    """Whether an op's backward step gives input ``t`` (``None`` for an absent one) a gradient."""
-    return t is not None and t.requires_grad
+    """Whether an op called now records a backward step that gives input ``t`` (``None``
+    for an absent one) a gradient: never inside :func:`no_grad`."""
+    return _grad_enabled and t is not None and t.requires_grad
 
 
 def _from_op(data, op, inputs, grads):
     """The output tensor of an op; ``grads[k]`` maps its gradient to ``inputs[k]``'s.
 
-    The backward step runs ``grads[k]`` only for the inputs that get a
-    gradient (:func:`_gets_grad`) and accumulates the results in input order,
-    so an input used twice gets both parts, the first one first.
+    The backward step runs ``grads[k]`` only for the inputs with
+    ``requires_grad`` and accumulates the results in input order, so an input
+    used twice gets both parts, the first one first.
     """
     if not _grad_enabled:
         return Tensor(data, op=op)
@@ -148,10 +152,32 @@ def _from_op(data, op, inputs, grads):
     if out.requires_grad:
         def back(g):
             for t, grad in zip(inputs, grads):
-                if _gets_grad(t):
+                if t.requires_grad:
                     t.accumulate_grad(grad(g))
         out._backward = back
     return out
+
+
+def _in_stages(stages, n_inputs):
+    """The ``grads`` of :func:`_from_op` for a backward step written as one generator.
+
+    ``stages(g)`` yields every input's gradient part in input order, so parts
+    can share their intermediates and free them once used.  ``grads[k]``
+    runs the generator on to part ``k`` and drops the parts it passes, those
+    of inputs that get no gradient, so the stages do not depend on which
+    inputs want one.
+    """
+    running = []
+
+    def grad(k, g):
+        if not running:
+            running.append(enumerate(stages(g)))
+        for j, part in running[0]:
+            if j == k:
+                return part
+        raise RuntimeError(f"a staged backward yielded no part for input {k}")
+
+    return [functools.partial(grad, k) for k in range(n_inputs)]
 
 
 def _unbroadcast(grad, shape):
@@ -367,8 +393,9 @@ def dropout(x, p, rng):
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return _from_op(x.data * keep, "dropout", (x,), (lambda g: g * keep,))
+    kept = rng.random(x.data.shape) >= p     # the tape keeps this boolean mask, not the scale
+    return _from_op(x.data * (kept / (1.0 - p)), "dropout", (x,),
+                    (lambda g: g * (kept / (1.0 - p)),))
 
 
 def gather_rows(x, index):
@@ -511,15 +538,15 @@ def edge_scores(x, context, pattern):
     node_scores = x.data @ halves
     data = (node_scores[rows, 0] + node_scores[cols, 1])[:, None]
 
-    def per_node(g):
-        """Each node's summed entry gradients as a row (center) and as a column (neighbor)."""
+    def stages(g):
+        # each node's summed entry gradients as a row (center) and as a column (neighbor)
         gf = g.reshape(-1)
-        return np.stack([np.bincount(rows, weights=gf, minlength=n),
-                         np.bincount(cols, weights=gf, minlength=n)], axis=1)
+        per_node = np.stack([np.bincount(rows, weights=gf, minlength=n),
+                             np.bincount(cols, weights=gf, minlength=n)], axis=1)
+        yield per_node @ halves.T
+        yield (x.data.T @ per_node).T.reshape(2 * d, 1)
 
-    return _from_op(data, "edge_scores", (x, context),
-                    (lambda g: per_node(g) @ halves.T,
-                     lambda g: (x.data.T @ per_node(g)).T.reshape(2 * d, 1)))
+    return _from_op(data, "edge_scores", (x, context), _in_stages(stages, 2))
 
 
 def where_rows(mask, a, b):
@@ -538,6 +565,98 @@ def where_rows(mask, a, b):
     col = mask[:, None] if a.data.ndim > 1 else mask
     return _from_op(np.where(col, a.data, b.data), "where_rows", (a, b),
                     (lambda g: np.where(col, g, 0.0), lambda g: np.where(col, 0.0, g)))
+
+
+def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
+    """A propagation layer's dense half: the gated, per-node-type update of every row.
+
+    With ``fused = H + relu(message)``, each ``(lo, hi, W)`` of ``blocks``
+    (the non-empty node types, in row order, together spanning every row)
+    gives its rows of the candidate ``hat = relu(fused[lo:hi] @ W)``.  The
+    gate ``z = sigmoid(hat @ gate_new + H @ gate_old + gate_bias)`` blends
+    ``z * hat + (1 - z) * H`` at the rows where ``mask`` holds; every other
+    row is ``H``'s, bit for bit.  The forward evaluates the expressions of
+    the composition of :func:`relu`, :func:`gather_rows`, :func:`matmul`,
+    :func:`concat`, :func:`sigmoid`, :func:`mul`, :func:`add` and
+    :func:`where_rows` in the same order, and the backward adds every
+    gradient part in the order that composition's tape adds it: ``H`` is
+    listed once per part, and a shared ``W`` once per block, tag block first.
+    So values and gradients are bit-identical to it.  The op keeps only
+    ``hat`` and ``z``; the backward recomputes ``fused`` and frees ``z`` and
+    ``hat`` as soon as it has used them.
+    """
+    H, message, gate_new, gate_old, gate_bias = map(_wrap, (H, message, gate_new, gate_old,
+                                                            gate_bias))
+    blocks = [(lo, hi, _wrap(W)) for lo, hi, W in blocks]
+    h = H.data
+    mask = np.asarray(mask, dtype=bool)
+    if message.data.shape != h.shape or h.ndim != 2:
+        raise ValueError("H and message must be matrices of one shape")
+    if mask.shape != (h.shape[0],):
+        raise ValueError("mask must have one entry per row")
+    if [lo for lo, _, _ in blocks] + [h.shape[0]] != [0] + [hi for _, hi, _ in blocks]:
+        raise ValueError("blocks must span the rows in order")
+    col = mask[:, None]
+    fused = np.maximum(message.data, 0.0)
+    fused += h
+    hat = np.empty_like(fused)
+    for lo, hi, W in blocks:
+        np.matmul(fused[lo:hi], W.data, out=hat[lo:hi])
+    del fused
+    np.maximum(hat, 0.0, out=hat)
+    z = hat @ gate_new.data
+    z += h @ gate_old.data
+    z += gate_bias.data
+    expit(z, out=z)
+    out = z * -1.0                      # 1 - z, as the tape's 1.0 + (z * -1.0)
+    out += 1.0
+    out *= h
+    out += z * hat
+    np.copyto(out, h, where=~col)
+    saved = {"z": z, "hat": hat}        # popped by the backward, which frees each once used
+
+    def stages(g):
+        yield np.where(col, 0.0, g)                     # H: the rows passed through
+        gu = np.where(col, g, 0.0)
+        z = saved.pop("z")
+        part = z * -1.0
+        part += 1.0
+        part *= gu
+        yield part                                      # H: times (1 - z)
+        hat = saved.pop("hat")
+        gz = gu * h
+        gz *= -1.0
+        np.multiply(gu, hat, out=part)
+        gz += part
+        gu *= z                                         # gu is now the gradient of hat
+        gz *= z
+        np.subtract(1.0, z, out=part)
+        gz *= part                                      # gz is now the gradient of z's logit
+        del z, part
+        yield _unbroadcast(gz, gate_bias.data.shape)    # gate_bias
+        yield h.T @ gz                                  # gate_old
+        yield gz @ gate_old.data.T                      # H: through gate_old
+        yield hat.T @ gz                                # gate_new
+        gu += gz @ gate_new.data.T
+        del gz
+        gu *= hat > 0                                   # gu is now the gradient of fused @ W
+        del hat
+        fused = np.maximum(message.data, 0.0)
+        fused += h
+        for lo, hi, _ in reversed(blocks):
+            yield fused[lo:hi].T @ gu[lo:hi]            # W, tag block first
+        del fused
+        gf = np.zeros_like(h)           # the tape's gathers added into zeros: -0.0 -> 0.0
+        for lo, hi, W in blocks:
+            gf[lo:hi] += gu[lo:hi] @ W.data.T
+        del gu
+        yield gf                                        # H: through fused
+        gf *= message.data > 0
+        yield gf                                        # message
+
+    inputs = (H, H, gate_bias, gate_old, H, gate_new, *(W for _, _, W in reversed(blocks)),
+              H, message)
+    return _from_op(out, "gated_update", inputs, _in_stages(stages, len(inputs)))
 
 
 def backward(loss):

@@ -1,7 +1,8 @@
 """Attention-based message passing over the tripartite graph.
 
 One layer = neighbor attention, weighted aggregation, and a gated
-per-node-type update.  Layers run synchronously: every node's new
+per-node-type update, the last one fused op (:func:`autodiff.gated_update`).
+Layers run synchronously: every node's new
 representation is computed from the previous layer's matrix, and nodes
 without edges pass through bit for bit.  A forward told which items the
 caller reads (``items``, every item by default) runs its last layer's
@@ -192,9 +193,9 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     exactly.  ``edges`` replaces ``pack_edges(graph, kind)``: given some rows
     of it (:func:`center_edges`), the layer attends and aggregates only there,
     and every other row passes through like an isolated node.  The dense half
-    (the per-type update, the gate and the blend) runs over every row, with or
-    without a tape, so the weight gradients sum over the same rows and a
-    row's result never depends on which other rows are computed.
+    (the per-type update, the gate and the blend) is one :func:`autodiff.gated_update`
+    over every row, with or without a tape, so the weight gradients sum over the
+    same rows and a row's result never depends on which other rows are computed.
     """
     if not isinstance(H, Tensor):
         H = Tensor(H)
@@ -211,21 +212,11 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     alpha = ad.mul(attn, edges.multipliers[:, None])
 
     message = ad.spmm(alpha, pattern, Wh)
-    fused = ad.add(H, ad.relu(message))
-
     bounds = (0, graph.n_queries, graph.n_queries + graph.n_items, graph.n_nodes)
-    blocks = []
-    for lo, hi, W_type in zip(bounds[:-1], bounds[1:],
-                              (params.update_query, params.update_item, params.update_tag)):
-        if hi > lo:
-            blocks.append(ad.matmul(ad.gather_rows(fused, slice(lo, hi)), W_type))
-    hat = ad.relu(ad.concat(blocks) if len(blocks) > 1 else blocks[0])
-
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, params.gate_new),
-                                 ad.matmul(H, params.gate_old)),
-                          params.gate_bias))
-    updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H))
-    return ad.where_rows(np.diff(pattern.indptr) > 0, updated, H)
+    updates = (params.update_query, params.update_item, params.update_tag)
+    blocks = [(lo, hi, W) for lo, hi, W in zip(bounds[:-1], bounds[1:], updates) if hi > lo]
+    return ad.gated_update(H, message, blocks, params.gate_new, params.gate_old,
+                           params.gate_bias, np.diff(pattern.indptr) > 0)
 
 
 @dataclass

@@ -8,6 +8,7 @@ its forward passes them as ``items``.  :func:`fit` is the one training loop:
 it runs :func:`combined_loss` for the graph models and the baseline alike.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -99,13 +100,17 @@ def combined_loss(graph, model, item_indices, labels, dropout_p=0.0, rng=None):
     Returns ``(total, l1, l2)``.  The forward, given ``dropout_p`` and ``rng``,
     reads only ``item_indices`` (its ``items``), so the last layer runs only at
     those items' rows and the tag rows.  With ``gamma == 0`` the total *is* the
-    primary loss tensor, so the two are equal to the last bit; a forward whose
-    initial item rows are its final ones (the baseline's) has ``l2`` *be* ``l1``.
+    primary loss tensor, so the two are equal to the last bit, and ``l2``, which
+    then only gets logged, is computed without a tape; a forward whose initial item
+    rows are its final ones (the baseline's) has ``l2`` *be* ``l1``.
     """
     out = model.forward(graph, items=item_indices, dropout_p=dropout_p, rng=rng)
     l1 = link_prediction_loss(out.item_reps, out.tags, labels, out.bias)
-    l2 = l1 if out.initial_item_reps is out.item_reps else \
-        link_prediction_loss(out.initial_item_reps, out.tags, labels, out.bias)
+    if out.initial_item_reps is out.item_reps:
+        l2 = l1
+    else:
+        with ad.no_grad() if model.gamma == 0.0 else contextlib.nullcontext():
+            l2 = link_prediction_loss(out.initial_item_reps, out.tags, labels, out.bias)
     total = l1 if model.gamma == 0.0 else l1 + model.gamma * l2
     return total, l1, l2
 

@@ -12,6 +12,8 @@
 - A :class:`RawDataset` built from lists of id tuples, and the degree filter
   run to its fixed point over Python sets of those tuples.
 - The fused BCE op as one sequential loop over its row blocks.
+- The fused dense half of a layer (``autodiff.gated_update``) as the
+  composition of small tape ops it replaces.
 - The ``spmm`` values gradient (a sampled dense-dense product) as one
   unblocked row dot over whole E x d gathers, and its input gradient
   ``A.T @ g`` as one add per entry, in entry order.
@@ -343,6 +345,19 @@ def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
         if dbias is not None:
             dbias += g.sum(axis=0)
     return total / (n_rows * n_cols), da, db, dbias
+
+
+def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
+    """``autodiff.gated_update`` composed of small tape ops, each keeping its output until
+    backward: the values and gradient parts, in their order, that the fused op reproduces."""
+    from taggnn import autodiff as ad
+
+    fused = ad.add(H, ad.relu(message))
+    parts = [ad.matmul(ad.gather_rows(fused, slice(lo, hi)), W) for lo, hi, W in blocks]
+    hat = ad.relu(ad.concat(parts) if len(parts) > 1 else parts[0])
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, gate_new), ad.matmul(H, gate_old)), gate_bias))
+    updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H))
+    return ad.where_rows(mask, updated, H)
 
 
 def sddmm(g, x, rows, cols):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import threading
 import time
@@ -274,6 +275,21 @@ class TestBceWithLogits:
         out = ad.bce_with_logits(np.zeros((2, 1)), np.ones((3, 1)), positives(np.eye(2, 3)))
         assert not out.requires_grad
         assert out.data == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_no_grad_forms_no_gradient_part(self, monkeypatch):
+        wants, block = [], ad._bce_block
+
+        def recording(*args):
+            wants.append(args[-1])
+            return block(*args)
+
+        monkeypatch.setattr(ad, "_bce_block", recording)
+        (a, b, bias), _, labels = _bce_case(0)
+        taped = ad.bce_with_logits(a, b, labels, bias=bias)
+        with ad.no_grad():
+            free = ad.bce_with_logits(a, b, labels, bias=bias)
+        assert wants == [(True, True, True), (False, False, False)]
+        assert free.data.tobytes() == taped.data.tobytes()
 
     def test_peak_memory_is_blocked(self):
         # one forward and backward at 2,000 x 4,000 logits (d = 16) must stay far
@@ -554,6 +570,33 @@ class TestOpGradients:
         with pytest.raises(ValueError):
             ad.edge_scores(x, context, ad.SparsePattern(centers, neighbors, (5, 6)))
 
+    def test_edge_scores_sums_each_node_once_per_backward_step(self, monkeypatch):
+        x = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
+        context = Tensor(self.rng.normal(size=(6, 1)), requires_grad=True)
+        loss = ad.mean(ad.edge_scores(x, context, ad.SparsePattern([0, 1, 3], [1, 0, 2], (4, 4))))
+        calls, bincount = [], np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        ad.backward(loss)
+        assert len(calls) == 2      # one per endpoint, shared by the x and context parts
+        assert x.grad is not None and context.grad is not None
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_gated_update(self, shared):
+        # rows 0-1, 2-4 and 5-6 are three node types; row 3 passes through
+        n, d = 7, 3
+        H = Tensor(self.rng.normal(size=(n, d)), requires_grad=True)
+        message = Tensor(self.rng.normal(size=(n, d)) + 0.3, requires_grad=True)
+        W = [Tensor(self.rng.normal(size=(d, d)), requires_grad=True) for _ in range(3)]
+        if shared:
+            W = [W[0]] * 3
+        gates = [Tensor(self.rng.normal(size=(d, d)), requires_grad=True) for _ in range(2)]
+        bias = Tensor(self.rng.normal(size=d), requires_grad=True)
+        blocks = [(0, 2, W[0]), (2, 5, W[1]), (5, 7, W[2])]
+        mask = np.arange(n) != 3
+        w = self.rng.normal(size=(n, d))
+        _fd(lambda: ad.mean(ad.mul(ad.gated_update(H, message, blocks, *gates, bias, mask), w)),
+            [H, message, *dict.fromkeys(W), *gates, bias])
+
     def test_where_rows(self):
         a = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         b = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
@@ -575,6 +618,17 @@ class TestOpGradients:
         assert np.all(kept == 2.0)
         ad.backward(ad.mean(out))
         assert set(np.unique(x.grad)) <= {0.0, 2.0 / x.size}
+
+    def test_dropout_tape_holds_a_boolean_mask(self):
+        x = Tensor(np.ones((1000, 64)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.dropout(x, 0.5, np.random.default_rng(0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert held < 1.2 * x.data.nbytes      # the output, and one byte per entry for the mask
 
 
 class TestFromOp:
@@ -727,8 +781,11 @@ class TestNoGrad:
         y = ad.where_rows(np.array([True, False, True, True]), z, x)
         y = ad.concat([ad.gather_rows(y, [3, 1]), ad.gather_rows(y, slice(0, 2))])
         loss = ad.bce_with_logits(y, w, positives(np.eye(4, 3)))
+        bias = Tensor(rng.normal(size=3), requires_grad=True)
+        gated = ad.gated_update(x, m, [(0, 1, w), (1, 4, w)], w, w, bias,
+                                np.array([True, False, True, True]))
         return [h, alpha, m, z, y, loss, ad.transpose(h),
-                ad.mean(ad.dropout(y, 0.5, np.random.default_rng(0)))]
+                ad.mean(ad.dropout(y, 0.5, np.random.default_rng(0))), gated]
 
     def test_every_tensor_made_inside_is_a_constant_with_the_taped_value(self, monkeypatch):
         taped = self._ops(np.random.default_rng(1))
@@ -747,6 +804,16 @@ class TestNoGrad:
         for a, b in zip(taped, free):
             assert a.data.tobytes() == b.data.tobytes()
             assert not b.requires_grad
+
+    def test_a_taped_loss_runs_backward_inside_the_block_too(self):
+        grads = []
+        for context in (contextlib.nullcontext, ad.no_grad):
+            x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+            loss = ad.bce_with_logits(x, ad.relu(x), positives(np.eye(2)))
+            with context():
+                ad.backward(loss)
+            grads.append(x.grad.tobytes())
+        assert grads[0] == grads[1]
 
     def test_backward_from_a_constant_loss_is_a_no_op(self):
         p = Tensor(np.ones(3), requires_grad=True)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taggnn import autodiff as ad
+from taggnn import synthetic
 from taggnn.autodiff import Tensor
+from taggnn.data import dataset_to_graph
 from taggnn.evaluation import item_rows
-from taggnn.graph import build_graph, standardize_edge_weights
+from taggnn.graph import Vocabulary, build_graph, standardize_edge_weights
 from taggnn.model import (CENTER_CACHE_SIZE, LEAKY_SLOPE, LayerParams, ModelVariant,
                           TagGNNModel, center_edges, pack_edges, propagate_layer)
 
@@ -339,23 +343,99 @@ class TestTapeFreeRows:
         graph = token_graph([[1], [2], [3]], [[2], [3], [1]], [[1]], [(0, 0, 2.0)], [(0, 0)])
         layer = make_layer(4, seed=3)
         H = np.random.default_rng(3).normal(size=(graph.n_nodes, 4))
-        row_counts = []
-        matmul = ad.matmul
+        spans = []
+        gated_update = ad.gated_update
 
-        def recording(a, b):
-            if b is layer.update_item or b is layer.gate_new:
-                row_counts.append(a.shape[0])
-            return matmul(a, b)
+        def recording(H, message, blocks, *args):
+            spans.append((H.shape[0], [(lo, hi) for lo, hi, _ in blocks]))
+            return gated_update(H, message, blocks, *args)
 
-        monkeypatch.setattr(ad, "matmul", recording)
+        monkeypatch.setattr(ad, "gated_update", recording)
+        every_row = [(graph.n_nodes, [(0, 3), (3, 6), (6, 7)])]
         taped = propagate_layer(graph, H, layer).data
-        assert row_counts == [graph.n_items, graph.n_nodes]
-        row_counts.clear()
+        assert spans == every_row
+        spans.clear()
         with ad.no_grad():
             free = propagate_layer(graph, H, layer).data
-        assert row_counts == [graph.n_items, graph.n_nodes]
+        assert spans == every_row
         assert free.tobytes() == taped.tobytes()
         assert free[[1, 2, 4, 5]].tobytes() == H[[1, 2, 4, 5]].tobytes()
+
+
+class TestFusedDenseHalf:
+    """``ad.gated_update`` against the composition of small ops it replaced
+    (``oracle.gated_update``): the same forward bytes and the same bytes in every
+    input gradient."""
+
+    @staticmethod
+    def _run(update, sizes, dim, heterogeneous, held):
+        """The output bytes and every leaf's gradient bytes of one taped update.
+
+        ``held``: an op made after the update also reads ``H``, so ``H`` already holds
+        a gradient when the update's backward step adds its four parts (layer 1's
+        ``H0`` and the initial item rows' gather).
+        """
+        rng = np.random.default_rng([dim, *sizes])
+        n = sum(sizes)
+        layer = make_layer(dim, seed=dim, heterogeneous=heterogeneous)
+        layer.gate_bias.data[...] = rng.normal(size=dim)    # initialized to zeros
+        H = Tensor(rng.normal(size=(n, dim)), requires_grad=True)
+        message = Tensor(rng.normal(size=(n, dim)), requires_grad=True)
+        bounds = np.cumsum([0, *sizes])
+        updates = (layer.update_query, layer.update_item, layer.update_tag)
+        blocks = [(lo, hi, W) for lo, hi, W in zip(bounds[:-1], bounds[1:], updates) if hi > lo]
+        mask = rng.random(n) < 0.7
+        weights = rng.normal(size=(n, dim))
+        weights[rng.random(weights.shape) < 0.1] = -0.0    # signed zeros reach every part
+        out = update(H, message, blocks, layer.gate_new, layer.gate_old, layer.gate_bias, mask)
+        loss = ad.mean(ad.mul(out, weights))
+        if held:
+            loss = ad.add(loss, ad.mean(ad.gather_rows(H, rng.integers(0, n, size=5))))
+        ad.backward(loss)
+        leaves = [H, message] + [p for _, p in layer.named_parameters()][2:]
+        assert H.grad is not None and message.grad is not None
+        return out.data.tobytes(), [None if p.grad is None else p.grad.tobytes() for p in leaves]
+
+    @pytest.mark.parametrize("dim", [8, 17, 50, 64])
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("heterogeneous", [True, False])
+    @pytest.mark.parametrize("sizes", [(30, 70, 40), (0, 70, 40), (30, 70, 0), (0, 70, 0)],
+                             ids=["three-types", "no-queries", "no-tags", "one-type"])
+    def test_bytes_equal_to_the_composed_ops(self, sizes, heterogeneous, held, dim):
+        fused = self._run(ad.gated_update, sizes, dim, heterogeneous, held)
+        assert fused == self._run(oracle.gated_update, sizes, dim, heterogeneous, held)
+
+    def test_blocks_must_span_the_rows_in_order(self):
+        layer = make_layer(3)
+        H = np.zeros((5, 3))
+        rest = (layer.gate_new, layer.gate_old, layer.gate_bias, np.ones(5, dtype=bool))
+        W = layer.update_item
+        for blocks in ([], [(0, 4, W)], [(0, 2, W), (3, 5, W)], [(2, 5, W), (0, 2, W)]):
+            with pytest.raises(ValueError, match="span the rows"):
+                ad.gated_update(H, H, blocks, *rest)
+
+    def test_forward_tape_at_most_half_the_composed_ops(self, monkeypatch):
+        # T: what a taped forward holds once it returns, over the same graph and model
+        ds, splits = synthetic.overfit_dataset(n_items=300, n_tags=60, n_queries=300, seed=0)
+        vocab = Vocabulary.from_texts(ds.texts(), min_count=1)
+        graph = dataset_to_graph(ds, vocab, splits=splits)
+        model = TagGNNModel.init(len(vocab), graph.n_tags, 32, ModelVariant(n_layers=2),
+                                 rng=np.random.default_rng(0))
+
+        def tape():
+            model.forward(graph)        # first, so the edge caches are built
+            tracemalloc.start()
+            try:
+                out = model.forward(graph)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del out
+            return held
+
+        fused = tape()
+        monkeypatch.setattr(ad, "gated_update", oracle.gated_update)
+        assert fused <= 0.5 * tape()
 
 
 class TestCenterEdges:

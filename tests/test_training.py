@@ -89,6 +89,17 @@ class TestCombinedLoss:
         total, l1, l2 = combined_loss(graph, model, item_idx, labels)
         assert total is l1
 
+    def test_gamma_zero_dual_loss_is_logged_without_a_tape(self, monkeypatch):
+        graph, model, item_idx, labels = synthetic.gradcheck_instance(dim=4, n_layers=1)
+        model.gamma = 0.0
+        wants, block = [], ad._bce_block
+        monkeypatch.setattr(ad, "_bce_block", lambda *a: wants.append(a[-1]) or block(*a))
+        total, l1, l2 = combined_loss(graph, model, item_idx, labels)
+        assert l1.requires_grad and not l2.requires_grad and l2._backward is None
+        assert wants == [(True, True, False), (False, False, False)]
+        _, _, taped_l2 = oracle.combined_loss_all_items(graph, model, item_idx, labels)
+        assert l2.data.tobytes() == taped_l2.data.tobytes()
+
     def test_isolated_items_make_dual_equal_primary(self):
         # no edges at all: initial and final representations coincide
         graph = token_graph([], [[1], [2]], [[3], [1]], [], [])
@@ -197,6 +208,26 @@ class TestTrainLoop:
         restricted = trained()
         monkeypatch.setattr(training, "combined_loss", oracle.combined_loss_all_items)
         assert restricted == trained()
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("kind,heterogeneous", [("it", True), ("qi", False), ("full", True),
+                                                    ("full", False)])
+    def test_fused_dense_half_and_untaped_dual_loss_train_bit_identically(
+            self, kind, heterogeneous, gamma, monkeypatch):
+        # against the composed dense half and a taped dual loss, as training ran before both
+        _, splits, vocab, graph = _toy_training_setup(seed=6, n_items=40)
+        cfg = TrainConfig(dim=12, n_layers=2, max_epochs=3, patience=3, seed=2, variant=kind,
+                          heterogeneous=heterogeneous, gamma=gamma, dropout=0.3)
+
+        def trained():
+            result = train(graph, splits, cfg, n_words=len(vocab))
+            log = [{k: v for k, v in r.items() if k != "seconds"} for r in result.log]
+            return log, [(p.data.tobytes(), p.grad.tobytes()) for p in result.model.parameters()]
+
+        fused = trained()
+        monkeypatch.setattr(ad, "gated_update", oracle.gated_update)
+        monkeypatch.setattr(training, "combined_loss", oracle.combined_loss_all_items)
+        assert fused == trained()
 
     def test_same_seed_reproduces_losses_exactly(self):
         _, splits, vocab, graph = _toy_training_setup()
