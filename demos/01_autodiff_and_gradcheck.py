@@ -14,7 +14,7 @@ y = Tensor(-4.0, requires_grad=True)
 out = ad.mul(ad.add(x, y), ad.add(x, 1.0))   # (x + y) * (x + 1)
 ad.backward(out)
 print("f(x, y) = (x + y)(x + 1) at (3, -4)")
-print(f"  value   = {out.item()}")
+print(f"  value   = {float(out.data)}")
 print(f"  df/dx   = {x.grad}   (expected (x+y) + (x+1) = 3)")
 print(f"  df/dy   = {y.grad}   (expected x + 1 = 4)")
 
@@ -31,22 +31,23 @@ p = Tensor([4.0, -2.0], requires_grad=True)
 opt = Adam([p], lr=0.1)
 for step in range(200):
     ad.zero_grads([p])
-    loss = ad.mean(ad.mul(p, p))
+    loss = ad.matmul(ad.mul(p, p), np.full((2, 1), 0.5))   # the mean of p^2
     ad.backward(loss)
     opt.step()
 print(f"\nAdam on mean(p^2): after 200 steps p = {np.round(p.data, 5)}")
 
 # --- the gradient oracle ----------------------------------------------------
 w = Tensor(np.random.default_rng(0).normal(size=(3, 3)), requires_grad=True)
-v = Tensor(np.random.default_rng(1).normal(size=(3, 1)))
+v = Tensor(np.random.default_rng(1).normal(size=(1, 3)))
+positives = ad.SparsePattern([0, 2], [0, 0], (3, 1))   # rows 0 and 2 of W v are labelled 1
 
 
 def loss_fn():
-    return ad.mul(ad.mean(ad.sigmoid(ad.matmul(w, v))), 30.0)
+    return ad.mul(ad.bce_with_logits(w, v, positives), 30.0)
 
 
 err = ad.finite_difference_check(loss_fn, [w])
-print(f"\nfinite-difference check on sigmoid(W v): max rel error {err:.2e}")
+print(f"\nfinite-difference check on 30 x BCE(W v): max rel error {err:.2e}")
 
 loss = loss_fn()
 ad.zero_grads([w])

@@ -16,8 +16,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "..", "tests", "fixtures", "toydata")
 
 dataset = dm.load_dataset(DATA)
-print(f"loaded {len(dataset.items)} items, {len(dataset.queries)} queries, "
-      f"{len(dataset.tags)} tags")
+print(f"loaded {len(dataset.item_ids)} items, {len(dataset.query_ids)} queries, "
+      f"{len(dataset.tag_ids)} tags")
 
 vocab = Vocabulary.from_texts(dataset.texts(), min_count=1)
 print(f"vocabulary: {len(vocab)} tokens (id 0 is the pinned-to-zero unknown)")
@@ -33,7 +33,7 @@ print("softplus multipliers :", np.round(standardize_edge_weights(graph.qi_weigh
 # initial representations: mean word embedding, tags add their id embedding;
 # node rows are ordered queries | items | tags
 model = TagGNNModel.init(len(vocab), graph.n_tags, dim=8,
-                         variant=ModelVariant(kind="full", n_layers=1), seed=0)
+                         variant=ModelVariant(kind="full", n_layers=1))
 H = model.initial_representations(graph)
 item0, tag0 = graph.n_queries, graph.n_queries + graph.n_items
 print(f"\nitem '{graph.item_ids[0]}' initial vector:", np.round(H.data[item0], 3))

@@ -68,13 +68,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
     def accumulate_grad(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
@@ -84,28 +77,14 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    # operator sugar; everything reduces to add/mul on the tape
+    # the two operators the losses use: ``a + b`` is add, ``a * b`` and ``c * a`` are mul
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -226,7 +205,7 @@ def relu(x):
     return _from_op(np.maximum(x.data, 0.0), "relu", (x,), (lambda g: g * (x.data > 0),))
 
 
-def leaky_relu(x, negative_slope=0.2):
+def leaky_relu(x, negative_slope):
     x = _wrap(x)
     return _from_op(np.where(x.data > 0, x.data, negative_slope * x.data), "leaky_relu", (x,),
                     (lambda g: g * np.where(x.data > 0, 1.0, negative_slope),))
@@ -236,12 +215,6 @@ def sigmoid(x):
     x = _wrap(x)
     data = expit(x.data)
     return _from_op(data, "sigmoid", (x,), (lambda g: g * data * (1.0 - data),))
-
-
-def mean(x):
-    x = _wrap(x)
-    return _from_op(np.mean(x.data), "mean", (x,),
-                    (lambda g: np.full_like(x.data, g / x.data.size),))
 
 
 def segment_softmax(scores, pattern):
@@ -708,25 +681,23 @@ def zero_grads(params):
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list; updates in place.
+    """Bias-corrected Adam (moment decays 0.9 and 0.999, epsilon 1e-8) over a fixed
+    parameter list; updates in place.
 
     With zero gradients the update is exactly zero, so the optimizer is the
     identity on untouched parameters.
     """
 
-    def __init__(self, params, lr=0.003, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.003):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else 0.0
             m *= b1
@@ -735,7 +706,7 @@ class Adam:
             v += (1 - b2) * np.square(g)
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def finite_difference_check(loss_fn, params, eps=1e-5, analytic=None):

@@ -14,7 +14,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .graph import UNK_TOKEN, Vocabulary, build_graph
+from .graph import UNK_TOKEN, Vocabulary, build_graph, distinct_pairs
 
 DATASET_FILES = {
     "items": "items.tsv",
@@ -39,9 +39,9 @@ class RawDataset:
     Each node type keeps parallel id and text lists (``item_ids``/``item_texts``,
     ``query_ids``/``query_texts``, ``tag_ids``/``tag_texts``).  Edges are int64
     rows into those lists: ``qi_query``/``qi_item`` with float64 ``qi_weight``,
-    and ``it_item``/``it_tag``.  ``items``, ``queries``, ``tags``, ``qi`` and
-    ``it`` are read-only views that rebuild the rows as lists of tuples on
-    each access; nothing in this package reads them.
+    and ``it_item``/``it_tag``.  ``items``, ``qi`` and ``it`` are read-only
+    views that rebuild the rows as lists of tuples on each access; nothing in
+    this package reads them.
     """
 
     def __init__(self, item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
@@ -66,14 +66,6 @@ class RawDataset:
     @property
     def items(self):
         return list(zip(self.item_ids, self.item_texts))        # (item_id, title text)
-
-    @property
-    def queries(self):
-        return list(zip(self.query_ids, self.query_texts))      # (query_id, query text)
-
-    @property
-    def tags(self):
-        return list(zip(self.tag_ids, self.tag_texts))          # (tag_id, name text)
 
     @property
     def qi(self):
@@ -169,7 +161,8 @@ def load_dataset(directory):
 
     Columns are validated in bulk.  When a check fails, the error names the
     first failing line and the first of its checks that fails, in the order
-    listed here per file: column count, then for query-item edges unknown
+    listed here per file: column count, then for tags a ``,`` in the id (the
+    held-out tag separator of ``splits.tsv``), for query-item edges unknown
     query, unknown item, unparsable weight, negative or non-finite weight,
     and for item-tag edges unknown item, unknown tag.  Duplicate node ids are
     reported last.
@@ -180,8 +173,12 @@ def load_dataset(directory):
             raise DataFormatError(f"missing dataset file {DATASET_FILES[k]} in {directory}")
 
     # an entity line without its text column gets an empty text
-    (item_ids, item_texts), (query_ids, query_texts), (tag_ids, tag_texts) = (
-        _read_table(paths[k], 1, 2, pad="\t")[2] for k in ("items", "queries", "tags"))
+    item_ids, item_texts = _read_table(paths["items"], 1, 2, pad="\t")[2]
+    query_ids, query_texts = _read_table(paths["queries"], 1, 2, pad="\t")[2]
+    name, linenos, (tag_ids, tag_texts) = _read_table(paths["tags"], 1, 2, pad="\t")
+    if "," in "".join(tag_ids):
+        _raise_first_failure(name, linenos, (
+            lambda n: "," in tag_ids[n] and f"tag id '{tag_ids[n]}' contains ','",))
     item_index, query_index, tag_index = _index(item_ids), _index(query_ids), _index(tag_ids)
 
     # a missing weight column defaults to 1
@@ -238,11 +235,6 @@ class FilterThresholds:
     min_count: int = 5     # word frequency threshold for the vocabulary
 
 
-def _distinct_pairs(a, b, n_b):
-    """The distinct ``(a, b)`` rows of two int64 row columns, as two columns."""
-    return np.divmod(np.unique(a * n_b + b), max(n_b, 1))
-
-
 def preprocess_filter(dataset, thresholds=None):
     """Drop nodes violating the degree constraints until none remain.
 
@@ -256,8 +248,8 @@ def preprocess_filter(dataset, thresholds=None):
     """
     th = thresholds or FilterThresholds()
     ni, nq, nt = len(dataset.item_ids), len(dataset.query_ids), len(dataset.tag_ids)
-    qi_q, qi_i = _distinct_pairs(dataset.qi_query, dataset.qi_item, ni)
-    it_i, it_t = _distinct_pairs(dataset.it_item, dataset.it_tag, nt)
+    qi_q, qi_i = distinct_pairs(dataset.qi_query, dataset.qi_item, ni)
+    it_i, it_t = distinct_pairs(dataset.it_item, dataset.it_tag, nt)
     keep_i, keep_q, keep_t = np.ones(ni, bool), np.ones(nq, bool), np.ones(nt, bool)
     while True:
         qi = keep_q[qi_q] & keep_i[qi_i]
@@ -298,10 +290,10 @@ def build_vocabulary(dataset, min_count=5):
 
 @dataclass
 class SplitAssignment:
-    """Per-item role plus, for completion items, the held-out tag pair."""
+    """Per-item role plus the evaluation items' tags; ``known`` holds exactly the
+    completion items, and each one's ``truth`` is its held-out tag pair."""
 
     roles: dict                      # item_id -> role
-    heldout: dict = field(default_factory=dict)   # item_id -> frozenset of 2 tag ids
     truth: dict = field(default_factory=dict)     # item_id -> ground-truth tag ids (eval roles)
     known: dict = field(default_factory=dict)     # item_id -> visible tag ids (completion roles)
 
@@ -309,23 +301,19 @@ class SplitAssignment:
         for item_id, role in self.roles.items():
             if role not in ROLES:
                 raise ValueError(f"unknown role {role!r} for item {item_id!r}")
-        for item_id, held in self.heldout.items():
-            known = self.known.get(item_id, frozenset())
-            if held & known:
+        for item_id, known in self.known.items():
+            if item_id not in self.truth:
+                raise ValueError(f"completion item {item_id!r} has no held-out tags")
+            if self.truth[item_id] & known:
                 raise ValueError(f"held-out and known tags overlap for item {item_id!r}")
 
 
 def mask_completion_tags(tag_set, rng):
-    """Uniformly hold out two tags; the rest stay known.
-
-    ``rng`` may be a seed or a Generator.  At least three tags are required
-    so a completion item always keeps one visible tag edge.
-    """
+    """Uniformly hold out two tags, drawn from the Generator ``rng``; the rest stay known.
+    At least three tags are required, so a completion item keeps a visible tag edge."""
     tags = sorted(tag_set)
     if len(tags) < 3:
         raise ValueError(f"tag completion needs >= 3 tags, got {len(tags)}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     picked = rng.choice(len(tags), size=2, replace=False)
     held = frozenset(tags[j] for j in picked)
     return frozenset(tags) - held, held
@@ -355,7 +343,7 @@ def make_splits(dataset, counts, seed):
         "test": order[n_train + n_val:n_train + n_val + n_test],
     }
 
-    roles, heldout, truth, known = {}, {}, {}, {}
+    roles, truth, known = {}, {}, {}
     for item_id in groups["train"]:
         roles[item_id] = "train"
     for group, full_role, comp_role in (("val", "val_full", "val_comp"),
@@ -371,24 +359,21 @@ def make_splits(dataset, counts, seed):
         for item_id in members:
             if item_id in comp:
                 roles[item_id] = comp_role
-                kn, held = mask_completion_tags(tag_map[item_id], rng)
-                heldout[item_id] = held
-                known[item_id] = kn
-                truth[item_id] = held
+                known[item_id], truth[item_id] = mask_completion_tags(tag_map[item_id], rng)
             else:
                 roles[item_id] = full_role
                 if not tag_map[item_id]:
                     raise ValueError(f"item {item_id!r} has no tags; cannot evaluate it")
                 truth[item_id] = frozenset(tag_map[item_id])
 
-    return SplitAssignment(roles=roles, heldout=heldout, truth=truth, known=known)
+    return SplitAssignment(roles=roles, truth=truth, known=known)
 
 
 def save_splits(splits, path):
     with open(path, "w", encoding="utf-8") as fh:
         for item_id in splits.roles:
             role = splits.roles[item_id]
-            held = ",".join(sorted(splits.heldout.get(item_id, ()))) if role in COMPLETION_ROLES else ""
+            held = ",".join(sorted(splits.truth[item_id])) if item_id in splits.known else ""
             fh.write(f"{item_id}\t{role}\t{held}\n" if held else f"{item_id}\t{role}\n")
 
 
@@ -403,7 +388,7 @@ def load_splits(path, dataset):
     name, linenos, (items, roles, held) = _read_table(path, 2, 3, pad="\t")
     index, tags_of = dataset.item_index, dataset._tags_by_item()
     role_of = dict(zip(items, roles))
-    heldout = {items[n]: frozenset(held[n].split(","))
+    held_pairs = {items[n]: frozenset(held[n].split(","))
                for n, role in enumerate(roles) if role in COMPLETION_ROLES}
     valid = (len(role_of) == len(items) and role_of.keys() <= index.keys()
              and set(roles) <= set(ROLES))
@@ -411,7 +396,7 @@ def load_splits(path, dataset):
         # the linked tags of every evaluation item
         linked = {i: frozenset(tags_of[index[i]]) for i, role in role_of.items()
                   if role != "train"}
-        valid = (all(len(h) == 2 and h <= linked[i] for i, h in heldout.items())
+        valid = (all(len(h) == 2 and h <= linked[i] for i, h in held_pairs.items())
                  and all(linked[i] for i, role in role_of.items() if role in FULL_ROLES))
     if not valid:
         first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
@@ -428,9 +413,9 @@ def load_splits(path, dataset):
             and "held-out tags not linked to item",
             lambda n: roles[n] in FULL_ROLES and not tags_of[index[items[n]]]
             and f"item '{items[n]}' has no tags; cannot evaluate it"))
-    return SplitAssignment(roles=role_of, heldout=heldout,
-                           truth={i: heldout.get(i, tags) for i, tags in linked.items()},
-                           known={i: linked[i] - h for i, h in heldout.items()})
+    return SplitAssignment(roles=role_of,
+                           truth={i: held_pairs.get(i, tags) for i, tags in linked.items()},
+                           known={i: linked[i] - h for i, h in held_pairs.items()})
 
 
 def _hidden_tag_edges(dataset, splits, include_known_tags):
@@ -443,8 +428,9 @@ def _hidden_tag_edges(dataset, splits, include_known_tags):
     edge_role = role[dataset.it_item]
     if not include_known_tags:
         return edge_role > 0
-    held_item = _rows(dataset.item_index, [i for i, tags in splits.heldout.items() for _ in tags])
-    held_tag = _rows(dataset.tag_index, [t for tags in splits.heldout.values() for t in tags])
+    pairs = [splits.truth[i] for i in splits.known]   # each completion item's held-out pair
+    held_item = _rows(dataset.item_index, [i for i, tags in zip(splits.known, pairs) for _ in tags])
+    held_tag = _rows(dataset.tag_index, [t for tags in pairs for t in tags])
     linked = (held_item >= 0) & (held_tag >= 0)
     n_tags = len(dataset.tag_ids)
     held = np.isin(dataset.it_item * n_tags + dataset.it_tag,

@@ -96,6 +96,11 @@ def standardize_edge_weights(weights):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
+def distinct_pairs(a, b, n_b):
+    """The distinct ``(a, b)`` rows of two int64 row columns (``b`` below ``n_b``), sorted."""
+    return np.divmod(np.unique(a * n_b + b), max(n_b, 1))
+
+
 class TripartiteGraph:
     """Undirected tripartite graph over query, item and tag nodes.
 
@@ -143,7 +148,7 @@ class TripartiteGraph:
             if not 0 <= i < ni:
                 raise ValueError(f"item-tag edge references unknown item index {i}")
             raise ValueError(f"item-tag edge references unknown tag index {t}")
-        self.it_item, self.it_tag = np.divmod(np.unique(i * nt + t), max(nt, 1))
+        self.it_item, self.it_tag = distinct_pairs(i, t, nt)
 
         self._pack_cache = {}
         self.standardize_weights()

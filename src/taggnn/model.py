@@ -243,9 +243,9 @@ class TagGNNModel:
         self.head_bias = head_bias
 
     @classmethod
-    def init(cls, n_words, n_tags, dim, variant, gamma=1.0, seed=0, rng=None):
+    def init(cls, n_words, n_tags, dim, variant, gamma=1.0, rng=None):
         if rng is None:
-            rng = np.random.default_rng([seed, 0])
+            rng = np.random.default_rng([0, 0])
         embeddings = EmbeddingTable.init(n_words, n_tags, dim, rng)
         layers = [LayerParams.init(dim, rng, heterogeneous=variant.heterogeneous)
                   for _ in range(variant.n_layers)]

@@ -128,9 +128,10 @@ def load_model(directory):
     The model is initialised from the manifest's dimensions and every
     registry tensor is copied in by name.  A missing file or key, a value of
     the wrong JSON type, a word table whose row count is not the vocabulary
-    size, a tensor table that does not match the registry, a
-    ``params.bin`` of the wrong length, or a ``params.bin`` or variant that
-    does not match ``params_sha256`` raises ``ValueError``.
+    size, a ``tags`` list that is not ``n_tags`` strings, a tensor table that
+    does not match the registry, a ``params.bin`` of the wrong length, or a
+    ``params.bin`` or variant that does not match ``params_sha256`` raises
+    ``ValueError``.
     """
     manifest = _read(directory, "manifest.json")
     _require(manifest, MANIFEST_KEYS, "manifest.json")
@@ -162,6 +163,9 @@ def load_model(directory):
         raise ValueError(f"manifest.json dim, n_words, n_tags and n_layers must be integers "
                          f"(the first three positive), got {counts}")
     dim, n_words, n_tags, n_layers = counts
+    tags = manifest["tags"]
+    if not isinstance(tags, list) or list(map(type, tags)) != [str] * n_tags:
+        raise ValueError(f"manifest.json tags must be a list of n_tags = {n_tags} strings")
     if n_words != len(vocab):
         raise ValueError(f"manifest.json n_words is {n_words}, but vocab.json holds "
                          f"{len(vocab)} words")

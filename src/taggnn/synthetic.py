@@ -130,13 +130,12 @@ def clustered_tags_dataset(n_items=90, n_clusters=5, cluster_size=4, n_test=30, 
     item_ids = _ids("i", n_items)
     ds = RawDataset(item_ids, item_texts, [], [], _ids("t", n_tags), _ids("tagword", n_tags),
                     [], [], [], it_item, it_tag)
-    roles, heldout, truth, known = dict.fromkeys(item_ids, "train"), {}, {}, {}
+    roles, truth, known = dict.fromkeys(item_ids, "train"), {}, {}
     for n in sorted(rng.choice(n_items, size=n_test, replace=False)):
         i = item_ids[n]
         roles[i] = "test_comp"
-        kn, held = mask_completion_tags(tags_of[n], rng)
-        heldout[i], known[i], truth[i] = held, kn, held
-    return ds, SplitAssignment(roles=roles, heldout=heldout, truth=truth, known=known)
+        known[i], truth[i] = mask_completion_tags(tags_of[n], rng)
+    return ds, SplitAssignment(roles=roles, truth=truth, known=known)
 
 
 def gradcheck_instance(dim=6, n_layers=2, seed=7):

@@ -17,6 +17,7 @@
 - The ``spmm`` values gradient (a sampled dense-dense product) as one
   unblocked row dot over whole E x d gathers, and its input gradient
   ``A.T @ g`` as one add per entry, in entry order.
+- :func:`mean`, the tests' loss reduction, as a tape op.
 """
 
 import os
@@ -24,6 +25,7 @@ import os
 import numpy as np
 from scipy.special import expit
 
+from taggnn import autodiff as ad
 from taggnn.data import (COMPLETION_ROLES, DATASET_FILES, FULL_ROLES, ROLES, DataFormatError,
                          FilterThresholds, RawDataset)
 from taggnn.graph import UNK_ID, UNK_TOKEN
@@ -130,12 +132,17 @@ def load_dataset(directory):
         if not os.path.exists(p):
             raise DataFormatError(f"missing dataset file {DATASET_FILES[k]} in {directory}")
 
-    def entity(path):
-        return [(cols[0], cols[1] if len(cols) == 2 else "") for _, cols in _read_rows(path, 1, 2)]
+    def entity(key):
+        rows = _read_rows(paths[key], 1, 2)
+        for lineno, cols in rows:
+            if key == "tags" and "," in cols[0]:
+                raise DataFormatError(f"{DATASET_FILES[key]}:{lineno}: tag id '{cols[0]}' "
+                                      "contains ','")
+        return [(cols[0], cols[1] if len(cols) == 2 else "") for _, cols in rows]
 
-    items = entity(paths["items"])
-    queries = entity(paths["queries"])
-    tags = entity(paths["tags"])
+    items = entity("items")
+    queries = entity("queries")
+    tags = entity("tags")
     item_ids = {i for i, _ in items}
     query_ids = {q for q, _ in queries}
     tag_ids = {t for t, _ in tags}
@@ -176,13 +183,14 @@ def load_dataset(directory):
 
 
 def load_splits(path, items, it):
-    """``splits.tsv`` as ``(roles, heldout, truth, known)`` dicts, over the tag
-    sets of ``items``/``it`` as :func:`load_dataset` returns them."""
+    """``splits.tsv`` as ``(roles, truth, known)`` dicts, over the tag sets of
+    ``items``/``it`` as :func:`load_dataset` returns them; a completion item's
+    truth is its held-out pair."""
     tag_map = {i: set() for i, _ in items}
     for i, t in it:
         tag_map[i].add(t)
     name = os.path.basename(path)
-    roles, heldout, truth, known = {}, {}, {}, {}
+    roles, truth, known = {}, {}, {}
     for lineno, cols in _read_rows(path, 2, 3):
         item_id, role = cols[0], cols[1]
         if item_id not in tag_map:
@@ -200,7 +208,6 @@ def load_splits(path, items, it):
                 raise DataFormatError(f"{name}:{lineno}: exactly two held-out tags required")
             if not held <= tag_map[item_id]:
                 raise DataFormatError(f"{name}:{lineno}: held-out tags not linked to item")
-            heldout[item_id] = held
             known[item_id] = frozenset(tag_map[item_id]) - held
             truth[item_id] = held
         elif role in FULL_ROLES:
@@ -208,11 +215,12 @@ def load_splits(path, items, it):
                 raise DataFormatError(f"{name}:{lineno}: item '{item_id}' has no tags; "
                                       "cannot evaluate it")
             truth[item_id] = frozenset(tag_map[item_id])
-    return roles, heldout, truth, known
+    return roles, truth, known
 
 
 def dataset_from_rows(items, queries, tags, qi, it):
-    """A :class:`RawDataset` from lists of tuples, shaped as its ``items`` ... ``it`` views."""
+    """A :class:`RawDataset` from lists of tuples: ``(id, text)`` per node,
+    ``(query, item, weight)`` and ``(item, tag)`` per edge."""
     (item_ids, item_texts), (query_ids, query_texts), (tag_ids, tag_texts) = (
         ([r[0] for r in rows], [r[1] for r in rows]) for rows in (items, queries, tags))
     item, query, tag = ({k: n for n, k in enumerate(ids)} for ids in (item_ids, query_ids, tag_ids))
@@ -225,8 +233,8 @@ def preprocess_filter(dataset, thresholds=None):
     """``data.preprocess_filter`` over sets of id tuples, one fixed-point round at a time."""
     th = thresholds or FilterThresholds()
     items = {i for i, _ in dataset.items}
-    queries = {q for q, _ in dataset.queries}
-    tags = {t for t, _ in dataset.tags}
+    queries = set(dataset.query_ids)
+    tags = set(dataset.tag_ids)
     qi_pairs = {(q, i) for q, i, _ in dataset.qi}
     it_pairs = set(dataset.it)
 
@@ -258,8 +266,8 @@ def preprocess_filter(dataset, thresholds=None):
         raise ValueError("preprocessing removed every item; thresholds too strict for this data")
 
     kept_items = [r for r in dataset.items if r[0] in items]
-    kept_queries = [r for r in dataset.queries if r[0] in queries]
-    kept_tags = [r for r in dataset.tags if r[0] in tags]
+    kept_queries = [r for r in zip(dataset.query_ids, dataset.query_texts) if r[0] in queries]
+    kept_tags = [r for r in zip(dataset.tag_ids, dataset.tag_texts) if r[0] in tags]
 
     counts = {}
     for _, text in kept_queries + kept_items + kept_tags:
@@ -350,13 +358,11 @@ def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
 def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
     """``autodiff.gated_update`` composed of small tape ops, each keeping its output until
     backward: the values and gradient parts, in their order, that the fused op reproduces."""
-    from taggnn import autodiff as ad
-
     fused = ad.add(H, ad.relu(message))
     parts = [ad.matmul(ad.gather_rows(fused, slice(lo, hi)), W) for lo, hi, W in blocks]
     hat = ad.relu(ad.concat(parts) if len(parts) > 1 else parts[0])
     z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, gate_new), ad.matmul(H, gate_old)), gate_bias))
-    updated = ad.add(ad.mul(z, hat), ad.mul(1.0 - z, H))
+    updated = ad.add(ad.mul(z, hat), ad.mul(ad.add(1.0, ad.mul(z, -1.0)), H))
     return ad.where_rows(mask, updated, H)
 
 
@@ -378,7 +384,6 @@ def full_forward(graph, model, dropout_p=0.0, rng=None):
     """``(H, H0)``: every node's final and initial rows, taped, from a forward that runs
     every layer over the whole adjacency; what every item-restricted forward must
     reproduce bit for bit at the rows it reads."""
-    from taggnn import autodiff as ad
     from taggnn.model import propagate_layer
 
     H0 = model.initial_representations(graph)
@@ -393,7 +398,6 @@ def full_forward(graph, model, dropout_p=0.0, rng=None):
 def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
     """``training.combined_loss`` on :func:`full_forward`, the item rows then gathered:
     ``(total, l1, l2)``, which the item-restricted forward must reproduce bit for bit."""
-    from taggnn import autodiff as ad
     from taggnn.training import link_prediction_loss
 
     H, H0 = full_forward(graph, model, **forward_kw)
@@ -408,3 +412,10 @@ def combined_loss_all_items(graph, model, item_indices, labels, **forward_kw):
     l1 = link_prediction_loss(final_items, tags, labels, bias)
     l2 = link_prediction_loss(initial_items, tags, labels, bias)
     return (l1 if model.gamma == 0.0 else l1 + model.gamma * l2), l1, l2
+
+
+def mean(x):
+    """The mean of ``x``'s entries as a tape op: each entry's gradient is ``g / size``."""
+    x = ad._wrap(x)
+    return ad._from_op(np.mean(x.data), "mean", (x,),
+                       (lambda g: np.full_like(x.data, g / x.data.size),))

@@ -145,6 +145,22 @@ def test_bad_data_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_split_rejects_a_comma_in_a_tag_id(workspace, capsys):
+    # splits.tsv joins held-out tags with commas, so such an id could never be read back
+    tmp_path, data = workspace
+    for name in ("tags.tsv", "item_tag_edges.tsv"):
+        path = os.path.join(data, name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("t_game", "t,game"))
+    out = str(tmp_path / "splits.tsv")
+    assert cli_main(["split", "--data", data, "--counts", "4,4,4", "--seed", "0",
+                     "--out", out]) == 1
+    assert capsys.readouterr().err == "error: tags.tsv:1: tag id 't,game' contains ','\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["split", "train"])
 def test_negative_split_count_exits_one(workspace, capsys, command):
     tmp_path, data = workspace

@@ -17,11 +17,17 @@ from taggnn.graph import UNK_ID, UNK_TOKEN, Vocabulary
 import oracle
 
 
+def _tuples(ds):
+    """A dataset's rows as the five lists of tuples the oracle readers return."""
+    return (ds.items, list(zip(ds.query_ids, ds.query_texts)),
+            list(zip(ds.tag_ids, ds.tag_texts)), ds.qi, ds.it)
+
+
 class TestLoadDataset:
     def test_fixture_counts(self, toy_dataset):
         assert len(toy_dataset.items) == 12
-        assert len(toy_dataset.queries) == 8
-        assert len(toy_dataset.tags) == 6
+        assert len(toy_dataset.query_ids) == 8
+        assert len(toy_dataset.tag_ids) == 6
         assert len(toy_dataset.qi) == 23
         assert len(toy_dataset.it) == 36
 
@@ -29,8 +35,9 @@ class TestLoadDataset:
         save_dataset(toy_dataset, tmp_path)
         again = load_dataset(tmp_path)
         assert again.items == toy_dataset.items
-        assert again.queries == toy_dataset.queries
-        assert again.tags == toy_dataset.tags
+        assert (again.query_ids, again.query_texts) == (toy_dataset.query_ids,
+                                                        toy_dataset.query_texts)
+        assert (again.tag_ids, again.tag_texts) == (toy_dataset.tag_ids, toy_dataset.tag_texts)
         assert again.qi == toy_dataset.qi
         assert again.it == toy_dataset.it
 
@@ -71,10 +78,16 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="duplicate ids"):
             load_dataset(tmp_path)
 
+    def test_comma_in_a_tag_id_rejected(self, tmp_path):
+        # splits.tsv separates a completion item's held-out tags with a comma
+        self._write(tmp_path, **{"tags.tsv": "# tags\nt1\tone\n\nt,game\tgame\nt,2\ttwo\n"})
+        with pytest.raises(DataFormatError, match="^tags.tsv:4: tag id 't,game' contains ','$"):
+            load_dataset(tmp_path)
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         self._write(tmp_path, **{"tags.tsv": "# tags\n\nt1\tgamma\n"})
         ds = load_dataset(tmp_path)
-        assert ds.tags == [("t1", "gamma")]
+        assert (ds.tag_ids, ds.tag_texts) == (["t1"], ["gamma"])
 
 
 ITEMS, QUERIES, TAGS = ("i0", "i1", "i2", "i3"), ("q0", "q1", "q2"), ("t0", "t1", "t2", "t3")
@@ -113,10 +126,10 @@ def _file(rows, faults):
     return st.composite(lambda draw: _layout(draw, list(draw(rows)), extras))()
 
 
-def _entity_file(ids):
+def _entity_file(ids, faults=()):
     rows = st.lists(st.tuples(st.booleans(), TEXT), min_size=len(ids), max_size=len(ids)).map(
         lambda drawn: [i if bare else f"{i}\t{text}" for i, (bare, text) in zip(ids, drawn)])
-    return _file(rows, (f"{ids[0]}\tagain", "a\tb\tc"))
+    return _file(rows, (f"{ids[0]}\tagain", "a\tb\tc") + faults)
 
 
 QI_ROW = st.builds(lambda q, i, w: f"{q}\t{i}" if w is None else f"{q}\t{i}\t{w}",
@@ -128,7 +141,7 @@ IT_ROW = st.builds(lambda i, t: f"{i}\t{t}", _ids(ITEMS, "ix"), _ids(TAGS, "tx")
 DATASET_FILES = st.fixed_dictionaries({
     "items.tsv": _entity_file(ITEMS),
     "queries.tsv": _entity_file(QUERIES),
-    "tags.tsv": _entity_file(TAGS),
+    "tags.tsv": _entity_file(TAGS, ("t0,t1\tc", "t,")),
     "query_item_edges.tsv": _file(st.lists(QI_ROW, max_size=6),
                                   (" ", "q0", "q0\ti0\t1\t1", "qx\tix\tx", "q0\tix\t-1")),
     "item_tag_edges.tsv": _file(st.lists(IT_ROW, max_size=10),
@@ -182,7 +195,7 @@ class TestLoaderMatchesPerLineReference:
             want = _outcome(oracle.load_dataset, directory)
             got = _outcome(load_dataset, directory)
         if not isinstance(got, str):
-            got = (got.items, got.queries, got.tags, got.qi, got.it)
+            got = _tuples(got)
         assert got == want
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -209,7 +222,7 @@ class TestLoaderMatchesPerLineReference:
             want = _outcome(oracle.load_splits, path, [(i, "") for i in ITEMS], it)
             got = _outcome(load_splits, path, load_dataset(directory))
         if not isinstance(got, str):
-            got = (got.roles, got.heldout, got.truth, got.known)
+            got = (got.roles, got.truth, got.known)
         assert got == want
 
 
@@ -252,7 +265,7 @@ def _filtered(preprocess, dataset, thresholds):
         out = preprocess(dataset, thresholds)
     except ValueError as exc:
         return f"ValueError: {exc}"
-    return out.items, out.queries, out.tags, out.qi, out.it
+    return _tuples(out)
 
 
 class TestPreprocessFilter:
@@ -283,7 +296,7 @@ class TestPreprocessFilter:
                               min_count=1)
         out = preprocess_filter(ds, th)
         assert [i for i, _ in out.items] == ["strong"]
-        assert [t for t, _ in out.tags] == ["t1", "t2"]
+        assert out.tag_ids == ["t1", "t2"]
 
     def test_rare_words_rewritten_to_unknown_token(self):
         ds = oracle.dataset_from_rows(
@@ -330,7 +343,7 @@ class TestMakeSplits:
     def test_deterministic(self, toy_dataset):
         s1 = make_splits(toy_dataset, (6, 2, 2), seed=7)
         s2 = make_splits(toy_dataset, (6, 2, 2), seed=7)
-        assert s1.roles == s2.roles and s1.heldout == s2.heldout
+        assert (s1.roles, s1.truth, s1.known) == (s2.roles, s2.truth, s2.known)
 
     def test_roles_partition_items(self, toy_dataset):
         s = make_splits(toy_dataset, (8, 2, 2), seed=0)
@@ -366,8 +379,7 @@ class TestMakeSplits:
             (tmp_path / str(n) / "item_tag_edges.tsv").write_text(
                 "".join(lines[:n + 1] + [line] + lines[n + 1:]), encoding="utf-8")
             got = make_splits(load_dataset(tmp_path / str(n)), (4, 4, 4), seed=seed)
-            assert (got.roles, got.heldout, got.truth, got.known) == \
-                   (want.roles, want.heldout, want.truth, want.known), line
+            assert (got.roles, got.truth, got.known) == (want.roles, want.truth, want.known), line
 
     @pytest.mark.parametrize("counts, name", [((10, -4, 2), "val=-4"), ((-1, 2, 2), "train=-1"),
                                               ((4, 2, -2), "test=-2")])
@@ -379,17 +391,17 @@ class TestMakeSplits:
 
 class TestMaskCompletionTags:
     def test_three_tags(self):
-        known, held = mask_completion_tags({"a", "b", "c"}, 0)
+        known, held = mask_completion_tags({"a", "b", "c"}, np.random.default_rng(0))
         assert len(held) == 2 and len(known) == 1
         assert held | known == {"a", "b", "c"} and not held & known
 
     def test_same_seed_identical(self):
-        assert mask_completion_tags({"a", "b", "c", "d"}, 42) == \
-               mask_completion_tags({"a", "b", "c", "d"}, 42)
+        assert mask_completion_tags({"a", "b", "c", "d"}, np.random.default_rng(42)) == \
+               mask_completion_tags({"a", "b", "c", "d"}, np.random.default_rng(42))
 
     def test_too_few_tags(self):
         with pytest.raises(ValueError, match=">= 3"):
-            mask_completion_tags({"a", "b"}, 0)
+            mask_completion_tags({"a", "b"}, np.random.default_rng(0))
 
     def test_two_subsets_drawn_uniformly(self):
         rng = np.random.default_rng(123)
@@ -402,6 +414,19 @@ class TestMaskCompletionTags:
             assert abs(n / trials - 1 / 6) < 0.02, (held, n)
 
 
+class TestSplitAssignment:
+    @pytest.mark.parametrize("fields, message", [
+        ({"roles": {"i": "bogus"}}, "unknown role 'bogus' for item 'i'"),
+        ({"roles": {"i": "test_comp"}, "truth": {"i": frozenset("ab")},
+          "known": {"i": frozenset("bc")}}, "held-out and known tags overlap for item 'i'"),
+        ({"roles": {"i": "test_comp"}, "known": {"i": frozenset("c")}},
+         "completion item 'i' has no held-out tags"),
+    ])
+    def test_inconsistent_assignment_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dm.SplitAssignment(**fields)
+
+
 class TestSplitsRoundtrip:
     def test_save_load_lossless(self, toy_dataset, tmp_path):
         splits = make_splits(toy_dataset, (8, 2, 2), seed=5)
@@ -409,7 +434,6 @@ class TestSplitsRoundtrip:
         save_splits(splits, path)
         again = load_splits(path, toy_dataset)
         assert again.roles == splits.roles
-        assert again.heldout == splits.heldout
         assert again.truth == splits.truth
         assert again.known == splits.known
 
@@ -430,7 +454,7 @@ class TestGraphMasking:
             if role in dm.FULL_ROLES:
                 assert visible == set()
             elif role in dm.COMPLETION_ROLES:
-                held = {tag_pos[t] for t in splits.heldout[item_id]}
+                held = {tag_pos[t] for t in splits.truth[item_id]}
                 known = {tag_pos[t] for t in splits.known[item_id]}
                 assert visible == known and not visible & held
             else:

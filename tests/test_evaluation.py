@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from taggnn import autodiff as ad
 from taggnn import evaluation
 from taggnn.autodiff import NumericalError, Tensor
-from taggnn.baseline import BaselineModel
+from taggnn.baseline import MODES, BaselineModel
+from taggnn.data import RawDataset, SplitAssignment, dataset_to_graph
 from taggnn.evaluation import (Predictor, evaluate, item_rows, precision_at_k, rank_topk,
                                report_to_json, subset_precision)
-from taggnn.graph import build_graph
+from taggnn.graph import Vocabulary, build_graph
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.training import TrainConfig, train
 
@@ -320,8 +321,8 @@ class TestEvaluate:
         dataset, splits, vocab, graph = toy_setup
         tag_pos = {t: n for n, t in enumerate(graph.tag_ids)}
         labels = np.zeros((graph.n_items, graph.n_tags))
-        for item_id in splits.heldout:
-            for t in splits.heldout[item_id]:
+        for item_id in splits.known:
+            for t in splits.truth[item_id]:     # a completion item's truth is its held-out pair
                 labels[dataset.item_index[item_id], tag_pos[t]] = 1.0
         oracle = _StubPredictor(labels)
         out = subset_precision(oracle, graph, splits, roles=("test_comp",), ks=(5,))
@@ -387,6 +388,74 @@ class TestEvaluate:
         for section in ("without_tags", "partial_tags"):
             assert set(r1[section]) == {"p@1", "p@3", "p@5", "items"}
         assert r1["meta"]["config_hash"] == cfg.sha256()
+
+
+@st.composite
+def completion_case(draw):
+    """A small random dataset, its split with at least one ``test_comp`` item, a
+    ``qi`` model or a baseline of random parameters, and the ``k`` to rank with."""
+    n_items, n_tags, n_queries = draw(st.integers(1, 6)), draw(st.integers(3, 7)), draw(
+        st.integers(0, 3))
+    text = st.lists(st.sampled_from(("w0", "w1", "w2", "w3")), max_size=3).map(" ".join)
+    tags_of = [sorted(draw(st.sets(st.integers(0, n_tags - 1), max_size=n_tags)))
+               for _ in range(n_items)]
+    tags_of[0] = sorted(set(tags_of[0]) | {0, 1, 2})  # item 0 can always be a completion item
+    qi = draw(st.lists(st.tuples(st.integers(0, n_queries - 1), st.integers(0, n_items - 1),
+                                 st.integers(0, 5)), max_size=8)) if n_queries else []
+    ds = RawDataset([f"i{n}" for n in range(n_items)], [draw(text) for _ in range(n_items)],
+                    [f"q{m}" for m in range(n_queries)], [draw(text) for _ in range(n_queries)],
+                    [f"t{j}" for j in range(n_tags)], [draw(text) for _ in range(n_tags)],
+                    [q for q, _, _ in qi], [i for _, i, _ in qi], [float(w) for _, _, w in qi],
+                    [n for n, tags in enumerate(tags_of) for _ in tags],
+                    [t for tags in tags_of for t in tags])
+    roles, truth, known = {}, {}, {}
+    for n, tags in enumerate(tags_of):
+        item_id, ids = f"i{n}", [f"t{j}" for j in tags]
+        roles[item_id] = "test_comp" if n == 0 else draw(st.sampled_from(
+            ("train", "test_full", "test_comp")[:1 + (len(ids) >= 1) + (len(ids) >= 3)]))
+        if roles[item_id] == "test_comp":
+            held = draw(st.permutations(ids))[:2]
+            truth[item_id], known[item_id] = frozenset(held), frozenset(ids) - frozenset(held)
+        elif roles[item_id] == "test_full":
+            truth[item_id] = frozenset(ids)
+    splits = SplitAssignment(roles=roles, truth=truth, known=known)
+    vocab = Vocabulary.from_texts(ds.texts())
+    graph = dataset_to_graph(ds, vocab, splits=splits)
+    if draw(st.booleans()):
+        model = TagGNNModel.init(len(vocab), n_tags, 4,
+                                 ModelVariant(kind="qi", n_layers=draw(st.integers(0, 2))),
+                                 rng=np.random.default_rng(draw(st.integers(0, 99))))
+    else:
+        model = _baseline(graph, len(vocab), dim=4, seed=draw(st.integers(0, 99)))
+        model.mode = draw(st.sampled_from(MODES))
+    return graph, splits, model, draw(st.integers(1, n_tags))
+
+
+class TestKnownTagsNeverRanked:
+    """For the models that read no item-tag edge (``qi`` and the baselines), only the
+    ranking keeps a completion item's known tags out of its top K."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=completion_case())
+    def test_known_tags_never_appear_in_a_completion_ranking(self, case):
+        graph, splits, model, k = case
+        rankings = []
+
+        def recording(scores, k, exclude=()):
+            ranked = rank_topk(scores, k, exclude)
+            rankings.extend(ranked)
+            return ranked
+
+        with mock.patch.object(evaluation, "rank_topk", recording):
+            subset_precision(model, graph, splits, roles=("test_comp",), ks=(k,))
+        rows = item_rows(graph, splits, ("test_comp",))
+        assert len(rankings) == len(rows) >= 1
+        for row, ranked in zip(rows, rankings):
+            known = splits.known[graph.item_ids[row]]
+            ranked_ids = [graph.tag_ids[t] for t in ranked]
+            assert not set(ranked_ids) & known
+            # every other tag is a candidate: the list is as long as they allow
+            assert len(set(ranked_ids)) == len(ranked_ids) == min(k, graph.n_tags - len(known))
 
 
 def test_reproduces_golden_report(toydata_dir):

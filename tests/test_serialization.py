@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from taggnn.cli import cli_main
-from taggnn.data import save_splits
+from taggnn.data import build_vocabulary, load_dataset, make_splits, save_splits
 from taggnn.evaluation import Predictor
 from taggnn.model import ModelVariant, TagGNNModel
 from taggnn.serialization import load_model, save_model
@@ -254,6 +254,10 @@ WRONG_TYPES = {
                          "variant.use_tag_ids"),
     "heterogeneous_no": ("manifest.json", lambda m: m["variant"].update(heterogeneous="no"),
                          "variant.heterogeneous"),
+    "tags_one_short": ("manifest.json", lambda m: m["tags"].pop(), "tags"),
+    "tags_one_extra": ("manifest.json", lambda m: m["tags"].append("t_extra"), "tags"),
+    "tag_not_a_string": ("manifest.json", lambda m: m["tags"].__setitem__(0, 7), "tags"),
+    "tags_an_object": ("manifest.json", lambda m: m.update(tags={}), "tags"),
 }
 
 
@@ -273,3 +277,27 @@ def test_wrong_json_type_exits_one_naming_the_file(toy_setup, toydata_dir, tmp_p
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name} {key} must be ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_tags_shorter_than_n_tags_exit_one(toydata_dir, tmp_path, capsys, command):
+    # a qi model of six tags whose manifest names five, over a dataset of those five:
+    # the names match the dataset, but a sixth score column names no tag
+    data = tmp_path / "data"
+    os.makedirs(data)
+    for name in os.listdir(toydata_dir):
+        with open(os.path.join(toydata_dir, name), encoding="utf-8") as fh:
+            lines = [line for line in fh if "t_news" not in line]
+        (data / name).write_text("".join(lines), encoding="utf-8")
+    dataset = load_dataset(data)
+    vocab = build_vocabulary(dataset, min_count=1)
+    variant = ModelVariant(kind="qi", use_tag_names=False, use_tag_ids=False, n_layers=1)
+    model = TagGNNModel.init(len(vocab), len(dataset.tag_ids) + 1, 4, variant)
+    model_dir = tmp_path / "model"
+    save_model(model, vocab, model_dir, dataset.tag_ids)
+    save_splits(make_splits(dataset, (8, 2, 2), seed=4), model_dir / "splits.tsv")
+    extra = ["--item-id", dataset.item_ids[0], "--k", "6"] if command == "predict" else []
+    assert cli_main([command, "--model", str(model_dir), "--data", str(data), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: manifest.json tags must be a list of n_tags = 6 strings\n"

@@ -1,10 +1,12 @@
 """The synthetic generators against recorded digests of what they built.
 
 ``tests/golden/synthetic_datasets.json`` holds, for each generator at its
-defaults, the sha256 of ``repr`` of the dataset's five tuple views and of its
-split (frozensets as sorted lists, so the digest does not depend on string
-hashing), and for ``gradcheck_instance`` the digests of its graph's edge
-arrays and of its token patterns' rows as lists.  Run this file as a script to print the digests.
+defaults, the sha256 of ``repr`` of the dataset's rows as five lists of tuples
+(items, queries, tags, query-item and item-tag edges) and of its split
+(roles, held-out pairs, truth and known tags, frozensets as sorted lists, so
+the digest does not depend on string hashing), and for ``gradcheck_instance``
+the digests of its graph's edge arrays and of its token patterns' rows as
+lists.  Run this file as a script to print the digests.
 """
 
 import hashlib
@@ -34,8 +36,10 @@ def digests():
     for name in GENERATORS:
         ds, splits = getattr(synthetic, name)()
         out[name] = {
-            "dataset": _sha((ds.items, ds.queries, ds.tags, ds.qi, ds.it)),
-            "splits": _sha((splits.roles, _sorted_sets(splits.heldout),
+            "dataset": _sha((ds.items, list(zip(ds.query_ids, ds.query_texts)),
+                             list(zip(ds.tag_ids, ds.tag_texts)), ds.qi, ds.it)),
+            # the held-out pairs, recorded as their own dict: each completion item's truth
+            "splits": _sha((splits.roles, {i: sorted(splits.truth[i]) for i in splits.known},
                             _sorted_sets(splits.truth), _sorted_sets(splits.known))),
         }
     graph = synthetic.gradcheck_instance()[0]

@@ -285,7 +285,7 @@ class TestTrainLoop:
         model = Model()
 
         def poisoned(*args, **kwargs):
-            loss = ad.mul(ad.mean(ad.mul(model.p, np.full(4, 1.5e308))), 4.0)
+            loss = ad.mul(oracle.mean(ad.mul(model.p, np.full(4, 1.5e308))), 4.0)
             return loss, loss, loss
 
         _, splits, _, graph = _toy_training_setup()
