@@ -737,9 +737,9 @@ def finite_difference_check(loss_fn, params, eps=1e-5, analytic=None):
         for i in range(p.data.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = float(loss_fn().data)
+            f_plus = loss_fn().data.item()   # any one-entry shape, as backward takes
             flat[i] = orig - eps
-            f_minus = float(loss_fn().data)
+            f_minus = loss_fn().data.item()
             flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise FloatingPointError("non-finite loss in gradient check")

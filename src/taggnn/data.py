@@ -10,11 +10,12 @@ are never hidden.
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, repeat
 
 import numpy as np
 
-from .graph import UNK_TOKEN, Vocabulary, build_graph, distinct_pairs
+from .graph import UNK_TOKEN, Vocabulary, build_graph, check_rows, distinct_pairs
 
 DATASET_FILES = {
     "items": "items.tsv",
@@ -103,12 +104,12 @@ def _rows(index, keys):
 
 
 def _read_table(path, min_cols, max_cols, pad=""):
-    """A TSV file's data lines as ``max_cols`` column lists, with their line numbers.
+    """A TSV file's checker and its data lines as ``max_cols`` column lists.
 
     The file is read whole and split once on tabs; blank and ``#`` lines are
     skipped.  A line short of ``max_cols`` columns (by the one optional
     column every table here has at most) gets ``pad`` appended first.
-    Returns the file name, the 1-based line numbers and the columns.
+    ``check`` is :func:`graph.check_rows` over them, raising ``file:line`` errors.
     """
     name = os.path.basename(path)
     with open(path, encoding="utf-8") as fh:
@@ -121,32 +122,15 @@ def _read_table(path, min_cols, max_cols, pad=""):
         lines = [lines[n - 1] for n in linenos]
     else:
         linenos = range(1, len(lines) + 1)
+    check = partial(check_rows, error=DataFormatError, where=lambda n: f"{name}:{linenos[n]}: ")
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
-    bad = (tabs < min_cols - 1) | (tabs > max_cols - 1)
-    if bad.any():
-        n = int(bad.argmax())
-        raise DataFormatError(f"{name}:{linenos[n]}: expected {min_cols}-{max_cols} "
-                              f"tab-separated columns, got {tabs[n] + 1}")
+    check([((tabs < min_cols - 1) | (tabs > max_cols - 1), lambda n: (
+        f"expected {min_cols}-{max_cols} tab-separated columns, got {tabs[n] + 1}"))])
     short = tabs < max_cols - 1
     if short.any():
         lines = [line + pad if s else line for line, s in zip(lines, short.tolist())]
     fields = "\t".join(lines).split("\t") if lines else []
-    return name, linenos, [fields[c::max_cols] for c in range(max_cols)]
-
-
-def _raise_first_failure(name, linenos, checks):
-    """Raise for the first line, in file order, that fails one of ``checks``.
-
-    Each check maps a row to an error message, or to a false value when the
-    row passes; a line's checks run in the given order.  Called only once a
-    bulk check has failed, so that the message names the line a per-line
-    reader would stop at.
-    """
-    for n, lineno in enumerate(linenos):
-        for check in checks:
-            message = check(n)
-            if message:
-                raise DataFormatError(f"{name}:{lineno}: {message}")
+    return check, [fields[c::max_cols] for c in range(max_cols)]
 
 
 def _weight(text):
@@ -159,13 +143,13 @@ def _weight(text):
 def load_dataset(directory):
     """Read and validate the five dataset files from ``directory``.
 
-    Columns are validated in bulk.  When a check fails, the error names the
-    first failing line and the first of its checks that fails, in the order
-    listed here per file: column count, then for tags a ``,`` in the id (the
-    held-out tag separator of ``splits.tsv``), for query-item edges unknown
-    query, unknown item, unparsable weight, negative or non-finite weight,
-    and for item-tag edges unknown item, unknown tag.  Duplicate node ids are
-    reported last.
+    Each file's checks form one ordered list of column masks; the error names
+    the first failing line and the first of its checks that fails, in the
+    order listed here per file: column count, then for tags a ``,`` in the
+    id (the held-out tag separator of ``splits.tsv``), for query-item edges
+    unknown query, unknown item, unparsable weight, negative or non-finite
+    weight, and for item-tag edges unknown item, unknown tag.  Duplicate
+    node ids are reported last.
     """
     paths = {k: os.path.join(directory, v) for k, v in DATASET_FILES.items()}
     for k, p in paths.items():
@@ -173,35 +157,29 @@ def load_dataset(directory):
             raise DataFormatError(f"missing dataset file {DATASET_FILES[k]} in {directory}")
 
     # an entity line without its text column gets an empty text
-    item_ids, item_texts = _read_table(paths["items"], 1, 2, pad="\t")[2]
-    query_ids, query_texts = _read_table(paths["queries"], 1, 2, pad="\t")[2]
-    name, linenos, (tag_ids, tag_texts) = _read_table(paths["tags"], 1, 2, pad="\t")
-    if "," in "".join(tag_ids):
-        _raise_first_failure(name, linenos, (
-            lambda n: "," in tag_ids[n] and f"tag id '{tag_ids[n]}' contains ','",))
+    item_ids, item_texts = _read_table(paths["items"], 1, 2, pad="\t")[1]
+    query_ids, query_texts = _read_table(paths["queries"], 1, 2, pad="\t")[1]
+    check, (tag_ids, tag_texts) = _read_table(paths["tags"], 1, 2, pad="\t")
+    check([(np.array(["," in t for t in tag_ids], dtype=bool),
+            lambda n: f"tag id '{tag_ids[n]}' contains ','")])
     item_index, query_index, tag_index = _index(item_ids), _index(query_ids), _index(tag_ids)
 
     # a missing weight column defaults to 1
-    name, linenos, (q, i, w) = _read_table(paths["qi"], 2, 3, pad="\t1.0")
+    check, (q, i, w) = _read_table(paths["qi"], 2, 3, pad="\t1.0")
     qi_query, qi_item = _rows(query_index, q), _rows(item_index, i)
     try:
         qi_weight = np.fromiter(map(float, w), dtype=np.float64, count=len(w))
-        bad_weights = not ((0 <= qi_weight) & (qi_weight < np.inf)).all()
-    except ValueError:
-        bad_weights = True
-    if bad_weights or (qi_query < 0).any() or (qi_item < 0).any():
-        _raise_first_failure(name, linenos, (
-            lambda n: q[n] not in query_index and f"unknown query '{q[n]}'",
-            lambda n: i[n] not in item_index and f"unknown item '{i[n]}'",
-            lambda n: _weight(w[n]) is None and f"bad weight '{w[n]}'",
-            lambda n: not 0 <= float(w[n]) < np.inf and "weight must be finite and >= 0"))
+    except ValueError:   # NaN, from None, where a weight does not parse
+        qi_weight = np.array(list(map(_weight, w)), dtype=np.float64)
+    check([(qi_query < 0, lambda n: f"unknown query '{q[n]}'"),
+           (qi_item < 0, lambda n: f"unknown item '{i[n]}'"),
+           (~((0 <= qi_weight) & (qi_weight < np.inf)), lambda n: f"bad weight '{w[n]}'"
+            if _weight(w[n]) is None else "weight must be finite and >= 0")])
 
-    name, linenos, (i, t) = _read_table(paths["it"], 2, 2)
+    check, (i, t) = _read_table(paths["it"], 2, 2)
     it_item, it_tag = _rows(item_index, i), _rows(tag_index, t)
-    if (it_item < 0).any() or (it_tag < 0).any():
-        _raise_first_failure(name, linenos, (
-            lambda n: i[n] not in item_index and f"unknown item '{i[n]}'",
-            lambda n: t[n] not in tag_index and f"unknown tag '{t[n]}'"))
+    check([(it_item < 0, lambda n: f"unknown item '{i[n]}'"),
+           (it_tag < 0, lambda n: f"unknown tag '{t[n]}'")])
 
     return RawDataset(item_ids, item_texts, query_ids, query_texts, tag_ids, tag_texts,
                       qi_query, qi_item, qi_weight, it_item, it_tag)
@@ -380,75 +358,67 @@ def save_splits(splits, path):
 def load_splits(path, dataset):
     """Rebuild a SplitAssignment from splits.tsv plus the dataset's tag sets.
 
-    Validated in bulk like :func:`load_dataset`; a failure names the first
-    failing line and the first of its checks that fails: column count,
-    unknown item, unknown role, repeated item, then for completion roles a
-    missing, not-two or not-linked held-out tag pair, for full roles no tags.
+    The checks form one ordered list of line masks, as in :func:`load_dataset`;
+    a failure names the first failing line and the first of its checks that
+    fails: column count, unknown item, unknown role, repeated item, then for
+    completion roles a missing, not-two or not-linked held-out tag pair, or
+    one that leaves no known tag, then no tags at all for any evaluation role.
     """
-    name, linenos, (items, roles, held) = _read_table(path, 2, 3, pad="\t")
-    index, tags_of = dataset.item_index, dataset._tags_by_item()
-    role_of = dict(zip(items, roles))
-    held_pairs = {items[n]: frozenset(held[n].split(","))
-               for n, role in enumerate(roles) if role in COMPLETION_ROLES}
-    valid = (len(role_of) == len(items) and role_of.keys() <= index.keys()
-             and set(roles) <= set(ROLES))
-    if valid:
-        # the linked tags of every evaluation item
-        linked = {i: frozenset(tags_of[index[i]]) for i, role in role_of.items()
-                  if role != "train"}
-        valid = (all(len(h) == 2 and h <= linked[i] for i, h in held_pairs.items())
-                 and all(linked[i] for i, role in role_of.items() if role in FULL_ROLES))
-    if not valid:
-        first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
-        needs_pair = [role in COMPLETION_ROLES for role in roles]
-        _raise_first_failure(name, linenos, (
-            lambda n: items[n] not in index and f"unknown item '{items[n]}'",
-            lambda n: roles[n] not in ROLES and f"unknown role '{roles[n]}'",
-            lambda n: first[items[n]] < n and f"duplicate item '{items[n]}'",
-            lambda n: needs_pair[n] and not held[n] and "completion role needs held-out tags",
-            lambda n: needs_pair[n] and len(frozenset(held[n].split(","))) != 2
-            and "exactly two held-out tags required",
-            lambda n: needs_pair[n]
-            and not frozenset(held[n].split(",")) <= frozenset(tags_of[index[items[n]]])
-            and "held-out tags not linked to item",
-            lambda n: roles[n] in FULL_ROLES and not tags_of[index[items[n]]]
-            and f"item '{items[n]}' has no tags; cannot evaluate it"))
-    return SplitAssignment(roles=role_of,
-                           truth={i: held_pairs.get(i, tags) for i, tags in linked.items()},
-                           known={i: linked[i] - h for i, h in held_pairs.items()})
+    check, (items, roles, held) = _read_table(path, 2, 3, pad="\t")
+    rows = _rows(dataset.item_index, items)
+    role = _rows(_index(ROLES), roles)                     # -1 for an unknown role
+    repeated = np.ones(len(items), dtype=bool)
+    repeated[np.unique(rows, return_index=True)[1]] = False
+    evaluation = (rows >= 0) & (role > 0)
+    evaluated = np.flatnonzero(evaluation).tolist()
+    tags_of = dataset._tags_by_item()
+    linked = {n: frozenset(tags_of[r]) for n, r in zip(evaluated, rows[evaluated].tolist())}
+    pairs = {n: frozenset(held[n].split(",")) for n in evaluated if roles[n] in COMPLETION_ROLES}
+
+    def failing(fails):                      # a mask over the completion lines
+        mask = np.zeros(len(items), dtype=bool)
+        mask[list(pairs)] = [fails(n) for n in pairs]
+        return mask
+
+    check([
+        (rows < 0, lambda n: f"unknown item '{items[n]}'"),
+        (role < 0, lambda n: f"unknown role '{roles[n]}'"),
+        (repeated, lambda n: f"duplicate item '{items[n]}'"),
+        (failing(lambda n: not held[n]), lambda n: "completion role needs held-out tags"),
+        (failing(lambda n: len(pairs[n]) != 2), lambda n: "exactly two held-out tags required"),
+        (failing(lambda n: not pairs[n] <= linked[n]),
+         lambda n: "held-out tags not linked to item"),
+        (failing(lambda n: pairs[n] == linked[n]),
+         lambda n: f"item '{items[n]}' keeps no known tag; completion needs >= 3 tags"),
+        (evaluation & ~np.isin(rows, dataset.it_item),
+         lambda n: f"item '{items[n]}' has no tags; cannot evaluate it")])
+    return SplitAssignment(roles=dict(zip(items, roles)),
+                           truth={items[n]: pairs.get(n, linked[n]) for n in evaluated},
+                           known={items[n]: linked[n] - pair for n, pair in pairs.items()})
 
 
-def _hidden_tag_edges(dataset, splits, include_known_tags):
-    """Mask over the dataset's item-tag edges of those the split roles hide."""
-    role = np.zeros(len(dataset.item_ids), dtype=np.int8)   # 0 visible, 1 full, 2 completion
-    rows = _rows(dataset.item_index, list(splits.roles))
-    codes = np.fromiter((1 if r in FULL_ROLES else 2 if r in COMPLETION_ROLES else 0
-                         for r in splits.roles.values()), dtype=np.int8, count=len(rows))
-    role[rows[rows >= 0]] = codes[rows >= 0]
-    edge_role = role[dataset.it_item]
-    if not include_known_tags:
-        return edge_role > 0
-    pairs = [splits.truth[i] for i in splits.known]   # each completion item's held-out pair
-    held_item = _rows(dataset.item_index, [i for i, tags in zip(splits.known, pairs) for _ in tags])
-    held_tag = _rows(dataset.tag_index, [t for tags in pairs for t in tags])
+def _hidden_tag_edges(dataset, splits):
+    """Mask over the dataset's item-tag edges of those the split roles hide: every
+    edge of a full-prediction item, and each completion item's held-out pair."""
+    full = _rows(dataset.item_index, [i for i, r in splits.roles.items() if r in FULL_ROLES])
+    pairs = [(i, t) for i in splits.known for t in splits.truth[i]]
+    held_item = _rows(dataset.item_index, [i for i, _ in pairs])
+    held_tag = _rows(dataset.tag_index, [t for _, t in pairs])
     linked = (held_item >= 0) & (held_tag >= 0)
     n_tags = len(dataset.tag_ids)
-    held = np.isin(dataset.it_item * n_tags + dataset.it_tag,
-                   held_item[linked] * n_tags + held_tag[linked])
-    return (edge_role == 1) | ((edge_role == 2) & held)
+    return np.isin(dataset.it_item, full) | np.isin(dataset.it_item * n_tags + dataset.it_tag,
+                                                    held_item[linked] * n_tags + held_tag[linked])
 
 
-def dataset_to_graph(dataset, vocab, splits=None, include_known_tags=True):
+def dataset_to_graph(dataset, vocab, splits=None):
     """Tokenize and assemble the graph, hiding evaluation items' target tag edges.
 
     Full-prediction items lose all their tag edges; completion items lose the
-    held-out pair (and, with ``include_known_tags=False``, the known ones too,
-    which is the degraded condition for measuring how much visible tags help).
-    Query edges always stay.
+    held-out pair.  Query edges always stay.
     """
     it_item, it_tag = dataset.it_item, dataset.it_tag
     if splits is not None:
-        visible = ~_hidden_tag_edges(dataset, splits, include_known_tags)
+        visible = ~_hidden_tag_edges(dataset, splits)
         it_item, it_tag = it_item[visible], it_tag[visible]
     return build_graph(vocab.encode_texts(dataset.query_texts),
                        vocab.encode_texts(dataset.item_texts),

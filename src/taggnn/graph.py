@@ -101,6 +101,21 @@ def distinct_pairs(a, b, n_b):
     return np.divmod(np.unique(a * n_b + b), max(n_b, 1))
 
 
+def check_rows(checks, error=ValueError, where=lambda n: ""):
+    """Raise ``error`` for the first row failing one of ``checks``, an ordered list of
+    ``(mask of failing rows, row -> message)`` pairs; a row reports the first check
+    it fails, its message prefixed with ``where(row)``."""
+    hits = [(int(failing.argmax()), k) for k, (failing, _) in enumerate(checks) if failing.any()]
+    if hits:
+        n, k = min(hits)
+        raise error(where(n) + checks[k][1](n))
+
+
+def _whole(x):
+    """Mask of the entries of a float array that are finite whole numbers."""
+    return np.isfinite(x) & (x == np.floor(x))
+
+
 class TripartiteGraph:
     """Undirected tripartite graph over query, item and tag nodes.
 
@@ -123,16 +138,17 @@ class TripartiteGraph:
         self.tag_ids = list(tag_ids) if tag_ids is not None else [str(i) for i in range(nt)]
 
         qi = np.asarray(qi_edges, dtype=np.float64).reshape(-1, 3)
-        q, i, w = qi[:, 0], qi[:, 1], qi[:, 2]
-        bad = (q < 0) | (q >= nq) | (i < 0) | (i >= ni) | (w < 0)
-        if bad.any():
-            n = int(bad.argmax())
-            q, i, w = int(q[n]), int(i[n]), float(w[n])
-            if not 0 <= q < nq:
-                raise ValueError(f"query-item edge references unknown query index {q}")
-            if not 0 <= i < ni:
-                raise ValueError(f"query-item edge references unknown item index {i}")
-            raise ValueError(f"negative edge weight {w} on query-item edge ({q}, {i})")
+        q, i, w = qi.T
+        check_rows([
+            (~(_whole(q) & _whole(i)), lambda n: f"query-item edge {tuple(qi[n].tolist())} "
+                                                 "has an index that is not an integer"),
+            ((q < 0) | (q >= nq),
+             lambda n: f"query-item edge references unknown query index {int(q[n])}"),
+            ((i < 0) | (i >= ni),
+             lambda n: f"query-item edge references unknown item index {int(i[n])}"),
+            (~((0 <= w) & (w < np.inf)), lambda n: (
+                f"{'negative' if w[n] < 0 else 'non-finite'} edge weight {w[n]} "
+                f"on query-item edge ({int(q[n])}, {int(i[n])})"))])
         keys, inverse = np.unique(q.astype(np.int64) * ni + i.astype(np.int64),
                                   return_inverse=True)
         self.qi_query, self.qi_item = np.divmod(keys, max(ni, 1))
@@ -140,15 +156,16 @@ class TripartiteGraph:
         # with no edges it returns int64
         self.qi_weight = np.bincount(inverse, weights=w, minlength=len(keys)).astype(np.float64)
 
-        it = np.asarray(it_edges, dtype=np.int64).reshape(-1, 2)
-        i, t = it[:, 0], it[:, 1]
-        bad = (i < 0) | (i >= ni) | (t < 0) | (t >= nt)
-        if bad.any():
-            i, t = (int(x) for x in it[bad.argmax()])
-            if not 0 <= i < ni:
-                raise ValueError(f"item-tag edge references unknown item index {i}")
-            raise ValueError(f"item-tag edge references unknown tag index {t}")
-        self.it_item, self.it_tag = distinct_pairs(i, t, nt)
+        it = np.asarray(it_edges, dtype=np.float64).reshape(-1, 2)
+        item, tag = it.T
+        check_rows([
+            (~(_whole(item) & _whole(tag)), lambda n: f"item-tag edge {tuple(it[n].tolist())} "
+                                                      "has an index that is not an integer"),
+            ((item < 0) | (item >= ni),
+             lambda n: f"item-tag edge references unknown item index {int(item[n])}"),
+            ((tag < 0) | (tag >= nt),
+             lambda n: f"item-tag edge references unknown tag index {int(tag[n])}")])
+        self.it_item, self.it_tag = distinct_pairs(item.astype(np.int64), tag.astype(np.int64), nt)
 
         self._pack_cache = {}
         self.standardize_weights()
@@ -195,8 +212,9 @@ def build_graph(queries, items, tags, qi_edges, it_edges,
     given.  ``qi_edges`` is an (E, 3) array-like of (query, item, weight)
     rows and ``it_edges`` an (E, 2) one of (item, tag) rows; lists of tuples
     work.  Duplicate query-item edges are merged with their weights summed in
-    input order; duplicate item-tag edges collapse to one.  Dangling indices
-    and negative weights raise, naming the first offending edge.
+    input order; duplicate item-tag edges collapse to one.  Indices that are
+    not whole numbers or dangle, and weights that are negative or not
+    finite, raise ``ValueError`` naming the first offending edge.
     """
     return TripartiteGraph(queries, items, tags, qi_edges, it_edges,
                            query_ids=query_ids, item_ids=item_ids, tag_ids=tag_ids)

@@ -46,8 +46,11 @@ def save_model(model, vocab, directory, tag_ids, meta=None):
     Every file is first written under a temporary name in the directory, and
     only when all are written is each renamed into place, ``manifest.json``
     last.  A write that fails removes the temporary files and leaves the
-    directory as it was.
+    directory as it was; ``tag_ids`` not ``n_tags`` strings raise ``ValueError`` first.
     """
+    tags, n_tags = list(tag_ids), model.embeddings.tag_ids.data.shape[0]
+    if len(tags) != n_tags or not all(isinstance(t, str) for t in tags):
+        raise ValueError(f"tag_ids must be n_tags = {n_tags} strings, got {len(tags)} ids")
     os.makedirs(directory, exist_ok=True)
     tensors, _ = _tensor_table(model)
     variant = {k: getattr(model.variant, k) for k in VARIANT_KEYS}
@@ -59,8 +62,8 @@ def save_model(model, vocab, directory, tag_ids, meta=None):
         "gamma": model.gamma,
         "variant": variant,
         "n_words": model.embeddings.words.data.shape[0],
-        "n_tags": model.embeddings.tag_ids.data.shape[0],
-        "tags": list(tag_ids),
+        "n_tags": n_tags,
+        "tags": tags,
         "vocab_sha256": vocab.sha256(),
         "params_sha256": _params_sha256(blob, variant),
         "meta": dict(meta or {}),

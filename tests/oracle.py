@@ -208,6 +208,9 @@ def load_splits(path, items, it):
                 raise DataFormatError(f"{name}:{lineno}: exactly two held-out tags required")
             if not held <= tag_map[item_id]:
                 raise DataFormatError(f"{name}:{lineno}: held-out tags not linked to item")
+            if held == tag_map[item_id]:
+                raise DataFormatError(f"{name}:{lineno}: item '{item_id}' keeps no known tag; "
+                                      "completion needs >= 3 tags")
             known[item_id] = frozenset(tag_map[item_id]) - held
             truth[item_id] = held
         elif role in FULL_ROLES:
@@ -291,6 +294,11 @@ def preprocess_filter(dataset, thresholds=None):
     )
 
 
+def _whole(x):
+    """Whether the float ``x`` is a finite whole number."""
+    return np.isfinite(x) and x == int(x)
+
+
 def build_edges(nq, ni, nt, qi_edges, it_edges):
     """The graph's ``qi_query``/``qi_item``/``qi_weight``/``it_item``/``it_tag``, by
     a dict merge of the edges in input order and a ``sorted`` of its keys.
@@ -299,19 +307,30 @@ def build_edges(nq, ni, nt, qi_edges, it_edges):
     """
     merged = {}
     for q, i, w in qi_edges:
+        q, i, w = float(q), float(i), float(w)
+        if not (_whole(q) and _whole(i)):
+            raise ValueError(f"query-item edge ({q}, {i}, {w}) has an index that is not an "
+                             "integer")
+        q, i = int(q), int(i)
         if not 0 <= q < nq:
             raise ValueError(f"query-item edge references unknown query index {q}")
         if not 0 <= i < ni:
             raise ValueError(f"query-item edge references unknown item index {i}")
         if w < 0:
             raise ValueError(f"negative edge weight {w} on query-item edge ({q}, {i})")
-        merged[(q, i)] = merged.get((q, i), 0.0) + float(w)
+        if not np.isfinite(w):
+            raise ValueError(f"non-finite edge weight {w} on query-item edge ({q}, {i})")
+        merged[(q, i)] = merged.get((q, i), 0.0) + w
     keys = sorted(merged)
     out = {"qi_query": np.array([k[0] for k in keys], dtype=np.int64),
            "qi_item": np.array([k[1] for k in keys], dtype=np.int64),
            "qi_weight": np.array([merged[k] for k in keys], dtype=np.float64)}
     seen = set()
     for i, t in it_edges:
+        i, t = float(i), float(t)
+        if not (_whole(i) and _whole(t)):
+            raise ValueError(f"item-tag edge ({i}, {t}) has an index that is not an integer")
+        i, t = int(i), int(t)
         if not 0 <= i < ni:
             raise ValueError(f"item-tag edge references unknown item index {i}")
         if not 0 <= t < nt:

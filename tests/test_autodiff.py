@@ -472,6 +472,18 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(FloatingPointError):
             ad.finite_difference_check(lambda: ad.mul(x, 1.0), [x])
 
+    def test_a_one_entry_loss_of_any_shape_reads_as_its_0d_form(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        w = rng.normal(size=(3, 1))
+
+        def loss_fn():
+            return ad.matmul(ad.mul(x, x), w)      # a (1, 1) loss
+
+        assert loss_fn().shape == (1, 1)
+        err = ad.finite_difference_check(loss_fn, [x])
+        assert err == ad.finite_difference_check(lambda: oracle.mean(loss_fn()), [x]) < 1e-8
+
     def test_fortran_ordered_parameter_is_perturbed_in_place(self):
         # reshape(-1) of a Fortran-ordered array is a copy: a perturbation written there
         # never reaches the loss, and an exact gradient would read as wrong

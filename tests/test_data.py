@@ -156,8 +156,9 @@ SPLITS_EXTRAS = _extras(SPLITS_FAULTS)
 @st.composite
 def splits_case(draw):
     """A valid dataset's item-tag links, and a splits.tsv over its items: each
-    item at most once, completion roles only with two linked tags held out,
-    plus faults in half of the files."""
+    item at most once, completion roles only with two linked tags held out
+    (a fault when they are all the item's tags), plus faults in half of the
+    files."""
     it = draw(st.lists(st.tuples(st.sampled_from(ITEMS), st.sampled_from(TAGS)), max_size=12))
     rows = []
     for item in draw(st.permutations(ITEMS))[:draw(st.integers(0, len(ITEMS)))]:
@@ -205,7 +206,8 @@ class TestLoaderMatchesPerLineReference:
 
     @pytest.mark.parametrize("fault", SPLITS_FAULTS)
     def test_load_splits_one_fault(self, fault):
-        it = [("i0", "t0"), ("i0", "t1"), ("i1", "t1"), ("i1", "t2"), ("i1", "t3"), ("i2", "t3")]
+        it = [("i0", "t0"), ("i0", "t1"), ("i0", "t2"), ("i1", "t1"), ("i1", "t2"), ("i1", "t3"),
+              ("i2", "t3")]
         rows = ["i0\ttest_comp\tt1,t0", "i1\tval_full", "i2\ttrain"]
         for at in (0, len(rows)):
             self._check_splits(it, "\n".join(rows[:at] + [fault] + rows[at:]))
@@ -463,10 +465,3 @@ class TestGraphMasking:
     def test_query_edges_always_retained(self, toy_setup):
         dataset, splits, vocab, graph = toy_setup
         assert len(graph.qi_query) == len({(q, i) for q, i, _ in dataset.qi})
-
-    def test_known_tags_can_be_dropped(self, toy_setup):
-        dataset, splits, vocab, graph = toy_setup
-        bare = dm.dataset_to_graph(dataset, vocab, splits=splits, include_known_tags=False)
-        for item_id, role in splits.roles.items():
-            if role in dm.COMPLETION_ROLES:
-                assert len(bare.item_tags(dataset.item_index[item_id])) == 0

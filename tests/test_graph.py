@@ -132,6 +132,23 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="unknown item"):
             token_graph([[1]], [[2]], [[3]], [(0, 5, 1.0)], [])
 
+    @pytest.mark.parametrize("qi, it, message", [
+        ([(0.5, 0, 1.0)], [], "query-item edge (0.5, 0.0, 1.0) has an index that is not an "
+                              "integer"),
+        ([(0, float("nan"), 1.0)], [], "query-item edge (0.0, nan, 1.0) has an index that is not "
+                                       "an integer"),
+        ([(0, 0, float("nan"))], [], "non-finite edge weight nan on query-item edge (0, 0)"),
+        ([(0, 0, float("inf"))], [], "non-finite edge weight inf on query-item edge (0, 0)"),
+        ([(0, 0, -float("inf"))], [], "negative edge weight -inf on query-item edge (0, 0)"),
+        ([], [(0, 0.25)], "item-tag edge (0.0, 0.25) has an index that is not an integer"),
+        ([], [(float("inf"), 0)], "item-tag edge (inf, 0.0) has an index that is not an integer"),
+    ])
+    def test_non_integer_index_or_non_finite_weight_raises(self, qi, it, message):
+        # before, the fractional and NaN indices were truncated and NaN or inf weights kept
+        with pytest.raises(ValueError) as got:
+            token_graph([[1]], [[2]], [[3]], qi, it)
+        assert str(got.value) == message
+
     def test_patterns_over_different_vocabularies_raise(self):
         with pytest.raises(ValueError, match=r"different vocabulary sizes \[4, 5\]"):
             build_graph(token_pattern([[1]], 4), token_pattern([[2]], 5), token_pattern([[3]], 4),
@@ -161,18 +178,26 @@ class TestBuildGraph:
 WEIGHT = st.sampled_from((0.1, 0.2, 0.3, 1e16, 1.0, 0.0))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @st.composite
 def edge_lists(draw):
     """Node counts and edge lists with many duplicates; in one draw of three, up
-    to three edges with an index one past either end or a negative weight."""
+    to three edges with an index one past either end, or not a whole number,
+    or a negative or non-finite weight (or a valid edge of whole floats)."""
     nq, ni, nt = (draw(st.integers(1, 3)) for _ in range(3))
     qi = draw(st.lists(st.tuples(st.integers(0, nq - 1), st.integers(0, ni - 1), WEIGHT),
                        max_size=12))
     it = draw(st.lists(st.tuples(st.integers(0, ni - 1), st.integers(0, nt - 1)), max_size=12))
     if draw(st.sampled_from((False, False, True))):
         bad_qi = st.sampled_from([(0, 0, -0.5), (-1, 0, 1.0), (nq - 1, ni - 1, -0.1),
-                                  (nq, 0, 1.0), (0, -1, 1.0), (0, ni, 0.1), (nq, ni, -1.0)])
-        bad_it = st.sampled_from([(-1, 0), (ni, 0), (0, -1), (0, nt), (ni, nt)])
+                                  (nq, 0, 1.0), (0, -1, 1.0), (0, ni, 0.1), (nq, ni, -1.0),
+                                  (0, 0, NAN), (0, ni - 1, INF), (0, 0, -INF), (nq, 0, NAN),
+                                  (0.5, 0, 1.0), (0, ni - 0.5, 1.0), (NAN, 0, 1.0),
+                                  (0, INF, 1.0), (-0.5, 0, NAN), (float(nq - 1), 0.0, 1.0)])
+        bad_it = st.sampled_from([(-1, 0), (ni, 0), (0, -1), (0, nt), (ni, nt), (0.5, 0),
+                                  (0, nt - 0.5), (NAN, 0), (0, -INF), (ni, NAN)])
         for edges, bad in draw(st.lists(st.sampled_from([(qi, bad_qi), (it, bad_it)]),
                                         min_size=1, max_size=3)):
             edges.insert(draw(st.integers(0, len(edges))), draw(bad))

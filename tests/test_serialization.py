@@ -236,6 +236,24 @@ def test_a_failed_save_leaves_the_previous_one_whole(toy_setup, tmp_path, monkey
         assert a.data.tobytes() == b.data.tobytes()
 
 
+@pytest.mark.parametrize("edit", [lambda ids: ids[1:], lambda ids: ids + ["t_extra"],
+                                  lambda ids: ids[:-1] + [7]],
+                         ids=["one_short", "one_more", "not_a_string"])
+def test_tag_ids_that_are_not_n_tags_strings_write_nothing(toy_setup, tmp_path, edit):
+    _, _, vocab, graph = toy_setup
+    old = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=1),
+                           rng=np.random.default_rng(1))
+    save_model(old, vocab, tmp_path, graph.tag_ids)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new = TagGNNModel.init(len(vocab), graph.n_tags, 4, ModelVariant(n_layers=1),
+                           rng=np.random.default_rng(2))
+    tag_ids = edit(graph.tag_ids)
+    with pytest.raises(ValueError, match=f"^tag_ids must be n_tags = {graph.n_tags} strings, "
+                                         f"got {len(tag_ids)} ids$"):
+        save_model(new, vocab, tmp_path, tag_ids)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # values of the wrong JSON type: (file, edit of its JSON, the key the message names)
 WRONG_TYPES = {
     "token_not_a_string": ("vocab.json", lambda v: v["tokens"].append(7), "tokens"),
@@ -281,8 +299,8 @@ def test_wrong_json_type_exits_one_naming_the_file(toy_setup, toydata_dir, tmp_p
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_tags_shorter_than_n_tags_exit_one(toydata_dir, tmp_path, capsys, command):
-    # a qi model of six tags whose manifest names five, over a dataset of those five:
-    # the names match the dataset, but a sixth score column names no tag
+    # a qi model of six tags whose manifest was edited to name five, over a dataset of
+    # those five: the names match the dataset, but a sixth score column names no tag
     data = tmp_path / "data"
     os.makedirs(data)
     for name in os.listdir(toydata_dir):
@@ -294,7 +312,10 @@ def test_tags_shorter_than_n_tags_exit_one(toydata_dir, tmp_path, capsys, comman
     variant = ModelVariant(kind="qi", use_tag_names=False, use_tag_ids=False, n_layers=1)
     model = TagGNNModel.init(len(vocab), len(dataset.tag_ids) + 1, 4, variant)
     model_dir = tmp_path / "model"
-    save_model(model, vocab, model_dir, dataset.tag_ids)
+    save_model(model, vocab, model_dir, dataset.tag_ids + ["t_news"])
+    manifest = json.loads((model_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest["tags"] = dataset.tag_ids     # params_sha256 does not cover the tag list
+    (model_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     save_splits(make_splits(dataset, (8, 2, 2), seed=4), model_dir / "splits.tsv")
     extra = ["--item-id", dataset.item_ids[0], "--k", "6"] if command == "predict" else []
     assert cli_main([command, "--model", str(model_dir), "--data", str(data), *extra]) == 1
