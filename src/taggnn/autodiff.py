@@ -14,6 +14,11 @@ The op set is deliberately tiny -- just what the tagging models need.
 Two ops are fused chains: :func:`bce_with_logits`, the loss, and
 :func:`gated_update`, a layer's dense half; a fused op keeps fewer arrays on
 the tape and runs its backward in stages (:func:`_in_stages`).
+:func:`gated_update` computes its forward products in zero-padded tiles of
+``TILE_ROWS`` rows, as :class:`evaluation.Predictor` does its scores, so a
+row's bits never depend on which other rows are computed.
+An op marks a gradient part it made for one input alone (:class:`_Fresh`),
+and an input with no gradient yet keeps that part instead of a copy.
 Tensors are dense; sparse ops (:func:`spmm`, :func:`segment_softmax`,
 :func:`edge_scores`) take a :class:`SparsePattern`, the fixed CSR layout of
 a graph's adjacency or token lists, and run through scipy's CSR kernels.
@@ -38,6 +43,7 @@ from scipy.special import expit
 _ids = itertools.count()
 _grad_enabled = True          # cleared inside no_grad()
 _RELEASED = object()          # the _backward of an op output that backward has released
+TILE_ROWS = 64                # rows per tile of the dense half's and the scores' products
 
 
 class NumericalError(RuntimeError):
@@ -69,8 +75,13 @@ class Tensor:
         return self.data.shape
 
     def accumulate_grad(self, g):
+        """Add the gradient part ``g`` into ``grad``; a first part marked :class:`_Fresh`
+        becomes ``grad`` itself, any other first part is copied."""
+        fresh = isinstance(g, _Fresh)
+        if fresh:
+            g = g.part
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -88,6 +99,21 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
+
+
+class _Fresh:
+    """A float64 gradient part that its op made for one input and never touches again,
+    so the input may keep it as its ``grad`` without a copy."""
+
+    __slots__ = ("part",)
+
+    def __init__(self, part):
+        self.part = np.asarray(part)    # a reduction to a numpy scalar becomes a 0-d array
+
+
+def _fresh(*grads):
+    """The ``grads`` of :func:`_from_op`, each of whose parts is marked :class:`_Fresh`."""
+    return [lambda g, grad=grad: _Fresh(grad(g)) for grad in grads]
 
 
 def _wrap(x):
@@ -180,14 +206,14 @@ def add(a, b):
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     return _from_op(a.data * b.data, "mul", (a, b),
-                    (lambda g: _unbroadcast(g * b.data, a.data.shape),
-                     lambda g: _unbroadcast(g * a.data, b.data.shape)))
+                    _fresh(lambda g: _unbroadcast(g * b.data, a.data.shape),
+                           lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
     return _from_op(a.data @ b.data, "matmul", (a, b),
-                    (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+                    _fresh(lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def concat(tensors):
@@ -202,19 +228,19 @@ def concat(tensors):
 
 def relu(x):
     x = _wrap(x)
-    return _from_op(np.maximum(x.data, 0.0), "relu", (x,), (lambda g: g * (x.data > 0),))
+    return _from_op(np.maximum(x.data, 0.0), "relu", (x,), _fresh(lambda g: g * (x.data > 0)))
 
 
 def leaky_relu(x, negative_slope):
     x = _wrap(x)
     return _from_op(np.where(x.data > 0, x.data, negative_slope * x.data), "leaky_relu", (x,),
-                    (lambda g: g * np.where(x.data > 0, 1.0, negative_slope),))
+                    _fresh(lambda g: g * np.where(x.data > 0, 1.0, negative_slope)))
 
 
 def sigmoid(x):
     x = _wrap(x)
     data = expit(x.data)
-    return _from_op(data, "sigmoid", (x,), (lambda g: g * data * (1.0 - data),))
+    return _from_op(data, "sigmoid", (x,), _fresh(lambda g: g * data * (1.0 - data)))
 
 
 def segment_softmax(scores, pattern):
@@ -242,7 +268,7 @@ def segment_softmax(scores, pattern):
         return (y * (gf - np.bincount(rows, weights=gf * y, minlength=n_rows)[rows])
                 ).reshape(scores.data.shape)
 
-    return _from_op(y.reshape(scores.data.shape), "segment_softmax", (scores,), (grad,))
+    return _from_op(y.reshape(scores.data.shape), "segment_softmax", (scores,), _fresh(grad))
 
 
 _BCE_BLOCK_ELEMENTS = 2**19   # logits per row block of bce_with_logits
@@ -356,7 +382,7 @@ def bce_with_logits(a, b, labels, bias=None):
             future.cancel()
         concurrent.futures.wait([future for _, future in pending])
     return _from_op(np.asarray(total / (n_rows * n_cols)), "bce_with_logits", inputs,
-                    [lambda g, part=part: part * g for part in (da, db, dbias)])
+                    _fresh(*(lambda g, part=part: part * g for part in (da, db, dbias))))
 
 
 def dropout(x, p, rng):
@@ -368,7 +394,7 @@ def dropout(x, p, rng):
         return x
     kept = rng.random(x.data.shape) >= p     # the tape keeps this boolean mask, not the scale
     return _from_op(x.data * (kept / (1.0 - p)), "dropout", (x,),
-                    (lambda g: g * (kept / (1.0 - p)),))
+                    _fresh(lambda g: g * (kept / (1.0 - p))))
 
 
 def gather_rows(x, index):
@@ -393,7 +419,7 @@ def gather_rows(x, index):
             np.add.at(gx, index, g)
         return gx
 
-    return _from_op(data, "gather_rows", (x,), (grad,))
+    return _from_op(data, "gather_rows", (x,), _fresh(grad))
 
 
 def transpose(x):
@@ -411,7 +437,7 @@ def scatter_add_rows(values, index, num_rows):
         raise ValueError("one index per value row required")
     data = np.zeros((num_rows,) + values.data.shape[1:])
     np.add.at(data, index, values.data)
-    return _from_op(data, "scatter_add_rows", (values,), (lambda g: g[index],))
+    return _from_op(data, "scatter_add_rows", (values,), _fresh(lambda g: g[index]))
 
 
 class SparsePattern:
@@ -487,9 +513,10 @@ def spmm(values, pattern, x):
     if x.data.ndim != 2 or x.data.shape[0] != pattern.shape[1]:
         raise ValueError(f"cannot multiply a {pattern.shape} pattern by shape {x.data.shape}")
     a = pattern.matrix(v)
+    rows, cols = pattern.rows, pattern.cols
     return _from_op(a @ x.data, "spmm", (values, x),
-                    (lambda g: _sddmm(g, x.data, pattern.rows, pattern.cols).reshape(values.shape),
-                     lambda g: a.T @ g))
+                    _fresh(lambda g: _sddmm(g, x.data, rows, cols).reshape(values.shape),
+                           lambda g: a.T @ g))
 
 
 def edge_scores(x, context, pattern):
@@ -516,8 +543,8 @@ def edge_scores(x, context, pattern):
         gf = g.reshape(-1)
         per_node = np.stack([np.bincount(rows, weights=gf, minlength=n),
                              np.bincount(cols, weights=gf, minlength=n)], axis=1)
-        yield per_node @ halves.T
-        yield (x.data.T @ per_node).T.reshape(2 * d, 1)
+        yield _Fresh(per_node @ halves.T)
+        yield _Fresh((x.data.T @ per_node).T.reshape(2 * d, 1))
 
     return _from_op(data, "edge_scores", (x, context), _in_stages(stages, 2))
 
@@ -537,7 +564,7 @@ def where_rows(mask, a, b):
         raise ValueError("mask must have one entry per row")
     col = mask[:, None] if a.data.ndim > 1 else mask
     return _from_op(np.where(col, a.data, b.data), "where_rows", (a, b),
-                    (lambda g: np.where(col, g, 0.0), lambda g: np.where(col, 0.0, g)))
+                    _fresh(lambda g: np.where(col, g, 0.0), lambda g: np.where(col, 0.0, g)))
 
 
 def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
@@ -548,15 +575,20 @@ def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
     gives its rows of the candidate ``hat = relu(fused[lo:hi] @ W)``.  The
     gate ``z = sigmoid(hat @ gate_new + H @ gate_old + gate_bias)`` blends
     ``z * hat + (1 - z) * H`` at the rows where ``mask`` holds; every other
-    row is ``H``'s, bit for bit.  The forward evaluates the expressions of
-    the composition of :func:`relu`, :func:`gather_rows`, :func:`matmul`,
-    :func:`concat`, :func:`sigmoid`, :func:`mul`, :func:`add` and
-    :func:`where_rows` in the same order, and the backward adds every
-    gradient part in the order that composition's tape adds it: ``H`` is
-    listed once per part, and a shared ``W`` once per block, tag block first.
-    So values and gradients are bit-identical to it.  The op keeps only
-    ``hat`` and ``z``; the backward recomputes ``fused`` and frees ``z`` and
-    ``hat`` as soon as it has used them.
+    row is ``H``'s, bit for bit.  The forward computes only the rows where
+    ``mask`` holds, one node type at a time, in zero-padded tiles of
+    ``TILE_ROWS`` of them: a tile of consecutive rows is read in place, any
+    other is gathered.  Every product has the same tile shape, so a row's bits
+    never depend on which other rows are computed.  The forward evaluates the
+    expressions of the composition of :func:`relu`, :func:`gather_rows`,
+    :func:`matmul`, :func:`concat`, :func:`sigmoid`, :func:`mul`, :func:`add`
+    and :func:`where_rows` in the same order, with each product in those
+    tiles, and the backward adds every gradient part in the order that
+    composition's tape adds it: ``H`` is listed once per part, and a shared
+    ``W`` once per block, tag block first.  So values and gradients are
+    bit-identical to it.  A taped op keeps only ``hat`` and ``z``, zero
+    outside ``mask``; the backward recomputes ``fused`` and frees ``z`` and
+    ``hat`` as soon as it has used them.  An untaped one keeps neither.
     """
     H, message, gate_new, gate_old, gate_bias = map(_wrap, (H, message, gate_new, gate_old,
                                                             gate_bias))
@@ -569,27 +601,48 @@ def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
         raise ValueError("mask must have one entry per row")
     if [lo for lo, _, _ in blocks] + [h.shape[0]] != [0] + [hi for _, hi, _ in blocks]:
         raise ValueError("blocks must span the rows in order")
-    col = mask[:, None]
-    fused = np.maximum(message.data, 0.0)
-    fused += h
-    hat = np.empty_like(fused)
+    inputs = (H, H, gate_bias, gate_old, H, gate_new, *(W for _, _, W in reversed(blocks)),
+              H, message)
+    taped = any(map(_gets_grad, inputs))
+    out = h.copy()
+    if taped:
+        hat, z = np.zeros_like(h), np.zeros_like(h)
+    h_buf, m_buf, fused, hat_t, z_t, out_t = (np.zeros((TILE_ROWS, h.shape[1])) for _ in range(6))
     for lo, hi, W in blocks:
-        np.matmul(fused[lo:hi], W.data, out=hat[lo:hi])
-    del fused
-    np.maximum(hat, 0.0, out=hat)
-    z = hat @ gate_new.data
-    z += h @ gate_old.data
-    z += gate_bias.data
-    expit(z, out=z)
-    out = z * -1.0                      # 1 - z, as the tape's 1.0 + (z * -1.0)
-    out += 1.0
-    out *= h
-    out += z * hat
-    np.copyto(out, h, where=~col)
+        rows = lo + np.flatnonzero(mask[lo:hi])
+        for start in range(0, len(rows), TILE_ROWS):
+            at = rows[start:start + TILE_ROWS]
+            n = len(at)
+            if n == TILE_ROWS and at[-1] - at[0] == n - 1:
+                at = slice(at[0], at[0] + n)
+                h_t, m_t = h[at], message.data[at]
+            else:
+                h_t, m_t = h_buf, m_buf
+                np.take(h, at, axis=0, out=h_t[:n])
+                np.take(message.data, at, axis=0, out=m_t[:n])
+                h_t[n:] = m_t[n:] = 0.0
+            np.maximum(m_t, 0.0, out=fused)
+            fused += h_t
+            np.matmul(fused, W.data, out=hat_t)
+            np.maximum(hat_t, 0.0, out=hat_t)
+            np.matmul(hat_t, gate_new.data, out=z_t)
+            z_t += np.matmul(h_t, gate_old.data, out=fused)
+            z_t += gate_bias.data
+            expit(z_t, out=z_t)
+            np.multiply(z_t, -1.0, out=out_t)   # 1 - z, as the tape's 1.0 + (z * -1.0)
+            out_t += 1.0
+            out_t *= h_t
+            out_t += np.multiply(z_t, hat_t, out=fused)
+            out[at] = out_t[:n]
+            if taped:
+                hat[at], z[at] = hat_t[:n], z_t[:n]
+    if not taped:
+        return _from_op(out, "gated_update", inputs, ())
+    col = mask[:, None]
     saved = {"z": z, "hat": hat}        # popped by the backward, which frees each once used
 
     def stages(g):
-        yield np.where(col, 0.0, g)                     # H: the rows passed through
+        yield _Fresh(np.where(col, 0.0, g))             # H: the rows passed through
         gu = np.where(col, g, 0.0)
         z = saved.pop("z")
         part = z * -1.0
@@ -606,10 +659,10 @@ def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
         np.subtract(1.0, z, out=part)
         gz *= part                                      # gz is now the gradient of z's logit
         del z, part
-        yield _unbroadcast(gz, gate_bias.data.shape)    # gate_bias
-        yield h.T @ gz                                  # gate_old
+        yield _Fresh(_unbroadcast(gz, gate_bias.data.shape))    # gate_bias
+        yield _Fresh(h.T @ gz)                          # gate_old
         yield gz @ gate_old.data.T                      # H: through gate_old
-        yield hat.T @ gz                                # gate_new
+        yield _Fresh(hat.T @ gz)                        # gate_new
         gu += gz @ gate_new.data.T
         del gz
         gu *= hat > 0                                   # gu is now the gradient of fused @ W
@@ -617,7 +670,7 @@ def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
         fused = np.maximum(message.data, 0.0)
         fused += h
         for lo, hi, _ in reversed(blocks):
-            yield fused[lo:hi].T @ gu[lo:hi]            # W, tag block first
+            yield _Fresh(fused[lo:hi].T @ gu[lo:hi])    # W, tag block first
         del fused
         gf = np.zeros_like(h)           # the tape's gathers added into zeros: -0.0 -> 0.0
         for lo, hi, W in blocks:
@@ -625,10 +678,8 @@ def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
         del gu
         yield gf                                        # H: through fused
         gf *= message.data > 0
-        yield gf                                        # message
+        yield _Fresh(gf)                                # message
 
-    inputs = (H, H, gate_bias, gate_old, H, gate_new, *(W for _, _, W in reversed(blocks)),
-              H, message)
     return _from_op(out, "gated_update", inputs, _in_stages(stages, len(inputs)))
 
 
@@ -666,7 +717,7 @@ def backward(loss):
                 nodes.append(parent)
                 stack.append(parent)
 
-    loss.accumulate_grad(np.ones_like(loss.data))
+    loss.accumulate_grad(_Fresh(np.ones_like(loss.data)))
     nodes.sort(key=lambda t: t._id)
     while nodes:                # popped, so each output's data goes once its consumers have run
         node = nodes.pop()

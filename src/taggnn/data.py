@@ -79,12 +79,21 @@ class RawDataset:
         i, t = self.item_ids, self.tag_ids                      # (item_id, tag_id)
         return [(i[a], t[b]) for a, b in zip(self.it_item.tolist(), self.it_tag.tolist())]
 
-    def _tags_by_item(self):
-        """Per item row, the list of its linked tag ids in file order."""
-        order = np.argsort(self.it_item, kind="stable")
-        bounds = np.searchsorted(self.it_item[order], np.arange(len(self.item_ids) + 1)).tolist()
-        tags = [self.tag_ids[t] for t in self.it_tag[order].tolist()]
-        return [tags[a:b] for a, b in zip(bounds, bounds[1:])]
+    def _tags_by_item(self, rows=None):
+        """Per item row of ``rows`` (every item by default), the list of its linked tag ids
+        in file order; only the edges of those rows are read."""
+        item, tag = self.it_item, self.it_tag
+        if rows is None:
+            rows = np.arange(len(self.item_ids))
+        else:
+            keep = np.isin(item, rows)
+            item, tag = item[keep], tag[keep]
+        order = np.argsort(item, kind="stable")
+        item = item[order]
+        bounds = zip(np.searchsorted(item, rows).tolist(),
+                     np.searchsorted(item, rows, side="right").tolist())
+        tags = [self.tag_ids[t] for t in tag[order].tolist()]
+        return [tags[a:b] for a, b in bounds]
 
     def texts(self):
         """All node texts, in the fixed order used to build vocabularies."""
@@ -371,8 +380,7 @@ def load_splits(path, dataset):
     repeated[np.unique(rows, return_index=True)[1]] = False
     evaluation = (rows >= 0) & (role > 0)
     evaluated = np.flatnonzero(evaluation).tolist()
-    tags_of = dataset._tags_by_item()
-    linked = {n: frozenset(tags_of[r]) for n, r in zip(evaluated, rows[evaluated].tolist())}
+    linked = dict(zip(evaluated, map(frozenset, dataset._tags_by_item(rows[evaluated]))))
     pairs = {n: frozenset(held[n].split(",")) for n in evaluated if roles[n] in COMPLETION_ROLES}
 
     def failing(fails):                      # a mask over the completion lines

@@ -1,9 +1,10 @@
 """Top-K tag inference and the Precision@K harness.
 
 A trained model is frozen into a :class:`Predictor` (one dropout-free
-forward pass); every item is scored by one matrix-vector product against the
-forward's tag-side matrix (the propagated tag vectors, or the transposed head
-weight of the query-item variant and the baseline), plus its bias.  Every
+forward pass); items are scored ``TILE_ROWS`` at a time, each zero-padded tile
+one product with the forward's tag side (the propagated tag vectors, or the
+head weight of the query-item variant and the baseline) as a C-ordered
+(d x tags) matrix, plus the bias.  Every
 ranking goes through :func:`rank_topk`, which ranks one score vector or a
 block of score rows; Precision@K scores and ranks ``SCORE_CHUNK`` items at a
 time, so no score matrix over every item is held.  Completion items never see
@@ -16,7 +17,7 @@ import json
 
 import numpy as np
 
-from .autodiff import NumericalError, no_grad
+from .autodiff import TILE_ROWS, NumericalError, no_grad
 
 RANK_GROUP = 64     # score columns per group whose minimum bounds rank_topk's candidates
 SCORE_CHUNK = 256   # items scored and ranked together by _subset_scores
@@ -80,29 +81,39 @@ class Predictor:
     outlives its use.  ``items`` (graph item rows, ``None`` for all) are the
     only items it can score; the forward computes final vectors for just
     those, and their scores are bit-identical to an all-items predictor's.
-    Every model is scored the same way, against the forward's (tags x d)
-    ``tags`` plus its ``bias``, if any.  ``tags`` is a forward output, never
-    a parameter, and the bias is copied, so later training steps leave the
-    predictor's scores as they were.
+    Every model is scored the same way, against the forward's ``tags``, kept
+    as one C-ordered (d x tags) matrix, plus its ``bias``, if any.  ``tags``
+    is a forward output, never a parameter, and the bias is copied, so later
+    training steps leave the predictor's scores as they were.
     """
 
     def __init__(self, model, graph, items=None):
         with no_grad():
             out = model.forward(graph, items=items)
-        self._item_reps, self._tags = out.item_reps.data, out.tags.data
+        self._item_reps = out.item_reps.data
+        self._tags_t = np.ascontiguousarray(out.tags.data.T)
         self._bias = None if out.bias is None else out.bias.data.copy()
         self._position = None if items is None else {int(r): n for n, r in enumerate(items)}
 
     def score_rows(self, item_indices):
         """Scores of several items (graph item rows) against every tag, one row each.
 
-        Each row is one matrix-vector product written into the block, plus
-        the bias if there is one.
+        The item rows are gathered ``TILE_ROWS`` at a time into one
+        zero-padded tile, and each tile is one product with the (d x tags)
+        tag side; the bias, if there is one, is added afterwards.  So a row's
+        scores never depend on which other items are scored, or where.
         """
-        positions = [self._row(int(i)) for i in item_indices]
-        out = np.empty((len(positions), len(self._tags)))
-        for j, p in enumerate(positions):
-            np.matmul(self._tags, self._item_reps[p], out=out[j])
+        positions = np.array([self._row(int(i)) for i in item_indices], dtype=np.int64)
+        out = np.empty((len(positions), self._tags_t.shape[1]))
+        tile = np.empty((TILE_ROWS, self._tags_t.shape[0]))
+        for lo in range(0, len(positions), TILE_ROWS):
+            at = positions[lo:lo + TILE_ROWS]
+            np.take(self._item_reps, at, axis=0, out=tile[:len(at)])
+            if len(at) == TILE_ROWS:
+                np.matmul(tile, self._tags_t, out=out[lo:lo + TILE_ROWS])
+            else:
+                tile[len(at):] = 0.0
+                out[lo:] = (tile @ self._tags_t)[:len(at)]
         if self._bias is not None:
             out += self._bias
         return out

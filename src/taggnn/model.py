@@ -5,10 +5,11 @@ per-node-type update, the last one fused op (:func:`autodiff.gated_update`).
 Layers run synchronously: every node's new
 representation is computed from the previous layer's matrix, and nodes
 without edges pass through bit for bit.  A forward told which items the
-caller reads (``items``, every item by default) runs its last layer's
-attention and aggregation only at those items' rows and the tag rows, with
-the same results there.  Every dense product (per-type update, gate) spans
-all rows, taped or not, so a row's bits never depend on which rows are read.
+caller reads (``items``, every item by default) runs its last layer only
+at those items' rows and the tag rows, with the same results there.  Every
+dense product (per-type update, gate) runs in fixed, zero-padded tiles of
+``autodiff.TILE_ROWS`` rows, taped or not, so a row's bits never depend on
+which rows are read.
 No score is formed here: the forward hands the items and their tag side to whoever scores.
 """
 
@@ -191,11 +192,11 @@ def propagate_layer(graph, H, params, kind="full", edges=None):
     ``H`` is the (n_nodes, d) representation Tensor from the previous layer;
     rows without edges under this variant's edge set are copied through
     exactly.  ``edges`` replaces ``pack_edges(graph, kind)``: given some rows
-    of it (:func:`center_edges`), the layer attends and aggregates only there,
-    and every other row passes through like an isolated node.  The dense half
-    (the per-type update, the gate and the blend) is one :func:`autodiff.gated_update`
-    over every row, with or without a tape, so the weight gradients sum over the
-    same rows and a row's result never depends on which other rows are computed.
+    of it (:func:`center_edges`), the layer works only there, and every other
+    row passes through like an isolated node.  The dense half (the per-type
+    update, the gate and the blend) is one :func:`autodiff.gated_update`, which
+    computes the rows with edges in fixed row tiles, with or without a tape, so
+    a row's result never depends on which other rows are computed.
     """
     if not isinstance(H, Tensor):
         H = Tensor(H)
@@ -308,9 +309,9 @@ class TagGNNModel:
         ``dropout_p > 0``, drawing its mask from ``rng``, which it then
         requires.  ``items`` are the graph item rows whose final vectors the caller
         reads (``None``: every item).  Each final vector depends on every
-        tag's, so only the last layer narrows, and only its sparse half: it
-        attends and aggregates at those items' rows and, for link prediction,
-        at every tag row, and all other rows pass it through.  ``item_reps``
+        tag's, so only the last layer narrows: it runs at those items' rows
+        and, for link prediction, at every tag row, and all other rows pass
+        it through.  ``item_reps``
         holds exactly ``items``, in the given order, bit-identical at any
         width whichever other items are read.  ``tags`` is the final tag block,
         or the transposed head weight of a ``qi`` model, whose ``bias`` is the head's.

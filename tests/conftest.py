@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from taggnn import data as data_mod
+from taggnn import synthetic
 from taggnn.autodiff import SparsePattern
 from taggnn.graph import Vocabulary, build_graph, token_pattern
 
@@ -28,6 +29,16 @@ def toy_setup(toy_dataset):
     vocab = Vocabulary.from_texts(toy_dataset.texts(), min_count=1)
     graph = data_mod.dataset_to_graph(toy_dataset, vocab, splits=splits)
     return toy_dataset, splits, vocab, graph
+
+
+@pytest.fixture(scope="session")
+def multi_tile_setup():
+    """Splits, vocab and masked graph of a generated dataset in which every node type
+    spans several ``autodiff.TILE_ROWS``-row tiles (200 queries, 300 items, 150 tags)."""
+    dataset, _ = synthetic.overfit_dataset(n_items=300, n_tags=150, n_queries=200, seed=4)
+    splits = data_mod.make_splits(dataset, (200, 40, 60), seed=4)
+    vocab = Vocabulary.from_texts(dataset.texts(), min_count=1)
+    return splits, vocab, data_mod.dataset_to_graph(dataset, vocab, splits=splits)
 
 
 def token_graph(queries, items, tags, qi_edges, it_edges, n_words=None, **ids):

@@ -13,7 +13,8 @@
   run to its fixed point over Python sets of those tuples.
 - The fused BCE op as one sequential loop over its row blocks.
 - The fused dense half of a layer (``autodiff.gated_update``) as the
-  composition of small tape ops it replaces.
+  composition of small tape ops it replaces, every product in the fused op's
+  fixed row tiles over every row, and one product per gradient.
 - The ``spmm`` values gradient (a sampled dense-dense product) as one
   unblocked row dot over whole E x d gathers, and its input gradient
   ``A.T @ g`` as one add per entry, in entry order.
@@ -374,13 +375,27 @@ def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
     return total / (n_rows * n_cols), da, db, dbias
 
 
+def tiled_matmul(a, b):
+    """``ad.matmul`` whose forward multiplies every ``ad.TILE_ROWS`` consecutive rows of
+    ``a`` as one tile, the last one zero-padded; its backward is one product per input."""
+    a, b = ad._wrap(a), ad._wrap(b)
+    n, tile = a.data.shape[0], ad.TILE_ROWS
+    padded = np.zeros((-(-n // tile) * tile, a.data.shape[1]))
+    padded[:n] = a.data
+    data = np.concatenate([padded[lo:lo + tile] @ b.data
+                           for lo in range(0, len(padded), tile)])[:n]
+    return ad._from_op(data, "matmul", (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+
+
 def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
     """``autodiff.gated_update`` composed of small tape ops, each keeping its output until
-    backward: the values and gradient parts, in their order, that the fused op reproduces."""
+    backward, with its three products in tiles (:func:`tiled_matmul`) over every row:
+    the values and gradient parts, in their order, that the fused op reproduces."""
     fused = ad.add(H, ad.relu(message))
-    parts = [ad.matmul(ad.gather_rows(fused, slice(lo, hi)), W) for lo, hi, W in blocks]
+    parts = [tiled_matmul(ad.gather_rows(fused, slice(lo, hi)), W) for lo, hi, W in blocks]
     hat = ad.relu(ad.concat(parts) if len(parts) > 1 else parts[0])
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(hat, gate_new), ad.matmul(H, gate_old)), gate_bias))
+    z = ad.sigmoid(ad.add(ad.add(tiled_matmul(hat, gate_new), tiled_matmul(H, gate_old)),
+                          gate_bias))
     updated = ad.add(ad.mul(z, hat), ad.mul(ad.add(1.0, ad.mul(z, -1.0)), H))
     return ad.where_rows(mask, updated, H)
 

@@ -41,6 +41,29 @@ def test_shared_subexpression_accumulates():
     assert y.grad == pytest.approx(3.0)
 
 
+def test_a_first_part_is_kept_only_when_its_op_marks_it_fresh(monkeypatch):
+    # add hands its one incoming gradient to a and b, both still without a grad, so each
+    # must get its own copy: the part from matmul(a, w) that reaches a later is added
+    # into a's grad alone.  matmul's parts are fresh, so w keeps its first one.
+    first = {}
+    accumulate = Tensor.accumulate_grad
+
+    def recording(self, g):
+        first.setdefault(id(self), g)
+        accumulate(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    w = Tensor(np.full((3, 1), 2.0), requires_grad=True)
+    through_a = ad.matmul(a, w)
+    ad.backward(oracle.mean(ad.add(through_a, ad.matmul(ad.add(a, b), w))))
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 1.0))
+    assert isinstance(first[id(w)], ad._Fresh) and w.grad is first[id(w)].part
+    assert not isinstance(first[id(b)], ad._Fresh)
+
+
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):

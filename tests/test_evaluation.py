@@ -141,7 +141,7 @@ class TestTopK:
         model, graph = self._trained(toy_setup)
         pred = Predictor(model, graph)
         before = [pred.topk(i, graph.n_tags) for i in range(graph.n_items)]
-        pred._tags = pred._tags * 7.5
+        pred._tags_t = pred._tags_t * 7.5
         after = [pred.topk(i, graph.n_tags) for i in range(graph.n_items)]
         assert before == after
 
@@ -172,20 +172,48 @@ class TestTapeFreeForward:
             assert got.inputs == () and got._backward is None
             assert got.data.tobytes() == want.data.tobytes()
         assert free.bias is taped.bias
-        # the predictor keeps the item rows, the tag-side matrix and a copy of the bias
+        # the predictor keeps the item rows, the C-ordered (d x tags) tag side and a copy
+        # of the bias
         predictor = Predictor(model, graph)
         assert predictor._item_reps.tobytes() == free.item_reps.data.tobytes()
-        assert predictor._tags.tobytes() == free.tags.data.tobytes()
+        assert predictor._tags_t.flags.c_contiguous
+        assert predictor._tags_t.tobytes() == free.tags.data.T.tobytes()
         weight = model.weight if kind == "baseline" else model.head_weight
         if weight is None:
             assert free.bias is None and predictor._bias is None
         else:
             # a head is scored in its own layout, from a copy
-            assert predictor._tags.shape == (graph.n_tags, weight.shape[0])
-            assert predictor._tags.tobytes(order="A") == weight.data.tobytes()
-            assert not np.shares_memory(predictor._tags, weight.data)
+            assert predictor._tags_t.shape == (weight.shape[0], graph.n_tags)
+            assert predictor._tags_t.tobytes() == weight.data.tobytes()
+            assert not np.shares_memory(predictor._tags_t, weight.data)
             assert predictor._bias.tobytes() == free.bias.data.tobytes()
             assert not np.shares_memory(predictor._bias, free.bias.data)
+
+
+class TestScoreTiles:
+    """A score row's bytes never depend on which other items are scored with it, or where."""
+
+    @pytest.mark.parametrize("dim", [8, 17, 50, 64])
+    @pytest.mark.parametrize("kind", ["full", "qi", "baseline"])
+    def test_rows_byte_equal_alone_in_a_block_in_any_order_and_tile_position(
+            self, multi_tile_setup, kind, dim):
+        _, vocab, graph = multi_tile_setup
+        if kind == "baseline":
+            model = _baseline(graph, len(vocab), dim=dim)
+        else:
+            model = TagGNNModel.init(len(vocab), graph.n_tags, dim, ModelVariant(kind=kind),
+                                     rng=np.random.default_rng([dim, 7]))
+        predictor = Predictor(model, graph)
+        items = np.arange(graph.n_items)
+        alone = np.stack([predictor.score_rows([i])[0] for i in items])
+        order = np.random.default_rng(dim).permutation(items)
+        assert predictor.score_rows(items).tobytes() == alone.tobytes()
+        assert predictor.score_rows(order).tobytes() == alone[order].tobytes()
+        for shift in (1, 17, 63):       # every item at another position in its tile
+            block = predictor.score_rows(np.concatenate((order[:shift], items)))
+            assert block[shift:].tobytes() == alone.tobytes()
+        restricted = Predictor(model, graph, items=order[:100])
+        assert restricted.score_rows(order[:100]).tobytes() == alone[order[:100]].tobytes()
 
 
 class TestItemRestrictedPredictor:

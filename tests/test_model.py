@@ -323,10 +323,34 @@ class TestTapeFreeRows:
             assert free.item_reps.data.tobytes() == taped_items[read].tobytes()
             assert free.tags.data.tobytes() == taped_tags.tobytes()
 
+    @pytest.mark.parametrize("dim", [8, 17, 50, 64])
+    @pytest.mark.parametrize("kind", ["it", "qi", "full"])
+    def test_multi_tile_rows_byte_equal_to_the_taped_full_row_forward(self, multi_tile_setup,
+                                                                      kind, dim):
+        # every node type spans several tiles, so a restricted last layer computes a row
+        # in another tile, at another position in it, than the full forward does
+        splits, vocab, graph = multi_tile_setup
+        model = TagGNNModel.init(len(vocab), graph.n_tags, dim, ModelVariant(kind=kind),
+                                 rng=np.random.default_rng([dim, 9]))
+        H, _ = oracle.full_forward(graph, model)
+        nq, ni = graph.n_queries, graph.n_items
+        taped_items = H.data[nq:nq + ni]
+        taped_tags = model.head_weight.data.T if kind == "qi" else H.data[nq + ni:]
+        rng = np.random.default_rng(dim)
+        roles = [("train",), ("test_full", "test_comp"), ("val_comp",)]
+        item_sets = ([item_rows(graph, splits, r) for r in roles]
+                     + [[int(i)] for i in rng.choice(ni, 5, replace=False)]
+                     + [rng.choice(ni, 100, replace=False)])
+        for items in item_sets:
+            with ad.no_grad():
+                free = model.forward(graph, items=items)
+            assert free.item_reps.data.tobytes() == taped_items[items].tobytes()
+            assert free.tags.data.tobytes() == taped_tags.tobytes()
+
     def test_a_lone_row_is_widened_past_its_type(self):
         # a qi forward for the only item: its last layer attends at that one row, and
-        # its dense half still runs over every row (a one-row product would round
-        # differently here)
+        # its dense half computes that row in a zero-padded tile (a one-row product
+        # would round differently here)
         graph = token_graph([[1], [2]], [[2]], [[1], [3]], [(0, 0, 2.0)], [(0, 1)])
         model = TagGNNModel.init(4, graph.n_tags, 64, ModelVariant(kind="qi", n_layers=1),
                                  rng=np.random.default_rng(1))
@@ -338,8 +362,9 @@ class TestTapeFreeRows:
         assert free.tags.data.tobytes() == model.head_weight.data.T.tobytes()
 
     def test_only_rows_with_edges_reach_the_dense_half(self, monkeypatch):
-        # only query 0, item 0 and the tag have edges: the dense half runs over every
-        # row with or without a tape, and the rows without edges pass through unchanged
+        # only query 0, item 0 and the tag have edges: the dense half gets every node
+        # type's rows with or without a tape, and the rows without edges pass through
+        # unchanged
         graph = token_graph([[1], [2], [3]], [[2], [3], [1]], [[1]], [(0, 0, 2.0)], [(0, 0)])
         layer = make_layer(4, seed=3)
         H = np.random.default_rng(3).normal(size=(graph.n_nodes, 4))
@@ -368,12 +393,14 @@ class TestFusedDenseHalf:
     input gradient."""
 
     @staticmethod
-    def _run(update, sizes, dim, heterogeneous, held):
+    def _run(update, sizes, dim, heterogeneous, held, mask_kind="random"):
         """The output bytes and every leaf's gradient bytes of one taped update.
 
         ``held``: an op made after the update also reads ``H``, so ``H`` already holds
         a gradient when the update's backward step adds its four parts (layer 1's
-        ``H0`` and the initial item rows' gather).
+        ``H0`` and the initial item rows' gather).  ``mask_kind``: ``random`` (7 rows
+        in 10), ``every-row``, ``tile-gaps`` (every row but each third run of
+        ``ad.TILE_ROWS``) or ``no-row``.
         """
         rng = np.random.default_rng([dim, *sizes])
         n = sum(sizes)
@@ -385,6 +412,10 @@ class TestFusedDenseHalf:
         updates = (layer.update_query, layer.update_item, layer.update_tag)
         blocks = [(lo, hi, W) for lo, hi, W in zip(bounds[:-1], bounds[1:], updates) if hi > lo]
         mask = rng.random(n) < 0.7
+        if mask_kind != "random":
+            runs = np.arange(n) // ad.TILE_ROWS
+            mask = {"every-row": runs >= 0, "tile-gaps": runs % 3 != 1,
+                    "no-row": runs < 0}[mask_kind]
         weights = rng.normal(size=(n, dim))
         weights[rng.random(weights.shape) < 0.1] = -0.0    # signed zeros reach every part
         out = update(H, message, blocks, layer.gate_new, layer.gate_old, layer.gate_bias, mask)
@@ -404,6 +435,19 @@ class TestFusedDenseHalf:
     def test_bytes_equal_to_the_composed_ops(self, sizes, heterogeneous, held, dim):
         fused = self._run(ad.gated_update, sizes, dim, heterogeneous, held)
         assert fused == self._run(oracle.gated_update, sizes, dim, heterogeneous, held)
+
+    @pytest.mark.parametrize("dim", [8, 17, 50, 64])
+    @pytest.mark.parametrize("mask_kind", ["random", "every-row", "tile-gaps", "no-row"])
+    @pytest.mark.parametrize("heterogeneous", [True, False])
+    @pytest.mark.parametrize("sizes", [(130, 200, 70), (64, 128, 65)],
+                             ids=["partial-tiles", "whole-tiles"])
+    def test_bytes_equal_to_the_composed_ops_over_several_tiles(self, sizes, heterogeneous,
+                                                                mask_kind, dim):
+        # each type spans more than one tile; whole tiles of consecutive masked rows are
+        # read in place, the others gathered, and the last one of a type is padded
+        fused = self._run(ad.gated_update, sizes, dim, heterogeneous, True, mask_kind)
+        assert fused == self._run(oracle.gated_update, sizes, dim, heterogeneous, True,
+                                  mask_kind)
 
     def test_blocks_must_span_the_rows_in_order(self):
         layer = make_layer(3)
