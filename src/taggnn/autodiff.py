@@ -35,10 +35,10 @@ import concurrent.futures
 import contextlib
 import functools
 import itertools
+import os
 
 import numpy as np
 import scipy.sparse
-from scipy.special import expit
 
 _ids = itertools.count()
 _grad_enabled = True          # cleared inside no_grad()
@@ -237,9 +237,25 @@ def leaky_relu(x, negative_slope):
                     _fresh(lambda g: g * np.where(x.data > 0, 1.0, negative_slope)))
 
 
+def _sigmoid(x, out=None):
+    """``1 / (1 + exp(-x))`` elementwise, into ``out`` when given (``out=x`` works in place).
+
+    Every sigmoid in this module is this one.  numpy's ``exp`` runs its SIMD
+    loop: where that is its AVX-512 loop it can round the last bit differently
+    from the C library's ``exp``, which ``scipy.special.expit`` calls; elsewhere
+    the two agree bit for bit.  Logits of large magnitude saturate to exactly 0
+    or 1 without a floating-point warning.
+    """
+    out = np.negative(x, out=out)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def sigmoid(x):
     x = _wrap(x)
-    data = expit(x.data)
+    data = _sigmoid(x.data)
     return _from_op(data, "sigmoid", (x,), _fresh(lambda g: g * data * (1.0 - data)))
 
 
@@ -272,13 +288,19 @@ def segment_softmax(scores, pattern):
 
 
 _BCE_BLOCK_ELEMENTS = 2**19   # logits per row block of bce_with_logits
-_BCE_WORKERS = 2              # row blocks of bce_with_logits in flight at once
+_BCE_WORKERS = 2              # worker threads of bce_with_logits; it queues twice as many blocks
 
 
 @functools.cache
 def _bce_pool():
-    """The worker threads of :func:`bce_with_logits`, started on its first call."""
+    """The worker threads of :func:`bce_with_logits`, started on its first call.
+
+    A forked child inherits the pool but not its threads, so it starts its own.
+    """
     return concurrent.futures.ThreadPoolExecutor(_BCE_WORKERS, thread_name_prefix="taggnn-bce")
+
+
+os.register_at_fork(after_in_child=_bce_pool.cache_clear)
 
 
 def _bce_block(a_rows, w, bias, r, c, scale, wants):
@@ -306,7 +328,7 @@ def _bce_block(a_rows, w, bias, r, c, scale, wants):
     if not any(wants):
         return hinge, soft, None, None, None
     want_a, want_b, want_bias = wants
-    expit(x, out=x)                     # x becomes the gradient (sigmoid(x) - y) * scale
+    _sigmoid(x, out=x)                  # x becomes the gradient (sigmoid(x) - y) * scale
     x[r, c] -= 1.0
     x *= scale
     return (hinge, soft,
@@ -323,12 +345,13 @@ def bce_with_logits(a, b, labels, bias=None):
     entries are the positives; every other logit is a negative.  Each
     entry's loss is ``max(x,0) - x*y + log1p(exp(-|x|))``, finite for any
     logit.  The forward pass cuts the logits into row blocks of about
-    ``2**19`` logits.  Two worker threads compute two blocks at a time: each
-    sums its losses and, when an input needs a gradient, forms
-    ``(sigmoid(x) - y) / N`` and multiplies it out into its gradient parts.
-    The calling thread folds the blocks strictly in block order, so no whole
-    logit matrix is ever held and the result does not depend on scheduling
-    or core count.  The backward pass only scales the folded gradients.
+    ``2**19`` logits.  Two worker threads compute two blocks at a time, with
+    two more queued so that neither waits for the fold: each block sums its
+    losses and, when an input needs a gradient, forms ``(sigmoid(x) - y) / N``
+    and multiplies it out into its gradient parts.  The calling thread folds
+    the blocks strictly in block order, so no whole logit matrix is ever held
+    and the result does not depend on scheduling or core count.  The
+    backward pass only scales the folded gradients.
     """
     a, b = _wrap(a), _wrap(b)
     bias = None if bias is None else _wrap(bias)
@@ -360,7 +383,7 @@ def bce_with_logits(a, b, labels, bias=None):
     total = 0.0
     pending = collections.deque()       # (rows, future) of the blocks in flight, in block order
     try:
-        for lo in itertools.islice(starts, _BCE_WORKERS):
+        for lo in itertools.islice(starts, 2 * _BCE_WORKERS):
             pending.append(submit(lo))
         while pending:
             rows, future = pending.popleft()
@@ -401,23 +424,24 @@ def gather_rows(x, index):
     """Rows ``x[index]`` for an index array or a ``slice``.
 
     The forward always copies, so the output never aliases ``x``.  A slice
-    assigns its gradient block; an index array adds repeated rows up.
+    assigns its gradient block.  An index array's gradient is ``S.T @ g`` for
+    the 0/1 selection pattern ``S`` (one entry per gathered row), which adds
+    repeated rows up in gather order, the bytes of ``np.add.at`` in less time.
     """
     x = _wrap(x)
-    block = isinstance(index, slice)
-    if block:
+    if isinstance(index, slice):
         data = x.data[index].copy()
+
+        def grad(g):
+            gx = np.zeros_like(x.data)
+            gx[index] = g
+            return gx
     else:
         index = np.asarray(index, dtype=np.int64)
-        data = x.data[index]
+        data, m = x.data[index], len(index)
 
-    def grad(g):
-        gx = np.zeros_like(x.data)
-        if block:
-            gx[index] = g
-        else:
-            np.add.at(gx, index, g)
-        return gx
+        def grad(g):
+            return SparsePattern(np.arange(m), index, (m, len(x.data))).matrix(np.ones(m)).T @ g
 
     return _from_op(data, "gather_rows", (x,), _fresh(grad))
 
@@ -583,10 +607,11 @@ def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
     expressions of the composition of :func:`relu`, :func:`gather_rows`,
     :func:`matmul`, :func:`concat`, :func:`sigmoid`, :func:`mul`, :func:`add`
     and :func:`where_rows` in the same order, with each product in those
-    tiles, and the backward adds every gradient part in the order that
-    composition's tape adds it: ``H`` is listed once per part, and a shared
-    ``W`` once per block, tag block first.  So values and gradients are
-    bit-identical to it.  A taped op keeps only ``hat`` and ``z``, zero
+    tiles and the gate through :func:`sigmoid`'s own arithmetic
+    (:func:`_sigmoid`), and the backward adds every gradient part in the
+    order that composition's tape adds it: ``H`` is listed once per part, and
+    a shared ``W`` once per block, tag block first.  So values and gradients
+    are bit-identical to it.  A taped op keeps only ``hat`` and ``z``, zero
     outside ``mask``; the backward recomputes ``fused`` and frees ``z`` and
     ``hat`` as soon as it has used them.  An untaped one keeps neither.
     """
@@ -628,7 +653,7 @@ def gated_update(H, message, blocks, gate_new, gate_old, gate_bias, mask):
             np.matmul(hat_t, gate_new.data, out=z_t)
             z_t += np.matmul(h_t, gate_old.data, out=fused)
             z_t += gate_bias.data
-            expit(z_t, out=z_t)
+            _sigmoid(z_t, out=z_t)
             np.multiply(z_t, -1.0, out=out_t)   # 1 - z, as the tape's 1.0 + (z * -1.0)
             out_t += 1.0
             out_t *= h_t

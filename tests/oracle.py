@@ -24,7 +24,6 @@
 import os
 
 import numpy as np
-from scipy.special import expit
 
 from taggnn import autodiff as ad
 from taggnn.data import (COMPLETION_ROLES, DATASET_FILES, FULL_ROLES, ROLES, DataFormatError,
@@ -365,7 +364,8 @@ def bce_blocks(a, b, labels, block_elements, bias=None, transpose_b=False):
         loss[r, c] -= x[r, c]
         total += loss.sum()
         total += np.log1p(np.exp(-np.abs(x))).sum()
-        g = expit(x)
+        with np.errstate(over="ignore", under="ignore"):
+            g = 1.0 / (1.0 + np.exp(-x))
         g[r, c] -= 1.0
         g *= scale
         da[rows] += g @ w.T

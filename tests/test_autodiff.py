@@ -1,5 +1,7 @@
 import contextlib
 import math
+import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -219,6 +221,16 @@ def _dense_bce(a, w, bias, y):
     return loss, g @ w.T, a.T @ g, g.sum(axis=0)
 
 
+def test_sigmoid_saturates_to_0_and_1_without_a_floating_point_warning():
+    x = np.array([800.0, -800.0, 1e308, -1e308, np.inf, -np.inf])
+    with np.errstate(all="raise"):
+        y = ad._sigmoid(x)
+        z = x.copy()
+        ad._sigmoid(z, out=z)
+    assert np.array_equal(y, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    assert z.tobytes() == y.tobytes()
+
+
 class TestBceWithLogits:
     def test_logit_zero(self):
         assert _bce(0.0, 1.0).data == pytest.approx(math.log(2.0), abs=1e-12)
@@ -370,8 +382,32 @@ class TestBceBlocksInFlight:
         assert np.array_equal(a.grad, da) and np.array_equal(b.grad, db)
         assert bias is None or np.array_equal(bias.grad, dbias)
 
-    def test_at_most_two_blocks_run_and_each_waits_for_the_fold_two_back(self, monkeypatch):
+    def test_blocks_finishing_out_of_order_fold_in_block_order(self, monkeypatch):
         monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", 2 * 7)     # 5 blocks of 9 rows
+        (a, b, bias), arrays, labels = _bce_case(2)
+        block, lock, ends = ad._bce_block, threading.Lock(), []
+
+        def slow_first(a_rows, *args):
+            start = _block_start(a.data, a_rows)
+            time.sleep(0.2 if start == 0 else 0.0)
+            try:
+                return block(a_rows, *args)
+            finally:
+                with lock:
+                    ends.append(start)
+
+        monkeypatch.setattr(ad, "_bce_block", slow_first)
+        loss = ad.bce_with_logits(a, b, labels, bias=bias)
+        ad.backward(loss)
+        assert ends.index(0) > ends.index(2)
+        want, da, db, dbias = oracle.bce_blocks(*arrays[:2], labels, 2 * 7, bias=arrays[2],
+                                                transpose_b=True)
+        assert float(loss.data) == want
+        assert np.array_equal(a.grad, da) and np.array_equal(b.grad, db)
+        assert np.array_equal(bias.grad, dbias)
+
+    def test_at_most_two_blocks_run_and_each_waits_for_the_fold_four_back(self, monkeypatch):
+        monkeypatch.setattr(ad, "_BCE_BLOCK_ELEMENTS", 7)         # 9 blocks of 1 row
         (a, b, bias), _, labels = _bce_case(0)
         block, lock, events, running, most = ad._bce_block, threading.Lock(), [], [0], [0]
 
@@ -381,7 +417,7 @@ class TestBceBlocksInFlight:
                 running[0] += 1
                 most[0] = max(most[0], running[0])
                 events.append(("start", start))
-            time.sleep(0.1 if start == 0 else 0.01)
+            time.sleep(0.2 if start == 0 else 0.01)
             try:
                 return block(a_rows, *args)
             finally:
@@ -392,8 +428,10 @@ class TestBceBlocksInFlight:
         monkeypatch.setattr(ad, "_bce_block", watched)
         ad.bce_with_logits(a, b, labels, bias=bias)
         assert most[0] == 2 and running[0] == 0
-        assert sorted(s for kind, s in events if kind == "start") == [0, 2, 4, 6, 8]
-        for lo in (4, 6, 8):   # a block starts only after the block two before it was folded
+        assert sorted(s for kind, s in events if kind == "start") == list(range(9))
+        # while the first block runs, the other worker gets through the three queued behind it
+        assert events.index(("end", 3)) < events.index(("end", 0))
+        for lo in range(4, 9):  # a block starts only after the block four before it was folded
             assert events.index(("end", lo - 4)) < events.index(("start", lo))
 
     def test_a_failing_block_raises_and_the_next_call_is_unharmed(self, monkeypatch):
@@ -428,6 +466,29 @@ class TestBceBlocksInFlight:
         assert float(loss.data) == want
         assert np.array_equal(a.grad, da) and np.array_equal(b.grad, db)
         assert np.array_equal(bias.grad, dbias)
+
+
+def test_a_forked_child_starts_its_own_bce_workers():
+    # the parent's workers are running; the child inherits the pool but not its threads
+    (a, b, bias), _, labels = _bce_case(3)
+    want = ad.bce_with_logits(a, b, labels, bias=bias).data.tobytes()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:                        # the child: one call, ended by SIGALRM if it hangs
+        code = 1
+        try:
+            os.close(read_end)
+            signal.alarm(5)
+            os.write(write_end, ad.bce_with_logits(a, b, labels, bias=bias).data.tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        got = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got == want
 
 
 class TestAdam:
@@ -566,6 +627,19 @@ class TestOpGradients:
         _fd(lambda: oracle.mean(ad.mul(ad.gather_rows(x, slice(1, 4)), w)), [x])
         v = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         _fd(lambda: oracle.mean(ad.scatter_add_rows(v, idx, 5)), [v])
+
+    def test_gather_gradient_has_the_bytes_of_add_at(self):
+        # repeated rows add up in gather order; -0.0 parts add into zeros as np.add.at adds them
+        x = Tensor(self.rng.normal(size=(6, 3)), requires_grad=True)
+        idx = np.array([4, 1, 4, 0, 4, 1])
+        g = self.rng.normal(size=(6, 3)) * 1e16
+        g[self.rng.random(g.shape) < 0.3] = -0.0
+        for part in (g, np.asfortranarray(g)):
+            x.zero_grad()
+            ad.gather_rows(x, idx)._backward(part)
+            want = np.zeros_like(x.data)
+            np.add.at(want, idx, part)
+            assert x.grad.tobytes() == want.tobytes()
 
     def test_transpose(self):
         x = Tensor(self.rng.normal(size=(3, 4)), requires_grad=True)
